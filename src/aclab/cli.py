@@ -88,8 +88,7 @@ def save_solution(path, sol: Solution):
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head) + "\n")
-        for v in sol.field.values:
-            fh.write(_g17(float(v)) + "\n")
+        fh.writelines("%.17g\n" % v for v in sol.field.values.tolist())
 
 
 def load_solution(path, dom: Domain | None = None) -> Solution:
@@ -337,14 +336,16 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0):
                     X = make_rotational_field(dom, rng)
                     if not X.tangential_on_boundary:
                         continue
-                    lhs, rhs, deficit = free_boundary_test(V, sol, well, h0, X)
+                    lhs, rhs, deficit = free_boundary_test(V, sol, well, h0,
+                                                           X, curve=curve)
                     fb_rows.append((eps, lhs, rhs, deficit, X.c1_norm))
                 from .geometry import signed_distance
                 a = 0.2 * float(signed_distance(dom).values.max())
                 Xn = make_boundary_normal_field(dom, a)
                 report.fitted_constants["first_variation_C"] = max(
                     report.fitted_constants.get("first_variation_C", 0.0),
-                    first_variation_bound_constant(V, sol, h0, Xn))
+                    first_variation_bound_constant(V, sol, h0, Xn,
+                                                   curve=curve))
             except AcLabError as exc:
                 report.errors.append((eps, f"varifold: {exc}"))
         try:

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import (TestVectorField, density_fields, node_gradient,
-                          node_jacobian, plateau_value, unit_ball_volume)
-from .errors import BallEscapesU, NoInterface, NoPlateau, NotTangential
-from .geometry import Domain
+                          node_jacobian, plateau_value, radius_ladder,
+                          unit_ball_volume)
+from .errors import BallEscapesU, NoInterface, NotTangential, RadiusTooSmall
+from .geometry import Domain, _shape_sdist_grad
 from .potential import DoubleWell
 from .solver import Solution
 
@@ -86,13 +87,14 @@ def build_varifold(sol: Solution, well: DoubleWell, h0: float) -> DiscreteVarifo
 
 def export_atoms(V: DiscreteVarifold, path):
     """Write the atoms as CSV: position, weight, normal, zero flag."""
-    coords = ("x", "y")[:V.dom.dim]
+    dim = V.dom.dim
+    coords = ("x", "y")[:dim]
     ncols = tuple("n" + c for c in coords)
+    row = ",".join(["%.17g"] * (2 * dim + 1) + ["%d"]) + "\n"
+    table = np.column_stack((V.points, V.weights, V.normals, V.zero_flag))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(coords + ("weight",) + ncols + ("zero_flag",)) + "\n")
-        for p, w, nu, z in zip(V.points, V.weights, V.normals, V.zero_flag):
-            vals = [format(v, ".17g") for v in (*p, w, *nu)]
-            fh.write(",".join(vals + ["1" if z else "0"]) + "\n")
+        fh.writelines(row % tuple(r) for r in table.tolist())
 
 
 def first_variation(V: DiscreteVarifold, X: TestVectorField) -> float:
@@ -140,6 +142,52 @@ def _chain_segments(segments):
     return polylines
 
 
+# corner k of cell (i, j) sits at grid node (i + di, j + dj); edge k runs from
+# corner k to corner k + 1 (counter-clockwise)
+_CELL_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def _cell_segments(U, origin, h):
+    """Marching-squares segments of the zero level set of the nodal grid U.
+
+    One numpy pass over all cells.  Cells touching a NaN (inactive) corner are
+    skipped.  Segments come in row-major (i, j) cell order, and within a cell
+    in edge order, with the saddle split by the sign of the corner mean.
+    Returns the start and end points, each of shape (S, 2).
+    """
+    nx, ny = U.shape
+    vals = np.stack([U[di:nx - 1 + di, dj:ny - 1 + dj]
+                     for di, dj in _CELL_CORNERS], axis=-1).reshape(-1, 4)
+    nxt = lambda a: np.roll(a, -1, axis=1)     # value at corner k + 1
+    neg = vals < 0.0
+    crosses = neg != nxt(neg)                  # edge k: exactly one end < 0
+    keep = ~np.isnan(vals).any(axis=1) & crosses.any(axis=1)
+    cells = np.flatnonzero(keep)
+    vals, crosses = vals[keep], crosses[keep]
+    i, j = np.divmod(cells, ny - 1)
+    ox, oy = origin
+    # corner positions, integer offset added before the half-cell shift
+    cx = np.stack([ox + ((i + di) + 0.5) * h for di, _ in _CELL_CORNERS], 1)
+    cy = np.stack([oy + ((j + dj) + 0.5) * h for _, dj in _CELL_CORNERS], 1)
+    # edges without a crossing give inf/nan here and are never selected
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = vals / (vals - nxt(vals))
+        pts = np.stack([cx + t * (nxt(cx) - cx), cy + t * (nxt(cy) - cy)], -1)
+
+    # crossed-edge pairs per cell: (first, second) for two crossings; for a
+    # saddle (0, 1) and (2, 3) when the corner mean is >= 0, else (3, 0), (1, 2)
+    saddle = crosses.all(axis=1)
+    order = np.argsort(~crosses, axis=1, kind="stable")
+    pos = vals.mean(axis=1) >= 0.0
+    start = np.stack([np.where(saddle, np.where(pos, 0, 3), order[:, 0]),
+                      np.where(pos, 2, 1)], axis=1)
+    end = np.stack([np.where(saddle, np.where(pos, 1, 0), order[:, 1]),
+                    np.where(pos, 3, 2)], axis=1)
+    emit = np.stack([np.ones_like(saddle), saddle], axis=1)
+    row = np.broadcast_to(np.arange(cells.size)[:, None], emit.shape)[emit]
+    return pts[row, start[emit]], pts[row, end[emit]]
+
+
 def extract_interface(sol: Solution) -> InterfaceCurve:
     """Marching-squares zero level set with linear edge interpolation."""
     f = sol.field
@@ -153,45 +201,13 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
     U[dom.grid_index] = f.values
     U = U.reshape(nx, ny)
     h = dom.cell_size
-    ox, oy = dom.origin
-
-    def corner_xy(i, j):
-        return np.array([ox + (i + 0.5) * h, oy + (j + 0.5) * h])
-
-    segments = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            vals = np.array([U[i, j], U[i + 1, j], U[i + 1, j + 1], U[i, j + 1]])
-            if np.isnan(vals).any():
-                continue
-            if vals.min() > 0.0 or vals.max() < 0.0:
-                continue
-            corners = [corner_xy(i, j), corner_xy(i + 1, j),
-                       corner_xy(i + 1, j + 1), corner_xy(i, j + 1)]
-            pts = []
-            for k in range(4):
-                va, vb = vals[k], vals[(k + 1) % 4]
-                if va == 0.0 and vb == 0.0:
-                    continue
-                if (va < 0.0 <= vb) or (vb < 0.0 <= va):
-                    t = va / (va - vb)
-                    pts.append(corners[k] + t * (corners[(k + 1) % 4] - corners[k]))
-            if len(pts) == 2:
-                segments.append((pts[0], pts[1]))
-            elif len(pts) == 4:
-                # saddle cell: split by the sign of the center average
-                if vals.mean() >= 0.0:
-                    segments.append((pts[0], pts[1]))
-                    segments.append((pts[2], pts[3]))
-                else:
-                    segments.append((pts[3], pts[0]))
-                    segments.append((pts[1], pts[2]))
-    if not segments:
+    seg_a, seg_b = _cell_segments(U, dom.origin, h)
+    if seg_a.shape[0] == 0:
         raise NoInterface("no zero level set segments found")
 
     grad = node_gradient(dom, f.values)
-    mids = np.array([0.5 * (a + b) for a, b in segments])
-    dirs = np.array([b - a for a, b in segments])
+    mids = 0.5 * (seg_a + seg_b)
+    dirs = seg_b - seg_a
     lens = np.linalg.norm(dirs, axis=1)
     ok = lens > 1e-14
     mids, dirs, lens = mids[ok], dirs[ok], lens[ok]
@@ -206,8 +222,7 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
     flip = np.sum(normals * grad[near], axis=1) < 0.0
     normals[flip] *= -1.0
 
-    polylines = _chain_segments(list(zip([a for a, _ in segments],
-                                         [b for _, b in segments])))
+    polylines = _chain_segments(list(zip(seg_a, seg_b)))
     angles = []
     for chain in polylines:
         for end_pt, nxt_pt in ((chain[0], chain[1]), (chain[-1], chain[-2])):
@@ -216,7 +231,6 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
                 t = nxt_pt - end_pt
                 t = t / np.linalg.norm(t)
                 bp = dom.nearest_boundary_point(end_pt)
-                from .geometry import _shape_sdist_grad
                 nu = -_shape_sdist_grad(dom.shape, dom.params, bp[None, :])[0]
                 tau = np.array([-nu[1], nu[0]])
                 angles.append(float(np.arccos(min(1.0, abs(float(t @ tau))))))
@@ -224,16 +238,9 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
                           seg_normal=normals, orthogonality_angles=angles)
 
 
-def interface_pairing(curve: InterfaceCurve, X: TestVectorField,
-                      dom: Domain) -> float:
+def interface_pairing(curve: InterfaceCurve, X: TestVectorField) -> float:
     """Polyline quadrature of X . nu_M over the interface."""
-    if X.evaluator is not None:
-        xv = np.asarray(X.evaluator(curve.seg_mid), dtype=float)
-    else:
-        # fall back to nearest-node values
-        from scipy.spatial import cKDTree
-        _, near = cKDTree(dom.points).query(curve.seg_mid)
-        xv = X.values[near]
+    xv = np.asarray(X.evaluator(curve.seg_mid), dtype=float)
     return float(np.sum(curve.seg_len * np.sum(xv * curve.seg_normal, axis=1)))
 
 
@@ -247,19 +254,18 @@ def _zero_crossing_pairing_1d(sol: Solution, X: TestVectorField) -> float:
     for i in np.flatnonzero(np.diff(np.sign(u)) != 0):
         t = u[i] / (u[i] - u[i + 1])
         xc = x[i] + t * (x[i + 1] - x[i])
-        if X.evaluator is not None:
-            val = float(np.asarray(X.evaluator(np.array([[xc]])))[0, 0])
-        else:
-            val = float(X.values[i + (t > 0.5), 0])
+        val = float(np.asarray(X.evaluator(np.array([[xc]])))[0, 0])
         total += val * (1.0 if u[i + 1] > u[i] else -1.0)
     return total
 
 
 def free_boundary_test(V: DiscreteVarifold, sol: Solution, well: DoubleWell,
-                       h0: float, X: TestVectorField):
+                       h0: float, X: TestVectorField,
+                       curve: InterfaceCurve | None = None):
     """Check delta V(X) = -(2 lam / h0) * int_M X . nu_M for tangential X.
 
-    Returns (lhs, rhs, deficit).
+    In 2D the pairing uses curve, the extract_interface(sol) result, which is
+    extracted here when not given.  Returns (lhs, rhs, deficit).
     """
     if not X.tangential_on_boundary:
         raise NotTangential("X is not tangential along the boundary")
@@ -269,18 +275,24 @@ def free_boundary_test(V: DiscreteVarifold, sol: Solution, well: DoubleWell,
     elif V.dom.dim == 1:
         rhs = -(2.0 * sol.lam / h0) * _zero_crossing_pairing_1d(sol, X)
     else:
-        curve = extract_interface(sol)
-        rhs = -(2.0 * sol.lam / h0) * interface_pairing(curve, X, V.dom)
+        if curve is None:
+            curve = extract_interface(sol)
+        rhs = -(2.0 * sol.lam / h0) * interface_pairing(curve, X)
     return lhs, rhs, abs(lhs - rhs)
 
 
 def first_variation_bound_constant(V: DiscreteVarifold, sol: Solution,
-                                   h0: float, X: TestVectorField) -> float:
-    """Fitted C in |h0 dV(X) + 2 lam int_M X . nu_M| <= C sup |X . nu|."""
+                                   h0: float, X: TestVectorField,
+                                   curve: InterfaceCurve | None = None) -> float:
+    """Fitted C in |h0 dV(X) + 2 lam int_M X . nu_M| <= C sup |X . nu|.
+
+    curve is the extract_interface(sol) result, extracted here when not given.
+    """
     lhs = h0 * first_variation(V, X)
     if sol.field.values.min() < 0.0 < sol.field.values.max():
-        curve = extract_interface(sol)
-        lhs += 2.0 * sol.lam * interface_pairing(curve, X, V.dom)
+        if curve is None:
+            curve = extract_interface(sol)
+        lhs += 2.0 * sol.lam * interface_pairing(curve, X)
     sup = float(np.abs(np.sum(X.boundary_values * V.dom.boundary.normals,
                               axis=1)).max(initial=0.0))
     if sup <= 1e-14:
@@ -303,6 +315,9 @@ def density_estimate(V: DiscreteVarifold, x, radii) -> DensityCurve:
     normalization is used for boundary-centered points."""
     x = np.asarray(x, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
+    if radii.size == 0:
+        raise RadiusTooSmall(f"no density radius at {x}: the ball floor "
+                             "exceeds the room to the boundary")
     if np.any(x - radii[-1] < V.dom.u_lo) or np.any(x + radii[-1] > V.dom.u_hi):
         raise BallEscapesU("density ball leaves the padding box U")
     n = V.dom.dim
@@ -352,15 +367,10 @@ def integrality_check(V: DiscreteVarifold, sample_points, radii=None,
     rows = []
     for p in np.atleast_2d(np.asarray(sample_points, dtype=float)):
         if radii is None:
-            from .diagnostics import radius_ladder
             rr = radius_ladder(V.dom, V.epsilon, p)
         else:
             rr = np.asarray(radii, dtype=float)
-        curve = density_estimate(V, p, rr)
-        try:
-            val = curve.plateau(slope_tol)
-        except NoPlateau:
-            raise
+        val = density_estimate(V, p, rr).plateau(slope_tol)
         rows.append(IntegralityRow(point=p, plateau=val,
                                    nearest_integer=int(round(val)),
                                    deviation=abs(val - round(val))))

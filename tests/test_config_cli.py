@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from aclab import cli
+from aclab import cli, varifold
 from aclab.config import example_config, load_config, parse_config
 from aclab.errors import ConfigError, DomainMismatch
 from aclab.geometry import build_domain
@@ -283,6 +283,40 @@ class TestMoreCli:
                      "integrality.csv"):
             assert (tmp_path / "d1" / name).read_bytes() \
                 == (tmp_path / "d2" / name).read_bytes()
+
+    def test_diagnose_extracts_once_per_solution(self, tmp_path, monkeypatch):
+        text = (SMALL.format(out=tmp_path / "out")
+                .replace("shape = interval", "shape = disk")
+                .replace("cells = 512", "cells = 64")
+                .replace("constraint_mean = 0.0", "constraint_mean = 0.3")
+                .replace("recipe = step-x", "recipe = radial")
+                .replace("epsilons = 0.1 0.05 0.025", "epsilons = 0.12 0.1")
+                .replace("checks = equipartition varifold", "checks = varifold"))
+        path = tmp_path / "disk.cfg"
+        path.write_text(text)
+        cfg = load_config(path)
+        cli.cmd_solve(cfg)
+        out = tmp_path / "out"
+        dom = build_domain("disk", (1.0,), 64)
+        pure = Solution(field=Field(dom, 0.11, np.ones(dom.n_nodes)), lam=0.0,
+                        residual_norm=0.0, iterations=0)
+        cli.save_solution(out / "pure.txt", pure)
+        sols = sorted(out.glob("solution_*.txt")) + [out / "pure.txt"]
+
+        calls = []
+        real = varifold.extract_interface
+
+        def counting(sol):
+            calls.append(sol.field.epsilon)
+            return real(sol)
+
+        monkeypatch.setattr(cli, "extract_interface", counting)
+        monkeypatch.setattr(varifold, "extract_interface", counting)
+        report = cli.cmd_diagnose(cfg, sols)
+        assert {e for e, _ in report.errors} == {0.11}  # the pure phase
+        assert len(report.tables["free_boundary"]) == 4  # 2 fields x 2 eps
+        assert "first_variation_C" in report.fitted_constants
+        assert calls == [0.12, 0.1]
 
     def test_user_polynomial_through_config(self, tmp_path):
         text = SMALL.format(out=tmp_path / "out").replace(

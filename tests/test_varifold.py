@@ -6,18 +6,65 @@ import pytest
 from aclab.diagnostics import (density_fields, field_from_callable,
                                make_radial_field, make_rotational_field,
                                radius_ladder)
-from aclab.errors import NoInterface, NotTangential
+from aclab.errors import NoInterface, NotTangential, RadiusTooSmall
 from aclab.geometry import build_domain
 from aclab.potential import DoubleWell, compute_h0
 from aclab.solver import (Field, Solution, epsilon_sweep, orthogonal_arc,
                           solve_single)
-from aclab.varifold import (build_varifold, density_estimate,
+from aclab.varifold import (_cell_segments, build_varifold, density_estimate,
                             extract_interface, first_variation,
                             first_variation_bound_constant,
                             free_boundary_test, integrality_check,
                             sample_interface_nodes)
 
 H0 = 2.0 * math.sqrt(2.0) / 3.0
+
+
+def loop_segments(U, origin, h):
+    """Per-cell marching squares over the nodal grid U: the loop reference
+    for the vectorised pass, segments in row-major cell order."""
+    nx, ny = U.shape
+    ox, oy = origin
+
+    def corner_xy(i, j):
+        return np.array([ox + (i + 0.5) * h, oy + (j + 0.5) * h])
+
+    segments = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            vals = np.array([U[i, j], U[i + 1, j], U[i + 1, j + 1], U[i, j + 1]])
+            if np.isnan(vals).any():
+                continue
+            if vals.min() > 0.0 or vals.max() < 0.0:
+                continue
+            corners = [corner_xy(i, j), corner_xy(i + 1, j),
+                       corner_xy(i + 1, j + 1), corner_xy(i, j + 1)]
+            pts = []
+            for k in range(4):
+                va, vb = vals[k], vals[(k + 1) % 4]
+                if va == 0.0 and vb == 0.0:
+                    continue
+                if (va < 0.0 <= vb) or (vb < 0.0 <= va):
+                    t = va / (va - vb)
+                    pts.append(corners[k] + t * (corners[(k + 1) % 4] - corners[k]))
+            if len(pts) == 2:
+                segments.append((pts[0], pts[1]))
+            elif len(pts) == 4:
+                if vals.mean() >= 0.0:
+                    segments.append((pts[0], pts[1]))
+                    segments.append((pts[2], pts[3]))
+                else:
+                    segments.append((pts[3], pts[0]))
+                    segments.append((pts[1], pts[2]))
+    return segments
+
+
+def nodal_grid(sol):
+    dom = sol.field.dom
+    nx, ny = dom.grid_shape
+    U = np.full(nx * ny, np.nan)
+    U[dom.grid_index] = sol.field.values
+    return U.reshape(nx, ny)
 
 
 @pytest.fixture(scope="module")
@@ -172,13 +219,42 @@ class TestInterface:
         for ang in curve.orthogonality_angles:
             assert abs(math.degrees(ang) - 90.0) <= 5.0
 
+    def test_vectorised_segments_match_loop(self):
+        # a few values on a coarse disk: saddle cells of both center signs,
+        # exact zeros at corners, and NaN (inactive) corners around the rim
+        dom = build_domain("disk", (1.0,), 24)
+        rng = np.random.default_rng(5)
+        vals = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=dom.n_nodes)
+        sol = Solution(field=Field(dom, 0.1, vals), lam=0.0,
+                       residual_norm=0.0, iterations=0)
+        U = nodal_grid(sol)
+        cells = np.stack([U[:-1, :-1], U[1:, :-1], U[1:, 1:], U[:-1, 1:]],
+                         axis=-1).reshape(-1, 4)
+        cells = cells[~np.isnan(cells).any(axis=1)]
+        neg = cells < 0.0
+        saddle = (neg == [True, False, True, False]).all(axis=1) | (
+            neg == [False, True, False, True]).all(axis=1)
+        assert np.isnan(U).any()
+        assert (saddle & (cells.mean(axis=1) >= 0.0)).any()
+        assert (saddle & (cells.mean(axis=1) < 0.0)).any()
+        assert ((cells == 0.0).any(axis=1) & neg.any(axis=1)).any()
+
+        ref = loop_segments(U, dom.origin, dom.cell_size)
+        a, b = _cell_segments(U, dom.origin, dom.cell_size)
+        assert np.array_equal(a, np.array([p for p, _ in ref]))
+        assert np.array_equal(b, np.array([q for _, q in ref]))
+
+        mids = np.array([0.5 * (p + q) for p, q in ref])
+        lens = np.linalg.norm(np.array([q - p for p, q in ref]), axis=1)
+        curve = extract_interface(sol)
+        assert np.array_equal(curve.seg_mid, mids[lens > 1e-14])
+        assert np.array_equal(curve.seg_len, lens[lens > 1e-14])
+
     def test_vertices_on_zero_level(self, band_sol):
         # by linear interpolation the crossing points carry value zero
         dom = band_sol.field.dom
         nx, ny = dom.grid_shape
-        U = np.full(nx * ny, np.nan)
-        U[dom.grid_index] = band_sol.field.values
-        U = U.reshape(nx, ny)
+        U = nodal_grid(band_sol)
         curve = extract_interface(band_sol)
         h = dom.cell_size
         for chain in curve.polylines:
@@ -277,6 +353,18 @@ class TestDensity:
         rep = integrality_check(band_varifold, pts)
         assert all(r.nearest_integer == 1 for r in rep.rows)
         assert rep.max_deviation <= 0.15
+
+    def test_ball_floor_beyond_boundary_is_typed(self, quartic, h0):
+        # within 2h of the boundary the radius ladder is empty
+        dom = build_domain("interval", (1.0,), 64)
+        x = dom.points[:, 0]
+        f = Field(dom, 0.05, np.tanh((x - 0.5) / (math.sqrt(2.0) * 0.05)))
+        sol = Solution(field=f, lam=0.0, residual_norm=0.0, iterations=0)
+        V = build_varifold(sol, quartic, h0)
+        p = np.array([[x.min() + dom.cell_size]])
+        assert radius_ladder(dom, 0.05, p[0]).size == 0
+        with pytest.raises(RadiusTooSmall):
+            integrality_check(V, p)
 
     def test_atom_export_columns(self, band_varifold, tmp_path):
         from aclab.varifold import export_atoms
