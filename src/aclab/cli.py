@@ -92,10 +92,18 @@ def save_solution(path, sol: Solution):
 
 
 def load_solution(path, dom: Domain | None = None) -> Solution:
-    """Read a stored solution; validates against dom when given."""
+    """Read a stored solution; validates against dom when given.
+
+    An unparsable header or value line, non-finite nodal values and a
+    non-finite epsilon or lambda raise DomainMismatch; the energy may be NaN
+    (its default).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        head = json.loads(fh.readline())
-        values = np.array([float(line) for line in fh if line.strip()])
+        try:
+            head = json.loads(fh.readline())
+            values = np.array([float(line) for line in fh if line.strip()])
+        except ValueError as exc:
+            raise DomainMismatch(f"{path}: unparsable solution file: {exc}") from exc
     if head.get("schema") != SOLUTION_SCHEMA:
         raise DomainMismatch(f"{path}: unknown solution schema")
     if dom is None:
@@ -110,8 +118,13 @@ def load_solution(path, dom: Domain | None = None) -> Solution:
         raise DomainMismatch(
             f"{path}: {values.size} nodal values for a domain with "
             f"{dom.n_nodes} active nodes")
-    f = Field(dom, float(head["epsilon"]), values)
-    return Solution(field=f, lam=float(head["lambda"]),
+    if not np.all(np.isfinite(values)):
+        raise DomainMismatch(f"{path}: non-finite nodal values")
+    eps, lam = float(head["epsilon"]), float(head["lambda"])
+    if not (math.isfinite(eps) and math.isfinite(lam)):
+        raise DomainMismatch(f"{path}: non-finite epsilon {eps} or lambda {lam}")
+    f = Field(dom, eps, values)
+    return Solution(field=f, lam=lam,
                     residual_norm=float(head["residual_norm"]),
                     iterations=int(head["iterations"]),
                     constraint=head.get("constraint"),

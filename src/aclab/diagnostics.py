@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BallEscapesU, InvalidCutoffScale
-from .geometry import Domain, ball_restriction, boundary_integral, signed_distance
+from .geometry import (Domain, ball_restrictions, boundary_integral,
+                       signed_distance)
 from .potential import DoubleWell
 from .solver import Field, Solution
 
@@ -83,9 +84,9 @@ def density_fields(f: Field, well: DoubleWell) -> DensityFields:
                          xi_minus=np.maximum(-xi, 0.0))
 
 
-def tilted_densities(f: Field, well: DoubleWell, lam: float):
-    """(e_tilde, xi_tilde) with W replaced by the shifted W-tilde."""
-    d = density_fields(f, well)
+def tilted_densities(f: Field, d: DensityFields, lam: float):
+    """(e_tilde, xi_tilde) of f with W replaced by the shifted W-tilde, from
+    its density fields d."""
     lam0 = max(1.0, abs(lam))
     shift = -lam * f.values + lam0 * C0
     return d.e + shift, d.xi - shift
@@ -139,7 +140,7 @@ def energy_ratio_curve(f: Field, well: DoubleWell, x, radii,
     n = dom.dim
     om = unit_ball_volume(n - 1)
     d = density_fields(f, well)
-    et, xt = tilted_densities(f, well, lam)
+    et, xt = tilted_densities(f, d, lam)
     radii = np.sort(np.asarray(radii, dtype=float))
     I = np.empty(radii.size)
     I_t = np.empty(radii.size)
@@ -147,10 +148,8 @@ def energy_ratio_curve(f: Field, well: DoubleWell, x, radii,
     Dt = np.empty(radii.size)
     center = None
     bflag = False
-    for k, r in enumerate(radii):
-        ball = ball_restriction(dom, x if center is None else center, r)
-        if center is None:
-            center, bflag = ball.center, ball.boundary_flag
+    for k, (r, ball) in enumerate(zip(radii, ball_restrictions(dom, x, radii))):
+        center, bflag = ball.center, ball.boundary_flag
         bw, bi = ball.node_weights, ball.node_index
         norm = om * r ** (n - 1)
         I[k] = float(np.sum(bw * d.e[bi])) / norm
@@ -257,8 +256,8 @@ def xi_integral_bound_fit(f: Field, well: DoubleWell, lam: float,
     n = dom.dim
     d = density_fields(f, well)
     best = 0.0
-    for r, I in zip(curve.radii, curve.I_values):
-        ball = ball_restriction(dom, curve.center, r)
+    balls = ball_restrictions(dom, curve.center, curve.radii)
+    for r, I, ball in zip(curve.radii, curve.I_values, balls):
         lhs = float(np.sum(ball.node_weights * d.xi_plus[ball.node_index])) / r**n
         best = max(best, lhs * r ** (7.0 / 8.0) / (I + 1.0))
     return best

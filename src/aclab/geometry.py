@@ -424,26 +424,37 @@ def ball_restriction(dom: Domain, x, r: float) -> BallRestriction:
     point and flagged (the monotonicity formulas only cover balls that are
     fully interior or exactly boundary-centered).
     """
+    return next(ball_restrictions(dom, x, (r,)))
+
+
+def ball_restrictions(dom: Domain, x, radii):
+    """Yield ball_restriction(dom, x, r) for each r in radii, in order.
+
+    The center is snapped and the node distances are computed once, so a
+    ladder of radii costs one distance pass.
+    """
     h = dom.cell_size
-    if r <= 2.0 * h:
-        raise RadiusTooSmall(f"radius {r} must exceed 2h = {2 * h}")
     x = np.asarray(x, dtype=float)
     dist_b = float(dom.distance_to_boundary(x[None, :])[0])
     boundary_flag = abs(dist_b) < 0.5 * h
     if boundary_flag:
         x = dom.nearest_boundary_point(x)
-    if np.any(x - r < dom.u_lo) or np.any(x + r > dom.u_hi):
-        raise BallEscapesU(f"ball of radius {r} at {x} leaves the padding box U")
-
     s = np.linalg.norm(dom.points - x[None, :], axis=1)
-    idx = np.flatnonzero(s < r + h)
-    # clipped-linear fraction of each cell inside the sphere: smooth and
-    # monotone in r, which the monotonicity scans difference in rho
-    frac = np.clip(0.5 + (r - s[idx]) / h, 0.0, 1.0)
-    w = frac * dom.cut_cell_weights[idx]
-    keep = w > 0.0
-    return BallRestriction(center=x, radius=float(r), node_index=idx[keep],
-                           node_weights=w[keep], boundary_flag=boundary_flag)
+    for r in radii:
+        if r <= 2.0 * h:
+            raise RadiusTooSmall(f"radius {r} must exceed 2h = {2 * h}")
+        if np.any(x - r < dom.u_lo) or np.any(x + r > dom.u_hi):
+            raise BallEscapesU(
+                f"ball of radius {r} at {x} leaves the padding box U")
+        idx = np.flatnonzero(s < r + h)
+        # clipped-linear fraction of each cell inside the sphere: smooth and
+        # monotone in r, which the monotonicity scans difference in rho
+        frac = np.clip(0.5 + (r - s[idx]) / h, 0.0, 1.0)
+        w = frac * dom.cut_cell_weights[idx]
+        keep = w > 0.0
+        yield BallRestriction(center=x, radius=float(r), node_index=idx[keep],
+                              node_weights=w[keep],
+                              boundary_flag=boundary_flag)
 
 
 def boundary_integral(dom: Domain, f, within_box=None) -> float:

@@ -222,7 +222,10 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                             energy=assemble_energy(f, well))
         J = (eps * A + sp.diags(w * well.wpp(u) / eps)).tocsc()
         try:
-            lu = splu(J)
+            # J is symmetric: order A + A^T by minimum degree and prefer
+            # diagonal pivots, which halves the fill of the default COLAMD
+            lu = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                      options=dict(SymmetricMode=True))
             p = lu.solve(F)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from exc

@@ -225,10 +225,14 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
     polylines = _chain_segments(list(zip(seg_a, seg_b)))
     angles = []
     for chain in polylines:
-        for end_pt, nxt_pt in ((chain[0], chain[1]), (chain[-1], chain[-2])):
+        for walk in (chain, chain[::-1]):
+            end_pt = walk[0]
             db = float(dom.distance_to_boundary(end_pt[None, :])[0])
-            if abs(db) < 2.0 * h:
-                t = nxt_pt - end_pt
+            # the tangent runs to the first point off the end: exact-zero
+            # nodes leave zero-length steps in the polyline
+            off = np.flatnonzero((walk[1:] != end_pt).any(axis=1))
+            if abs(db) < 2.0 * h and off.size:
+                t = walk[1 + off[0]] - end_pt
                 t = t / np.linalg.norm(t)
                 bp = dom.nearest_boundary_point(end_pt)
                 nu = -_shape_sdist_grad(dom.shape, dom.params, bp[None, :])[0]

@@ -116,6 +116,54 @@ class TestSolutionIO:
             cli.load_solution(path, dom)
 
 
+class TestBadSolutionFiles:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        dom = build_domain("interval", (1.0,), 64)
+        sol = solve_single(dom, DoubleWell(), 0.1, constraint=0.0, pre_steps=5)
+        path = tmp_path / "s.txt"
+        cli.save_solution(path, sol)
+        return path, dom
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value(self, saved, bad):
+        path, dom = saved
+        lines = path.read_text().splitlines()
+        lines[7] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainMismatch, match="non-finite nodal"):
+            cli.load_solution(path, dom)
+
+    @pytest.mark.parametrize("key", ["epsilon", "lambda"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_header_field(self, saved, key, bad):
+        path, dom = saved
+        head, *rest = path.read_text().splitlines()
+        head = json.loads(head)
+        head[key] = bad
+        path.write_text("\n".join([json.dumps(head), *rest]) + "\n")
+        with pytest.raises(DomainMismatch, match="non-finite epsilon"):
+            cli.load_solution(path, dom)
+
+    @pytest.mark.parametrize("line, bad", [(7, "0.25,0.5"), (0, '{"schema": ')])
+    def test_unparsable_line(self, saved, line, bad):
+        path, dom = saved
+        lines = path.read_text().splitlines()
+        lines[line] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainMismatch, match="unparsable"):
+            cli.load_solution(path, dom)
+
+    def test_nan_energy_stays_legal(self, tmp_path):
+        dom = build_domain("interval", (1.0,), 64)
+        sol = Solution(field=Field(dom, 0.1, np.zeros(dom.n_nodes)), lam=0.0,
+                       residual_norm=0.0, iterations=0)
+        path = tmp_path / "s.txt"
+        cli.save_solution(path, sol)
+        assert '"energy": NaN' in path.read_text()
+        assert np.isnan(cli.load_solution(path, dom).energy)
+
+
 class TestCli:
     def test_example_config_subcommand(self, capsys):
         assert cli.main(["example-config"]) == 0

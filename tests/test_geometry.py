@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from aclab.errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
-from aclab.geometry import (ball_restriction, boundary_integral, build_domain,
+from aclab.geometry import (ball_restriction, ball_restrictions,
+                            boundary_integral, build_domain,
                             domain_from_descriptor, signed_distance)
 
 
@@ -157,6 +158,34 @@ class TestBallRestriction:
         deep = dist < 0.4 - h * math.sqrt(2)
         assert np.array_equal(ball.node_weights[deep],
                               dom.cut_cell_weights[ball.node_index[deep]])
+
+    @pytest.mark.parametrize("shape, x", [
+        ("disk", (0.3, 0.1)),
+        ("disk", (math.cos(1.0), math.sin(1.0))),
+        ("half-disk", (0.2, 0.0)),
+    ])
+    def test_ladder_matches_single_balls(self, shape, x):
+        # one distance pass for the ladder, the same balls bit for bit
+        dom = build_domain(shape, (1.0,), 64)
+        radii = (0.1, 0.15, 0.2, 0.3)
+        ladder = list(ball_restrictions(dom, np.array(x), radii))
+        assert len(ladder) == len(radii)
+        for r, ball in zip(radii, ladder):
+            one = ball_restriction(dom, np.array(x), r)
+            assert np.array_equal(ball.center, one.center)
+            assert ball.radius == one.radius
+            assert ball.boundary_flag == one.boundary_flag
+            assert np.array_equal(ball.node_index, one.node_index)
+            assert np.array_equal(ball.node_weights, one.node_weights)
+
+    def test_ladder_checks_every_radius(self):
+        dom = build_domain("disk", (1.0,), 64)
+        balls = ball_restrictions(dom, np.array([0.9, 0.0]), (0.3, 1.4))
+        assert next(balls).radius == 0.3
+        with pytest.raises(BallEscapesU):
+            next(balls)
+        with pytest.raises(RadiusTooSmall):
+            list(ball_restrictions(dom, np.zeros(2), (0.3, dom.cell_size)))
 
 
 class TestBoundaryIntegral:

@@ -40,6 +40,15 @@ class TestEvalPotential:
         assert wp == pytest.approx(s**3 - s, rel=1e-12, abs=1e-15)
         assert wpp == pytest.approx(3 * s * s - 1, rel=1e-12, abs=1e-15)
 
+    @given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_quartic_wp_exactly_odd(self, xs):
+        # W is even, so W' is odd: exactly, not to rounding (+0 == -0)
+        well = DoubleWell()
+        s = np.array(xs)
+        assert np.array_equal(well.wp(-s), -well.wp(s))
+        assert np.array_equal(well.wp(np.array([-1.0, 0.0, 1.0])), np.zeros(3))
+
 
 class TestConstruction:
     def test_user_polynomial_quartic_matches(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aclab.errors import Blowup, UnresolvedInterface
 from aclab.geometry import build_domain
@@ -185,6 +187,19 @@ class TestNewtonRefine:
         assert sol.iterations == 0
         assert np.allclose(sol.field.values, quartic.gamma)
         assert sol.residual_norm <= 1e-12
+
+
+    @given(st.floats(-0.5, 0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_mean_flip_symmetry(self, m):
+        # W is even: the step-x seeds for m and -m are mirror-negations of
+        # each other, so the energy is unchanged and lambda flips sign
+        dom = build_domain("interval", (1.0,), 256)
+        well = DoubleWell()
+        a = solve_single(dom, well, 0.05, constraint=m, pre_steps=10)
+        b = solve_single(dom, well, 0.05, constraint=-m, pre_steps=10)
+        assert abs(a.energy - b.energy) <= 1e-10
+        assert abs(a.lam + b.lam) <= 1e-10
 
 
 class TestSweep:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,16 @@ def nodal_grid(sol):
     U = np.full(nx * ny, np.nan)
     U[dom.grid_index] = sol.field.values
     return U.reshape(nx, ny)
+
+
+def disk24_field():
+    """A few values on a coarse disk: saddle cells of both center signs,
+    exact zeros at corners, and NaN (inactive) corners around the rim."""
+    dom = build_domain("disk", (1.0,), 24)
+    rng = np.random.default_rng(5)
+    vals = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=dom.n_nodes)
+    return Solution(field=Field(dom, 0.1, vals), lam=0.0,
+                    residual_norm=0.0, iterations=0)
 
 
 @pytest.fixture(scope="module")
@@ -220,13 +231,8 @@ class TestInterface:
             assert abs(math.degrees(ang) - 90.0) <= 5.0
 
     def test_vectorised_segments_match_loop(self):
-        # a few values on a coarse disk: saddle cells of both center signs,
-        # exact zeros at corners, and NaN (inactive) corners around the rim
-        dom = build_domain("disk", (1.0,), 24)
-        rng = np.random.default_rng(5)
-        vals = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=dom.n_nodes)
-        sol = Solution(field=Field(dom, 0.1, vals), lam=0.0,
-                       residual_norm=0.0, iterations=0)
+        sol = disk24_field()
+        dom = sol.field.dom
         U = nodal_grid(sol)
         cells = np.stack([U[:-1, :-1], U[1:, :-1], U[1:, 1:], U[:-1, 1:]],
                          axis=-1).reshape(-1, 4)
@@ -249,6 +255,34 @@ class TestInterface:
         curve = extract_interface(sol)
         assert np.array_equal(curve.seg_mid, mids[lens > 1e-14])
         assert np.array_equal(curve.seg_len, lens[lens > 1e-14])
+
+    def test_contact_angle_skips_zero_length_steps(self):
+        # exact-zero nodes leave zero-length steps in the polylines: a chain
+        # end's tangent runs to the first point that differs from the end,
+        # and an end with no such point has no contact angle
+        sol = disk24_field()
+        dom = sol.field.dom
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            curve = extract_interface(sol)
+        expect, zero_first_steps = [], 0
+        for chain in curve.polylines:
+            for walk in (chain, chain[::-1]):
+                end = walk[0]
+                if abs(1.0 - np.hypot(*end)) >= 2.0 * dom.cell_size:
+                    continue
+                steps = [q - end for q in walk[1:] if np.any(q != end)]
+                zero_first_steps += bool(np.all(walk[1] == end))
+                if steps:
+                    t = steps[0] / np.linalg.norm(steps[0])
+                    tau = np.array([-end[1], end[0]]) / np.hypot(*end)
+                    expect.append(math.acos(min(1.0, abs(float(t @ tau)))))
+        assert zero_first_steps == 3
+        # two of the three are the ends of a chain that never leaves its end
+        assert len(curve.orthogonality_angles) == len(expect) == 48
+        assert np.all(np.isfinite(curve.orthogonality_angles))
+        assert np.allclose(curve.orthogonality_angles, expect,
+                           rtol=0.0, atol=1e-12)
 
     def test_vertices_on_zero_level(self, band_sol):
         # by linear interpolation the crossing points carry value zero
