@@ -84,19 +84,19 @@ class AcceptanceContext:
     def sweep_1d(self):
         return self._get("sweep_1d", lambda: epsilon_sweep(
             build_domain("interval", (1.0,), 2048), self.well,
-            [0.1, 0.05, 0.025], constraint=0.0, pre_steps=100))
+            [0.1, 0.05, 0.025], constraint=0.0))
 
     @property
     def rect_sol(self):
         return self._get("rect_sol", lambda: solve_single(
             build_domain("rectangle", (1.0, 1.0), (256, 256)), self.well,
-            0.02, constraint=0.0, recipe="step-x", pre_steps=30))
+            0.02, constraint=0.0, recipe="step-x"))
 
     @property
     def disk_sol(self):
         return self._get("disk_sol", lambda: solve_single(
             build_domain("disk", (1.0,), 256), self.well, 0.02,
-            constraint=0.3, recipe="radial", pre_steps=30))
+            constraint=0.3, recipe="radial"))
 
     @property
     def pohozaev_sols(self):
@@ -105,7 +105,7 @@ class AcceptanceContext:
             for n in (64, 128, 256):
                 dom = build_domain("rectangle", (1.0, 1.0), (n, n))
                 sols.append(solve_single(dom, self.well, 0.04, constraint=0.0,
-                                         recipe="step-x", pre_steps=20))
+                                         recipe="step-x"))
             return sols
         return self._get("pohozaev_sols", build)
 
@@ -322,7 +322,7 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     # two-band even-parity check: reported, non-gating (metastability caveat)
     dom = build_domain("interval", (1.0,), 1024)
     two = solve_single(dom, ctx.well, 0.02, constraint=0.5,
-                       recipe="two-layer", pre_steps=10)
+                       recipe="two-layer")
     V2 = build_varifold(two, ctx.well, ctx.h0)
     theta2 = density_estimate(V2, np.array([0.5]),
                               [0.16, 0.18, 0.2]).theta.mean()

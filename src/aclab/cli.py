@@ -1,18 +1,16 @@
 """Config-driven experiment runner: epsilon sweeps, diagnostic suites and
 CSV report emission.
 
-Subcommands: solve, diagnose, check, example-config.  Exit codes: 0 success,
-1 acceptance failure, 2 config error, 3 solver error.  AC_LAB_THREADS caps
-the worker count of --parallel-cold sweeps.
+Subcommands: solve, diagnose, check, example-config.  solve is a thin
+wrapper over solver.epsilon_sweep that writes its solutions.  Exit codes:
+0 success, 1 acceptance failure, 2 config error, 3 solver error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,11 +25,10 @@ from .diagnostics import (almost_monotonicity_fit, boundary_energy,
                           pohozaev_residual, radius_ladder,
                           xi_integral_bound_fit)
 from .errors import (AcLabError, ConfigError, DomainMismatch,
-                     InvalidShapeParams)
+                     InvalidShapeParams, UnresolvedInterface)
 from .geometry import Domain, build_domain, domain_from_descriptor
 from .potential import DoubleWell, compute_h0
-from .solver import (Field, Solution, gradient_flow, newton_refine,
-                     resharpen, seed_field)
+from .solver import Field, Solution, epsilon_sweep
 from .varifold import (build_varifold, extract_interface,
                        first_variation_bound_constant,
                        free_boundary_test, integrality_check,
@@ -138,79 +135,42 @@ def _make_well(cfg: RunConfig) -> DoubleWell:
     return DoubleWell(kind="user-polynomial", coefficients=cfg.coefficients)
 
 
-def _worker_count():
-    env = os.environ.get("AC_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _recipe_params(cfg: RunConfig, dom: Domain) -> dict:
+    """cfg.recipe_params, plus the file recipe's nodal values, read once and
+    checked against dom; a bad init file is a ConfigError."""
+    if cfg.recipe != "file":
+        return cfg.recipe_params
+    path = cfg.recipe_params["file"]
+    try:
+        values = np.loadtxt(path, dtype=float, ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"init.file {path}: {exc}") from exc
+    if values.shape != (dom.n_nodes,):
+        raise ConfigError(f"init.file {path}: {values.size} values for a "
+                          f"domain with {dom.n_nodes} active nodes")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"init.file {path}: non-finite values")
+    return dict(cfg.recipe_params, values=values)
 
 
-def _solve_one(dom, well, cfg, eps, warm_values=None, warm_eps=None):
-    if warm_values is not None:
-        f0 = Field(dom, eps, resharpen(warm_values, warm_eps, eps))
-    elif cfg.recipe == "file":
-        values = np.loadtxt(cfg.recipe_params["file"])
-        f0 = seed_field(dom, eps, "file", cfg.constraint_mean,
-                        cfg.recipe_params, values=values)
-    else:
-        f0 = seed_field(dom, eps, cfg.recipe, cfg.constraint_mean,
-                        cfg.recipe_params)
-    flowed = gradient_flow(f0, well, constraint=cfg.constraint_mean,
-                           stop_tol=cfg.tol, max_steps=cfg.pre_steps,
-                           dt_factor=cfg.dt_factor)
-    return newton_refine(flowed, well, tol=cfg.tol)
-
-
-def cmd_solve(cfg: RunConfig, out_dir=None, parallel_cold=False,
-              verbose=False) -> RunReport:
+def cmd_solve(cfg: RunConfig, out_dir=None, verbose=False) -> RunReport:
     """Run the epsilon sweep and write solution files plus a summary CSV.
 
-    Solver failures on one epsilon are recorded and do not abort the sweep.
+    Solver failures on one epsilon are recorded and do not abort the sweep;
+    solution_KK.txt keeps the index KK of its epsilon in the config.
     """
     out = Path(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dom = build_domain(cfg.shape, cfg.params, cfg.cells)
-    well = _make_well(cfg)
-    h = dom.cell_size
-    for e in cfg.epsilons:
-        if e <= 2.0 * h:
-            raise ConfigError(f"sweep epsilon {e} <= 2h = {2 * h}: "
-                              "interface unresolvable")
-
     report = RunReport()
-    sols: list = [None] * len(cfg.epsilons)
-    if parallel_cold:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            futs = {pool.submit(_solve_one, dom, well, cfg, e): k
-                    for k, e in enumerate(cfg.epsilons)}
-            for fut, k in futs.items():
-                try:
-                    sols[k] = fut.result()
-                except AcLabError as exc:
-                    report.errors.append((cfg.epsilons[k], str(exc)))
-    else:
-        prev = None
-        for k, e in enumerate(cfg.epsilons):
-            try:
-                if prev is None:
-                    sols[k] = _solve_one(dom, well, cfg, e)
-                else:
-                    sols[k] = _solve_one(dom, well, cfg, e,
-                                         warm_values=prev.field.values,
-                                         warm_eps=prev.field.epsilon)
-                prev = sols[k]
-            except AcLabError as exc:
-                report.errors.append((e, str(exc)))
-                prev = None
-
+    sols = epsilon_sweep(dom, _make_well(cfg), cfg.epsilons,
+                         cfg.constraint_mean, cfg.recipe,
+                         _recipe_params(cfg, dom), newton_tol=cfg.tol,
+                         errors=report.errors)
     rows = []
-    for k, (e, sol) in enumerate(zip(cfg.epsilons, sols)):
-        if sol is None:
-            continue
-        fn = out / f"solution_{k:02d}.txt"
+    for sol in sols:
+        e = sol.field.epsilon
+        fn = out / f"solution_{cfg.epsilons.index(e):02d}.txt"
         save_solution(fn, sol)
         rows.append((e, sol.energy, sol.lam, sol.residual_norm,
                      sol.max_abs, sol.iterations, sol.converged))
@@ -271,7 +231,7 @@ def _diag_ratios(report, out, sols, well, cfg, rng):
                 viol_rows.append((eps, *curve.center, lo, hi, d))
             report.fitted_constants["xi_integral_C"] = max(
                 report.fitted_constants.get("xi_integral_C", 0.0),
-                xi_integral_bound_fit(sol.field, well, sol.lam, curve))
+                xi_integral_bound_fit(curve))
             report.fitted_constants["almost_monotone_c"] = max(
                 report.fitted_constants.get("almost_monotone_c", 0.0),
                 almost_monotonicity_fit(curve))
@@ -460,9 +420,6 @@ def main(argv=None) -> int:
     ps = sub.add_parser("solve", help="run the epsilon sweep")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out", default=None)
-    ps.add_argument("--parallel-cold", action="store_true",
-                    help="cold-start epsilons concurrently instead of "
-                         "warm-starting sequentially")
     ps.add_argument("--verbose", action="store_true")
 
     pd = sub.add_parser("diagnose", help="run diagnostics on stored solutions")
@@ -486,17 +443,13 @@ def main(argv=None) -> int:
             return cmd_check(seed=args.seed, verbose=args.verbose)
         cfg = load_config(args.config)
         if args.command == "solve":
-            report = cmd_solve(cfg, out_dir=args.out,
-                               parallel_cold=args.parallel_cold,
-                               verbose=args.verbose)
+            report = cmd_solve(cfg, out_dir=args.out, verbose=args.verbose)
             return 3 if report.errors and not report.solutions else 0
         report = cmd_diagnose(cfg, args.solutions, out_dir=args.out,
                               verbose=args.verbose)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidShapeParams as exc:
+    except (ConfigError, InvalidShapeParams, UnresolvedInterface) as exc:
+        # UnresolvedInterface comes only from the sweep's up-front gates
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DomainMismatch as exc:

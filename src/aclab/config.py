@@ -2,10 +2,14 @@
 
 Sections: [domain], [potential], [solver], [init], [sweep], [diagnostics],
 [output].  All defaults are documented in the generated example config.
+Keys the parser does not read are ignored, so older configs that still set
+the retired pre-flow keys (init.pre_steps, solver.max_steps,
+solver.dt_factor) keep parsing.
 """
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -36,18 +40,12 @@ kind = standard-quartic
 [solver]
 # Newton stopping tolerance on the discrete L2 residual
 tol = 1e-10
-# flow time step as a fraction of eps*h^2 (stability bound is 0.25)
-dt_factor = 0.125
-# flow iteration budget per epsilon
-max_steps = 20000
 # target spatial mean m in (-1, 1); comment out for unconstrained runs
 constraint_mean = 0.0
 
 [init]
 # recipe: constant | step-x | step-y | two-layer | radial | file
 recipe = step-x
-# smoothing steps of pre-flow before Newton (tuning knob)
-pre_steps = 100
 # value = 0.0          # constant recipe
 # offset = 0.5         # step recipes: interface position
 # center = 0.0 0.0     # radial recipe
@@ -80,11 +78,8 @@ class RunConfig:
     potential_kind: str = "standard-quartic"
     coefficients: tuple = ()
     tol: float = 1e-10
-    dt_factor: float = 0.125
-    max_steps: int = 20000
     constraint_mean: float | None = 0.0
     recipe: str = "step-x"
-    pre_steps: int = 100
     recipe_params: dict = field(default_factory=dict)
     epsilons: tuple = (0.1, 0.05, 0.025)
     checks: tuple = DIAGNOSTIC_CHECKS
@@ -103,9 +98,22 @@ def _floats(text):
 
 def _ints(text):
     vals = _floats(text)
-    if any(v != int(v) for v in vals):
+    if any(not math.isfinite(v) or v != int(v) for v in vals):
         raise ConfigError(f"expected integers, got {text!r}")
     return tuple(int(v) for v in vals)
+
+
+def _scalar(section, key, parse=_floats):
+    """The one finite number section[key] holds; a ConfigError naming the
+    key for anything else."""
+    try:
+        vals = parse(section[key])
+        if len(vals) != 1 or not math.isfinite(vals[0]):
+            raise ConfigError(f"expected one finite number, got "
+                              f"{section[key]!r}")
+    except ConfigError as exc:
+        raise ConfigError(f"{section.name}.{key}: {exc}") from exc
+    return vals[0]
 
 
 def parse_config(text: str) -> RunConfig:
@@ -141,15 +149,10 @@ def parse_config(text: str) -> RunConfig:
     if cp.has_section("solver"):
         sv = cp["solver"]
         if "tol" in sv:
-            kw["tol"] = float(sv["tol"])
-        if "dt_factor" in sv:
-            kw["dt_factor"] = float(sv["dt_factor"])
-            if kw["dt_factor"] > 0.25:
-                raise ConfigError("solver.dt_factor exceeds the stability "
-                                  "bound 0.25")
-        if "max_steps" in sv:
-            kw["max_steps"] = int(sv["max_steps"])
-        kw["constraint_mean"] = (float(sv["constraint_mean"])
+            kw["tol"] = _scalar(sv, "tol")
+            if not kw["tol"] > 0.0:
+                raise ConfigError("solver.tol must be positive")
+        kw["constraint_mean"] = (_scalar(sv, "constraint_mean")
                                  if "constraint_mean" in sv else None)
         if kw["constraint_mean"] is not None \
                 and not -1.0 < kw["constraint_mean"] < 1.0:
@@ -161,12 +164,10 @@ def parse_config(text: str) -> RunConfig:
         if recipe not in RECIPES:
             raise ConfigError(f"init.recipe {recipe!r} not one of {RECIPES}")
         kw["recipe"] = recipe
-        if "pre_steps" in init:
-            kw["pre_steps"] = int(init["pre_steps"])
         rp = {}
         for key in ("value", "offset", "radius", "left", "right"):
             if key in init:
-                rp[key] = float(init[key])
+                rp[key] = _scalar(init, key)
         if "center" in init:
             rp["center"] = _floats(init["center"])
         if "file" in init:
@@ -191,17 +192,16 @@ def parse_config(text: str) -> RunConfig:
                         f"diagnostics check {c!r} not one of "
                         f"{DIAGNOSTIC_CHECKS}")
             kw["checks"] = checks
-        if "samples" in dg:
-            kw["samples"] = int(dg["samples"])
-        if "fields" in dg:
-            kw["fields"] = int(dg["fields"])
+        for key in ("samples", "fields"):
+            if key in dg:
+                kw[key] = _scalar(dg, key, _ints)
 
     if cp.has_section("output"):
         out = cp["output"]
         if "dir" in out:
             kw["out_dir"] = out["dir"].strip()
         if "seed" in out:
-            kw["seed"] = int(out["seed"])
+            kw["seed"] = _scalar(out, "seed", _ints)
 
     return RunConfig(**kw)
 

@@ -105,9 +105,10 @@ class RatioCurve:
     radii: np.ndarray
     I_values: np.ndarray
     I_tilde_values: np.ndarray
-    # ball integrals reused by the monotonicity scan
+    # ball integrals reused by the monotonicity scan and the xi+ bound fit
     e_tilde_integrals: np.ndarray = field(default=None, repr=False)
     neg_xi_tilde_integrals: np.ndarray = field(default=None, repr=False)
+    xi_plus_integrals: np.ndarray = field(default=None, repr=False)
 
 
 def radius_ladder(dom: Domain, epsilon: float, x) -> np.ndarray:
@@ -146,6 +147,7 @@ def energy_ratio_curve(f: Field, well: DoubleWell, x, radii,
     I_t = np.empty(radii.size)
     Et = np.empty(radii.size)
     Dt = np.empty(radii.size)
+    Xp = np.empty(radii.size)
     center = None
     bflag = False
     for k, (r, ball) in enumerate(zip(radii, ball_restrictions(dom, x, radii))):
@@ -155,10 +157,11 @@ def energy_ratio_curve(f: Field, well: DoubleWell, x, radii,
         I[k] = float(np.sum(bw * d.e[bi])) / norm
         Et[k] = float(np.sum(bw * et[bi]))
         Dt[k] = float(np.sum(bw * (-xt[bi])))
+        Xp[k] = float(np.sum(bw * d.xi_plus[bi]))
         I_t[k] = Et[k] / norm
     return RatioCurve(center=center, boundary_centered=bflag, radii=radii,
                       I_values=I, I_tilde_values=I_t, e_tilde_integrals=Et,
-                      neg_xi_tilde_integrals=Dt)
+                      neg_xi_tilde_integrals=Dt, xi_plus_integrals=Xp)
 
 
 @dataclass(frozen=True)
@@ -249,17 +252,13 @@ def almost_monotonicity_fit(curve: RatioCurve, cap: float = 1e4) -> float:
     return hi
 
 
-def xi_integral_bound_fit(f: Field, well: DoubleWell, lam: float,
-                          curve: RatioCurve) -> float:
-    """Fitted C in r^{-n} int_{B_r} xi+ <= C r^{-7/8} (I(r) + 1)."""
-    dom = f.dom
-    n = dom.dim
-    d = density_fields(f, well)
+def xi_integral_bound_fit(curve: RatioCurve) -> float:
+    """Fitted C in r^{-n} int_{B_r} xi+ <= C r^{-7/8} (I(r) + 1), from the
+    ball integrals the curve keeps."""
+    n = curve.center.size  # the dimension of the domain
     best = 0.0
-    balls = ball_restrictions(dom, curve.center, curve.radii)
-    for r, I, ball in zip(curve.radii, curve.I_values, balls):
-        lhs = float(np.sum(ball.node_weights * d.xi_plus[ball.node_index])) / r**n
-        best = max(best, lhs * r ** (7.0 / 8.0) / (I + 1.0))
+    for r, I, xp in zip(curve.radii, curve.I_values, curve.xi_plus_integrals):
+        best = max(best, xp / r**n * r ** (7.0 / 8.0) / (I + 1.0))
     return best
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg, splu
 
-from .errors import (Blowup, NoConvergence, SingularJacobian,
+from .errors import (AcLabError, Blowup, NoConvergence, SingularJacobian,
                      UnresolvedInterface)
 from .geometry import Domain
 from .potential import SQRT2, DoubleWell
@@ -47,7 +47,11 @@ class Field:
 
 @dataclass(frozen=True)
 class Solution:
-    """A converged critical point with its multiplier and solver metadata."""
+    """A converged critical point with its multiplier and solver metadata.
+
+    iterations counts the Newton iterations that produced it (the flow
+    steps for a gradient_flow result).
+    """
 
     field: Field
     lam: float
@@ -303,10 +307,10 @@ def orthogonal_arc(R: float, m: float):
 
 
 def seed_field(dom: Domain, epsilon: float, recipe: str,
-               constraint: float | None = None, recipe_params=None,
-               values=None) -> Field:
+               constraint: float | None = None, recipe_params=None) -> Field:
     """Interface-bearing initial data: step profiles smoothed by the
-    heteroclinic width at the given epsilon."""
+    heteroclinic width at the given epsilon.  The file recipe takes its
+    nodal values from recipe_params["values"]."""
     if recipe not in RECIPES:
         raise ValueError(f"unknown init recipe {recipe!r}")
     p = dict(recipe_params or {})
@@ -316,9 +320,9 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
         u = np.full(dom.n_nodes, float(p.get("value", constraint or 0.0)))
         return Field(dom, epsilon, u)
     if recipe == "file":
-        if values is None:
+        if "values" not in p:
             raise ValueError("file recipe needs nodal values")
-        return Field(dom, epsilon, np.asarray(values, dtype=float).copy())
+        return Field(dom, epsilon, np.asarray(p["values"], dtype=float).copy())
     if recipe in ("step-x", "step-y"):
         a = 0 if recipe == "step-x" else 1
         lo = dom.origin[a]
@@ -358,15 +362,33 @@ def resharpen(values: np.ndarray, eps_old: float, eps_new: float) -> np.ndarray:
     return np.tanh(np.arctanh(clipped) * (eps_old / eps_new))
 
 
+def _newton_start(f: Field, well: DoubleWell,
+                  constraint: float | None) -> Solution:
+    """f mean-projected onto the constraint, with the chemical mean as its
+    multiplier: the state Newton starts from."""
+    u, lam = f.values, 0.0
+    if constraint is not None:
+        w = f.dom.cut_cell_weights
+        u = u + (constraint - float(w @ u) / float(w.sum()))
+        lam = _chemical_mean(Field(f.dom, f.epsilon, u), well,
+                             stiffness_matrix(f.dom))
+    return Solution(field=Field(f.dom, f.epsilon, u), lam=lam,
+                    residual_norm=math.inf, iterations=0,
+                    constraint=constraint, converged=False)
+
+
 def epsilon_sweep(dom: Domain, well: DoubleWell, epsilons,
                   constraint: float | None = None, recipe: str = "step-x",
-                  recipe_params=None, pre_steps: int = 100,
-                  flow_tol: float = 1e-8, newton_tol: float = 1e-10,
-                  dt_factor: float = 0.125) -> list[Solution]:
+                  recipe_params=None, newton_tol: float = 1e-10,
+                  errors: list | None = None) -> list[Solution]:
     """Solve at the largest epsilon, then warm-start each smaller one.
 
-    Warm starts resharpen the previous solution to the new width before the
-    short pre-flow and the Newton lock-in.
+    The first epsilon starts from the recipe seed, each later one from the
+    previous solution resharpened to the new width; every start goes
+    straight to Newton.  errors, when a list, collects (epsilon, message)
+    for each epsilon whose solve fails, the sweep goes on and the next
+    epsilon starts from the recipe seed again; without it a failure raises.
+    The order and resolvability gates raise before any solve starts.
     """
     eps_list = [float(e) for e in epsilons]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
@@ -383,19 +405,22 @@ def epsilon_sweep(dom: Domain, well: DoubleWell, epsilons,
             f0 = seed_field(dom, e, recipe, constraint, recipe_params)
         else:
             f0 = Field(dom, e, resharpen(prev.field.values, prev.field.epsilon, e))
-        flowed = gradient_flow(f0, well, constraint=constraint,
-                               stop_tol=flow_tol, max_steps=pre_steps,
-                               dt_factor=dt_factor)
-        sols.append(newton_refine(flowed, well, tol=newton_tol))
-        prev = sols[-1]
+        start = _newton_start(f0, well, constraint)
+        try:
+            prev = newton_refine(start, well, tol=newton_tol)
+        except AcLabError as exc:
+            if errors is None:
+                raise
+            errors.append((e, str(exc)))
+            prev = None
+        else:
+            sols.append(prev)
     return sols
 
 
 def solve_single(dom: Domain, well: DoubleWell, epsilon: float,
                  constraint: float | None = None, recipe: str = "step-x",
-                 recipe_params=None, pre_steps: int = 100,
-                 newton_tol: float = 1e-10) -> Solution:
-    """One epsilon: seed, short pre-flow, Newton."""
+                 recipe_params=None, newton_tol: float = 1e-10) -> Solution:
+    """One epsilon: seed, then Newton."""
     return epsilon_sweep(dom, well, [epsilon], constraint, recipe,
-                         recipe_params, pre_steps=pre_steps,
-                         newton_tol=newton_tol)[0]
+                         recipe_params, newton_tol=newton_tol)[0]

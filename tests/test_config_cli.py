@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from aclab import cli, varifold
+from aclab import cli, solver, varifold
 from aclab.config import example_config, load_config, parse_config
-from aclab.errors import ConfigError, DomainMismatch
+from aclab.errors import ConfigError, DomainMismatch, NoConvergence
 from aclab.geometry import build_domain
 from aclab.potential import DoubleWell
 from aclab.solver import Field, Solution, solve_single
@@ -22,7 +23,6 @@ constraint_mean = 0.0
 
 [init]
 recipe = step-x
-pre_steps = 10
 
 [sweep]
 epsilons = 0.1 0.05 0.025
@@ -74,18 +74,48 @@ class TestConfig:
         with pytest.raises(ConfigError, match="vibes"):
             parse_config(text)
 
-    def test_dt_factor_gate(self):
-        text = example_config().replace("dt_factor = 0.125",
-                                        "dt_factor = 0.5")
-        with pytest.raises(ConfigError, match="dt_factor"):
+    def test_every_example_key_is_read_and_typed(self):
+        # a documented key the parser never reads would accept "abc"
+        keys = re.findall(r"(?m)^(\w+) = ", example_config())
+        assert len(keys) == 13  # every active key of the example config
+        for key in keys:
+            if key == "dir":
+                continue
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = abc",
+                          example_config())
+            with pytest.raises(ConfigError):
+                parse_config(text)
+
+    @pytest.mark.parametrize("line", [
+        "offset = abc", "radius = 0.1 0.2", "value = inf"])
+    def test_recipe_scalars_typed(self, line):
+        text = example_config().replace("recipe = step-x",
+                                        f"recipe = step-x\n{line}")
+        with pytest.raises(ConfigError):
             parse_config(text)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("tol", "nan"), ("tol", "inf"), ("tol", "0"),
+        ("constraint_mean", "nan"), ("samples", "inf"), ("fields", "nan"),
+        ("samples", "2.5"), ("seed", "1 2")])
+    def test_hostile_scalars(self, key, bad):
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {bad}", example_config())
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text)
+
+    def test_retired_preflow_keys_ignored(self):
+        text = (example_config()
+                .replace("tol = 1e-10", "tol = 1e-10\ndt_factor = 0.5\n"
+                                        "max_steps = 20000")
+                .replace("recipe = step-x", "recipe = step-x\npre_steps = 30"))
+        assert parse_config(text) == parse_config(example_config())
 
 
 class TestSolutionIO:
     def test_roundtrip(self, tmp_path):
         well = DoubleWell()
         dom = build_domain("interval", (1.0,), 64)
-        sol = solve_single(dom, well, 0.1, constraint=0.0, pre_steps=5)
+        sol = solve_single(dom, well, 0.1, constraint=0.0)
         path = tmp_path / "s.txt"
         cli.save_solution(path, sol)
         back = cli.load_solution(path, dom)
@@ -97,7 +127,7 @@ class TestSolutionIO:
     def test_domain_mismatch(self, tmp_path):
         well = DoubleWell()
         dom = build_domain("interval", (1.0,), 64)
-        sol = solve_single(dom, well, 0.1, constraint=0.0, pre_steps=5)
+        sol = solve_single(dom, well, 0.1, constraint=0.0)
         path = tmp_path / "s.txt"
         cli.save_solution(path, sol)
         other = build_domain("interval", (1.0,), 128)
@@ -107,7 +137,7 @@ class TestSolutionIO:
     def test_wrong_node_count(self, tmp_path):
         well = DoubleWell()
         dom = build_domain("interval", (1.0,), 64)
-        sol = solve_single(dom, well, 0.1, constraint=0.0, pre_steps=5)
+        sol = solve_single(dom, well, 0.1, constraint=0.0)
         path = tmp_path / "s.txt"
         cli.save_solution(path, sol)
         lines = path.read_text().splitlines()
@@ -120,7 +150,7 @@ class TestBadSolutionFiles:
     @pytest.fixture
     def saved(self, tmp_path):
         dom = build_domain("interval", (1.0,), 64)
-        sol = solve_single(dom, DoubleWell(), 0.1, constraint=0.0, pre_steps=5)
+        sol = solve_single(dom, DoubleWell(), 0.1, constraint=0.0)
         path = tmp_path / "s.txt"
         cli.save_solution(path, sol)
         return path, dom
@@ -193,17 +223,48 @@ class TestCli:
             assert (tmp_path / "a" / name).read_bytes() \
                 == (tmp_path / "b" / name).read_bytes()
 
-    def test_parallel_cold_agrees(self, small_cfg, tmp_path, monkeypatch):
-        monkeypatch.setenv("AC_LAB_THREADS", "2")
-        cli.main(["solve", "--config", str(small_cfg),
-                  "--out", str(tmp_path / "seq")])
-        cli.main(["solve", "--config", str(small_cfg), "--parallel-cold",
-                  "--out", str(tmp_path / "par")])
-        for name in ("solution_00.txt", "solution_01.txt"):
-            a = cli.load_solution(tmp_path / "seq" / name)
-            b = cli.load_solution(tmp_path / "par" / name)
-            assert abs(a.energy - b.energy) < 1e-9
-            assert b.residual_norm <= 1e-10
+    def test_solve_isolates_failed_epsilon(self, small_cfg, tmp_path,
+                                           monkeypatch, capsys):
+        # Newton fails at the middle epsilon; the last one starts from the
+        # recipe seed again, and the written files keep their indices
+        real_refine, real_seed = solver.newton_refine, solver.seed_field
+        starts, seeded = {}, []
+
+        def failing(sol, well, **kw):
+            starts[sol.field.epsilon] = sol.field.values
+            if sol.field.epsilon == 0.05:
+                raise NoConvergence("forced at eps 0.05")
+            return real_refine(sol, well, **kw)
+
+        def seeding(dom, e, *args, **kw):
+            seeded.append(e)
+            return real_seed(dom, e, *args, **kw)
+
+        monkeypatch.setattr(solver, "newton_refine", failing)
+        monkeypatch.setattr(solver, "seed_field", seeding)
+        assert cli.main(["solve", "--config", str(small_cfg)]) == 0
+        assert "solver error at eps=0.05: forced" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.glob("solution_*.txt")) == [
+            "solution_00.txt", "solution_02.txt"]
+        assert [r.split(",")[0] for r in
+                (out / "summary.csv").read_text().splitlines()[1:]] == [
+            "0.10000000000000001", "0.025000000000000001"]
+        assert seeded == [0.1, 0.025]
+        dom = build_domain("interval", (1.0,), 512)
+        seed = real_seed(dom, 0.025, "step-x", 0.0).values
+        w = dom.cut_cell_weights
+        assert np.array_equal(starts[0.025],
+                              seed + (0.0 - float(w @ seed) / float(w.sum())))
+
+        errors = []
+        sols = solver.epsilon_sweep(dom, DoubleWell(), [0.1, 0.05, 0.025],
+                                    constraint=0.0, errors=errors)
+        assert [s.field.epsilon for s in sols] == [0.1, 0.025]
+        assert [e for e, _ in errors] == [0.05]
+        with pytest.raises(NoConvergence, match="forced"):
+            solver.epsilon_sweep(dom, DoubleWell(), [0.1, 0.05, 0.025],
+                                 constraint=0.0)
 
     def test_diagnose_outputs(self, small_cfg, tmp_path):
         cli.main(["solve", "--config", str(small_cfg)])
@@ -311,6 +372,22 @@ class TestFileRecipe:
         assert cli.main(["solve", "--config", str(cfg_path)]) == 0
         sol = cli.load_solution(tmp_path / "out" / "solution_00.txt")
         assert sol.residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("content", [
+        None, "0.5\n" * 255, "0.5\n" * 257, "0.5\nabc\n" + "0.5\n" * 254,
+        "0.5\nnan\n" + "0.5\n" * 254, "0.5 0.5\n" * 256],
+        ids=["missing", "short", "long", "unparsable", "nan", "two-columns"])
+    def test_bad_init_file_is_config_error(self, tmp_path, capsys, content):
+        init_path = tmp_path / "init.txt"
+        if content is not None:
+            init_path.write_text(content)
+        cfg_text = SMALL.format(out=tmp_path / "out").replace(
+            "cells = 512", "cells = 256").replace(
+            "recipe = step-x", f"recipe = file\nfile = {init_path}")
+        cfg_path = tmp_path / "file.cfg"
+        cfg_path.write_text(cfg_text)
+        assert cli.main(["solve", "--config", str(cfg_path)]) == 2
+        assert "config error: init.file" in capsys.readouterr().err
 
     def test_file_recipe_requires_path(self):
         text = example_config().replace("recipe = step-x", "recipe = file")

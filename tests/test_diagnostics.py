@@ -27,15 +27,13 @@ def quartic():
 @pytest.fixture(scope="module")
 def rect_sol(quartic):
     dom = build_domain("rectangle", (1.0, 1.0), (128, 128))
-    return solve_single(dom, quartic, 0.04, constraint=0.0, recipe="step-x",
-                        pre_steps=20)
+    return solve_single(dom, quartic, 0.04, constraint=0.0, recipe="step-x")
 
 
 @pytest.fixture(scope="module")
 def line_sweep(quartic):
     dom = build_domain("interval", (1.0,), 1024)
-    return epsilon_sweep(dom, quartic, [0.1, 0.05, 0.025], constraint=0.0,
-                         pre_steps=20)
+    return epsilon_sweep(dom, quartic, [0.1, 0.05, 0.025], constraint=0.0)
 
 
 class TestDensityFields:
@@ -133,7 +131,7 @@ class TestMonotonicityScan:
     def test_boundary_centered_disk_fitted_c1(self, quartic):
         dom = build_domain("disk", (1.0,), 128)
         sol = solve_single(dom, quartic, 0.05, constraint=0.3,
-                           recipe="radial", pre_steps=20)
+                           recipe="radial")
         x = dom.nearest_boundary_point(np.array([0.9, 0.3]))
         radii = radius_ladder(dom, 0.05, x)
         c = energy_ratio_curve(sol.field, quartic, x, radii, lam=sol.lam)
@@ -153,7 +151,7 @@ class TestMonotonicityScan:
         radii = radius_ladder(rect_sol.field.dom, 0.04, x)
         c = energy_ratio_curve(rect_sol.field, quartic, x, radii,
                                lam=rect_sol.lam)
-        C_fit = xi_integral_bound_fit(rect_sol.field, quartic, rect_sol.lam, c)
+        C_fit = xi_integral_bound_fit(c)
         assert np.isfinite(C_fit)
 
 
@@ -172,8 +170,7 @@ class TestPohozaev:
         residuals = []
         for n in (128, 256):
             dom = build_domain("interval", (1.0,), n)
-            sol = solve_single(dom, quartic, 0.05, constraint=0.0,
-                               pre_steps=10)
+            sol = solve_single(dom, quartic, 0.05, constraint=0.0)
             X = make_radial_field(dom, np.array([0.45]), 0.3)
             residuals.append(pohozaev_residual(sol, quartic, X))
         order = math.log2(residuals[0] / residuals[1])
@@ -183,8 +180,7 @@ class TestPohozaev:
         residuals = []
         for n in (64, 128):
             dom = build_domain("rectangle", (1.0, 1.0), (n, n))
-            sol = solve_single(dom, quartic, 0.06, constraint=0.0,
-                               pre_steps=10)
+            sol = solve_single(dom, quartic, 0.06, constraint=0.0)
             X = make_boundary_normal_field(dom, 0.08)
             residuals.append(pohozaev_residual(sol, quartic, X))
         assert residuals[1] <= 0.6 * residuals[0]
@@ -193,7 +189,7 @@ class TestPohozaev:
 class TestBoundaryEnergy:
     def test_1d_interior_interface(self, quartic):
         dom = build_domain("interval", (1.0,), 512)
-        sol = solve_single(dom, quartic, 0.025, constraint=0.0, pre_steps=10)
+        sol = solve_single(dom, quartic, 0.025, constraint=0.0)
         assert boundary_energy(sol, quartic) <= 1e-6
 
     def test_2d_two_contact_lines(self, quartic, rect_sol):

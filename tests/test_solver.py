@@ -196,8 +196,8 @@ class TestNewtonRefine:
         # each other, so the energy is unchanged and lambda flips sign
         dom = build_domain("interval", (1.0,), 256)
         well = DoubleWell()
-        a = solve_single(dom, well, 0.05, constraint=m, pre_steps=10)
-        b = solve_single(dom, well, 0.05, constraint=-m, pre_steps=10)
+        a = solve_single(dom, well, 0.05, constraint=m)
+        b = solve_single(dom, well, 0.05, constraint=-m)
         assert abs(a.energy - b.energy) <= 1e-10
         assert abs(a.lam + b.lam) <= 1e-10
 
@@ -205,8 +205,7 @@ class TestNewtonRefine:
 class TestSweep:
     def test_1d_gamma_limit(self, quartic):
         dom = build_domain("interval", (1.0,), 512)
-        sweep = epsilon_sweep(dom, quartic, [0.1, 0.05], constraint=0.0,
-                              pre_steps=20)
+        sweep = epsilon_sweep(dom, quartic, [0.1, 0.05], constraint=0.0)
         for sol in sweep:
             assert abs(sol.energy - H0) < 0.03 * H0
             assert sol.residual_norm <= 1e-10
@@ -215,7 +214,7 @@ class TestSweep:
     def test_two_layer_counts_double(self, quartic):
         dom = build_domain("interval", (1.0,), 512)
         sol = solve_single(dom, quartic, 0.02, constraint=0.5,
-                           recipe="two-layer", pre_steps=20)
+                           recipe="two-layer")
         u = sol.field.values
         crossings = np.sum(np.diff(np.sign(u)) != 0)
         assert crossings == 2
@@ -224,7 +223,7 @@ class TestSweep:
     def test_2d_sweep_straight_interface(self, quartic):
         dom = build_domain("rectangle", (1.0, 1.0), (128, 128))
         sweep = epsilon_sweep(dom, quartic, [0.08, 0.04], constraint=0.0,
-                              recipe="step-x", pre_steps=20)
+                              recipe="step-x")
         for sol in sweep:
             assert abs(sol.energy - H0) <= 0.05 * H0
             assert abs(sol.lam) <= 1.0  # multiplier bound for the run
@@ -241,8 +240,7 @@ class TestSweep:
 
     def test_c0_bound_across_sweep(self, quartic):
         dom = build_domain("interval", (1.0,), 512)
-        sweep = epsilon_sweep(dom, quartic, [0.1, 0.05], constraint=0.0,
-                              pre_steps=20)
+        sweep = epsilon_sweep(dom, quartic, [0.1, 0.05], constraint=0.0)
         for sol in sweep:
             assert (sol.max_abs - 1.0) / sol.field.epsilon < 10.0
 
@@ -251,7 +249,7 @@ class TestSweep:
         errs = []
         for n in (128, 256):
             dom = build_domain("interval", (1.0,), n)
-            sol = solve_single(dom, quartic, 0.1, constraint=0.0, pre_steps=5)
+            sol = solve_single(dom, quartic, 0.1, constraint=0.0)
             u = sol.field.values
             h = dom.cell_size
             est = abs(3 * u[0] - 4 * u[1] + u[2]) / (2 * h)

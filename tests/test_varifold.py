@@ -92,8 +92,7 @@ def h0(quartic):
 def band_sol(quartic):
     # horizontal interface {y = 0.5} in the unit square
     dom = build_domain("rectangle", (1.0, 1.0), (128, 128))
-    return solve_single(dom, quartic, 0.04, constraint=0.0, recipe="step-y",
-                        pre_steps=20)
+    return solve_single(dom, quartic, 0.04, constraint=0.0, recipe="step-y")
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +111,7 @@ class TestBuildVarifold:
 
     def test_1d_heteroclinic_unit_mass(self, quartic, h0):
         dom = build_domain("interval", (1.0,), 1024)
-        sol = solve_single(dom, quartic, 0.025, constraint=0.0, pre_steps=10)
+        sol = solve_single(dom, quartic, 0.025, constraint=0.0)
         V = build_varifold(sol, quartic, h0)
         assert V.mass == pytest.approx(1.0, abs=0.02)
 
@@ -124,8 +123,7 @@ class TestBuildVarifold:
 
     def test_zero_normal_share_bound(self, quartic, h0):
         dom = build_domain("interval", (1.0,), 1024)
-        sweep = epsilon_sweep(dom, quartic, [0.1, 0.05], constraint=0.0,
-                              pre_steps=10)
+        sweep = epsilon_sweep(dom, quartic, [0.1, 0.05], constraint=0.0)
         shares = []
         for sol in sweep:
             V = build_varifold(sol, quartic, h0)
@@ -187,9 +185,9 @@ class TestFirstVariation:
         # rotate the square problem by 90 degrees: mass and dV agree
         dom = build_domain("rectangle", (1.0, 1.0), (96, 96))
         sol_x = solve_single(dom, quartic, 0.05, constraint=0.0,
-                             recipe="step-x", pre_steps=10)
+                             recipe="step-x")
         sol_y = solve_single(dom, quartic, 0.05, constraint=0.0,
-                             recipe="step-y", pre_steps=10)
+                             recipe="step-y")
         Vx = build_varifold(sol_x, quartic, h0)
         Vy = build_varifold(sol_y, quartic, h0)
         assert Vx.mass == pytest.approx(Vy.mass, abs=1e-10)
@@ -331,7 +329,7 @@ class TestFreeBoundary:
     def test_disk_arc_relation(self, quartic, h0):
         dom = build_domain("disk", (1.0,), 160)
         sol = solve_single(dom, quartic, 0.04, constraint=0.3,
-                           recipe="radial", pre_steps=20)
+                           recipe="radial")
         r_arc, _, _ = orthogonal_arc(1.0, 0.3)
         assert abs(sol.lam) == pytest.approx(h0 / (2 * r_arc), rel=0.15)
         V = build_varifold(sol, quartic, h0)
@@ -374,7 +372,7 @@ class TestDensity:
     def test_two_band_doubling(self, quartic, h0):
         dom = build_domain("interval", (1.0,), 1024)
         sol = solve_single(dom, quartic, 0.02, constraint=0.5,
-                           recipe="two-layer", pre_steps=10)
+                           recipe="two-layer")
         V = build_varifold(sol, quartic, h0)
         # layers sit at 0.375 and 0.625; radii spanning both count two sheets
         curve = density_estimate(V, np.array([0.5]), [0.16, 0.18, 0.2])
@@ -423,7 +421,7 @@ class TestHalfDisk:
         # interface hits the flat edge of the half-disk orthogonally
         dom = build_domain("half-disk", (1.0,), (128, 64))
         sol = solve_single(dom, quartic, 0.05, constraint=0.0,
-                           recipe="step-x", pre_steps=20)
+                           recipe="step-x")
         assert sol.residual_norm <= 1e-10
         V = build_varifold(sol, quartic, h0)
         assert V.mass == pytest.approx(1.0, abs=0.08)
@@ -434,7 +432,7 @@ class TestHalfDisk:
 
     def test_1d_free_boundary_pairing(self, quartic, h0):
         dom = build_domain("interval", (1.0,), 512)
-        sol = solve_single(dom, quartic, 0.05, constraint=0.0, pre_steps=10)
+        sol = solve_single(dom, quartic, 0.05, constraint=0.0)
         V = build_varifold(sol, quartic, h0)
 
         def fn(p):
