@@ -79,6 +79,7 @@ def save_solution(path, sol: Solution):
         "lambda": sol.lam,
         "residual_norm": sol.residual_norm,
         "iterations": sol.iterations,
+        "factorizations": sol.factorizations,
         "constraint": sol.constraint,
         "converged": sol.converged,
         "energy": sol.energy,
@@ -91,11 +92,17 @@ def save_solution(path, sol: Solution):
 def load_solution(path, dom: Domain | None = None) -> Solution:
     """Read a stored solution; validates against dom when given.
 
-    An unparsable header or value line, non-finite nodal values and a
-    non-finite epsilon or lambda raise DomainMismatch; the energy may be NaN
-    (its default).
+    A missing file, an unparsable header or value line, non-finite nodal
+    values and a non-finite epsilon or lambda raise DomainMismatch; the
+    energy may be NaN (its default).  Files written before the factorization
+    count was stored read it as 0.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise DomainMismatch(f"{path}: cannot read solution file: "
+                             f"{exc.strerror}") from exc
+    with fh:
         try:
             head = json.loads(fh.readline())
             values = np.array([float(line) for line in fh if line.strip()])
@@ -124,6 +131,7 @@ def load_solution(path, dom: Domain | None = None) -> Solution:
     return Solution(field=f, lam=lam,
                     residual_norm=float(head["residual_norm"]),
                     iterations=int(head["iterations"]),
+                    factorizations=int(head.get("factorizations", 0)),
                     constraint=head.get("constraint"),
                     converged=bool(head.get("converged", True)),
                     energy=float(head.get("energy", math.nan)))
@@ -173,14 +181,15 @@ def cmd_solve(cfg: RunConfig, out_dir=None, verbose=False) -> RunReport:
         fn = out / f"solution_{cfg.epsilons.index(e):02d}.txt"
         save_solution(fn, sol)
         rows.append((e, sol.energy, sol.lam, sol.residual_norm,
-                     sol.max_abs, sol.iterations, sol.converged))
+                     sol.max_abs, sol.iterations, sol.factorizations,
+                     sol.converged))
         report.solutions.append(sol)
         if verbose:
             print(f"eps={e:g}: energy={sol.energy:.6f} lambda={sol.lam:+.3e} "
                   f"residual={sol.residual_norm:.2e} -> {fn}")
     write_csv(out / "summary.csv",
               ("epsilon", "energy", "lambda", "residual_norm", "max_abs_u",
-               "iterations", "converged"), rows)
+               "iterations", "factorizations", "converged"), rows)
     report.tables["summary"] = rows
     for e, msg in report.errors:
         print(f"solver error at eps={e:g}: {msg}", file=sys.stderr)

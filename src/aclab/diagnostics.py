@@ -382,8 +382,7 @@ def make_boundary_normal_field(dom: Domain, a: float) -> TestVectorField:
     def fn(pts):
         pts = np.atleast_2d(pts)
         d = dom.distance_to_boundary(pts)
-        from .geometry import _shape_sdist_grad
-        g = _shape_sdist_grad(dom.shape, dom.params, pts)
+        g = dom.distance_gradient(pts)
         cp, _ = scaled_cutoff_derivatives(np.maximum(d, 0.0), a)
         return -cp[:, None] * g
 

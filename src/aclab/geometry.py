@@ -2,12 +2,13 @@
 
 Supported shapes (all with closed-form distance and normals): interval,
 rectangle, disk, annulus, half-disk.  A Domain is immutable after
-construction; every query here is read-only and safe to run concurrently.
+construction; operators derived from its grid are built once and kept in
+its cache, read-only.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -58,6 +59,15 @@ class Domain:
     kappa0: float
     u_lo: np.ndarray              # padding box U
     u_hi: np.ndarray
+    # operators derived from the grid, kept by the modules that build them
+    cache: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def cached(self, key, build):
+        """build(self), computed on the first call for key and kept."""
+        if key not in self.cache:
+            self.cache[key] = build(self)
+        return self.cache[key]
 
     @property
     def n_nodes(self):
@@ -91,6 +101,11 @@ class Domain:
     def distance_to_boundary(self, pts):
         """Signed distance to the boundary (positive inside)."""
         return _shape_sdist(self.shape, self.params, np.atleast_2d(pts))
+
+    def distance_gradient(self, pts):
+        """Unit gradient of the signed distance: at a boundary point, the
+        inward normal."""
+        return _shape_sdist_grad(self.shape, self.params, np.atleast_2d(pts))
 
     def nearest_boundary_point(self, p):
         return _nearest_boundary_point(self.shape, self.params, np.asarray(p, float))
@@ -410,11 +425,17 @@ def domain_from_descriptor(desc) -> Domain:
 
 
 def signed_distance(dom: Domain) -> SignedDistance:
-    """Exact analytic signed distance and gradient at the active nodes."""
-    return SignedDistance(
-        values=_shape_sdist(dom.shape, dom.params, dom.points),
-        gradient=_shape_sdist_grad(dom.shape, dom.params, dom.points),
-    )
+    """Exact analytic signed distance and gradient at the active nodes,
+    computed once per domain; the arrays are read-only."""
+    return dom.cached("signed_distance", _node_signed_distance)
+
+
+def _node_signed_distance(dom: Domain) -> SignedDistance:
+    values = dom.distance_to_boundary(dom.points)
+    gradient = dom.distance_gradient(dom.points)
+    values.flags.writeable = False
+    gradient.flags.writeable = False
+    return SignedDistance(values=values, gradient=gradient)
 
 
 def ball_restriction(dom: Domain, x, r: float) -> BallRestriction:

@@ -25,6 +25,12 @@ from .potential import SQRT2, DoubleWell
 
 RECIPES = ("constant", "step-x", "step-y", "two-layer", "radial", "file")
 
+# Newton keeps its LU (a chord step) while each step cuts the residual norm
+# at least by this factor, and refactors at the current iterate otherwise
+CHORD_CONTRACTION = 0.5
+# J is symmetric: SuperLU's symmetric mode with diagonal pivots preferred
+LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+
 
 @dataclass(frozen=True)
 class Field:
@@ -49,8 +55,9 @@ class Field:
 class Solution:
     """A converged critical point with its multiplier and solver metadata.
 
-    iterations counts the Newton iterations that produced it (the flow
-    steps for a gradient_flow result).
+    iterations counts the Newton iterations that produced it, chord steps
+    included (the flow steps for a gradient_flow result); factorizations
+    counts the Jacobian LUs among them.
     """
 
     field: Field
@@ -60,6 +67,7 @@ class Solution:
     constraint: float | None = None
     converged: bool = True
     energy: float = math.nan
+    factorizations: int = 0
 
     @property
     def max_abs(self):
@@ -88,6 +96,47 @@ def stiffness_matrix(dom: Domain) -> sp.csr_matrix:
         shape=(n, n))
 
 
+def _stiffness(dom: Domain) -> sp.csr_matrix:
+    """stiffness_matrix(dom), built once per domain and kept read-only."""
+    return dom.cached("stiffness", _frozen_stiffness)
+
+
+def _frozen_stiffness(dom: Domain) -> sp.csr_matrix:
+    A = stiffness_matrix(dom)
+    for a in (A.data, A.indices, A.indptr):
+        a.flags.writeable = False
+    return A
+
+
+def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray):
+    """Factor the Newton Jacobian J = eps A + diag(d); return its solve.
+
+    Every J on a domain has the pattern of A.  The first one is ordered by
+    minimum degree on A + A^T, which halves the fill of the default COLAMD;
+    its column order p is kept on the domain, and every later J is factored
+    as J[p][:, p] with no ordering pass.
+    """
+    J = (eps * _stiffness(dom) + sp.diags(d)).tocsc()
+    p = dom.cache.get("newton_order")
+    if p is not None:
+        J = J[p][:, p]
+    try:
+        lu = splu(J, permc_spec="MMD_AT_PLUS_A" if p is None else "NATURAL",
+                  **LU_OPTIONS)
+    except RuntimeError as exc:
+        raise SingularJacobian(str(exc)) from exc
+    if p is None:
+        dom.cache["newton_order"] = np.argsort(lu.perm_c)
+        return lu.solve
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[p] = lu.solve(b[p])
+        return x
+
+    return solve
+
+
 def assemble_energy(f: Field, well: DoubleWell) -> float:
     """Total discrete energy: sum of eps |grad u|^2 / 2 + W(u) / eps."""
     dom, eps, u = f.dom, f.epsilon, f.values
@@ -107,7 +156,7 @@ def energy_gradient(f: Field, well: DoubleWell, lam: float = 0.0,
                     A: sp.spmatrix | None = None) -> np.ndarray:
     """Pointwise residual -eps lap(u) + W'(u)/eps - lam at every node."""
     if A is None:
-        A = stiffness_matrix(f.dom)
+        A = _stiffness(f.dom)
     w = f.dom.cut_cell_weights
     return (f.epsilon * (A @ f.values)) / w + well.wp(f.values) / f.epsilon - lam
 
@@ -144,7 +193,7 @@ def gradient_flow(init: Field, well: DoubleWell, dt: float | None = None,
         dt = dt_factor * eps * h * h
     if dt > 0.25 * eps * h * h * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} violates the stability bound eps*h^2/4")
-    A = stiffness_matrix(dom)
+    A = _stiffness(dom)
     w = dom.cut_cell_weights
     wsum = float(w.sum())
     M = sp.diags(w)
@@ -192,7 +241,9 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                   basin_threshold: float | None = None) -> Solution:
     """Damped Newton on the residual, bordered with the mean constraint.
 
-    Quadratic near the solution; raises SingularJacobian if the
+    A step reuses the last LU and border solve (a chord step) while the
+    residual norm falls by CHORD_CONTRACTION per step, and refactors
+    otherwise; max_iter counts both kinds.  Raises SingularJacobian if the
     linearization cannot be factorized, NoConvergence (carrying the best
     iterate) if the budget runs out.
     """
@@ -203,7 +254,7 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     dom = sol.field.dom
     eps = sol.field.epsilon
     m = sol.constraint
-    A = stiffness_matrix(dom)
+    A = _stiffness(dom)
     w = dom.cut_cell_weights
     wsum = float(w.sum())
     u = sol.field.values.copy()
@@ -218,28 +269,29 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     F = fvec(u, lam)
     rn = norm_of(F)
     best = (rn, u.copy(), lam, 0)
+    solve, factorizations, rn_last = None, 0, math.inf
     for it in range(1, max_iter + 1):
         if rn <= tol and (m is None or abs(w @ u / wsum - m) <= 1e-13):
             f = Field(dom, eps, u)
             return Solution(field=f, lam=lam, residual_norm=rn,
                             iterations=it - 1, constraint=m,
-                            energy=assemble_energy(f, well))
-        J = (eps * A + sp.diags(w * well.wpp(u) / eps)).tocsc()
+                            energy=assemble_energy(f, well),
+                            factorizations=factorizations)
+        if solve is None or rn > CHORD_CONTRACTION * rn_last:
+            solve = _factor_jacobian(dom, eps, w * well.wpp(u) / eps)
+            factorizations += 1
+            if m is not None:
+                q = solve(w)
+                wq = float(w @ q)
+                if abs(wq) < 1e-300:
+                    raise SingularJacobian("degenerate constraint border")
         try:
-            # J is symmetric: order A + A^T by minimum degree and prefer
-            # diagonal pivots, which halves the fill of the default COLAMD
-            lu = splu(J, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                      options=dict(SymmetricMode=True))
-            p = lu.solve(F)
+            p = solve(F)
         except RuntimeError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(p)):
             raise SingularJacobian("non-finite Newton direction")
         if m is not None:
-            q = lu.solve(w)
-            wq = float(w @ q)
-            if abs(wq) < 1e-300:
-                raise SingularJacobian("degenerate constraint border")
             G = float(w @ u) - m * wsum
             dlam = (float(w @ p) - G) / wq
             du = -p + dlam * q
@@ -255,21 +307,21 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                 break
             step *= 0.5
         u, lam, F = u_try, lam_try, F_try
-        rn = norm_of(F)
+        rn_last, rn = rn, norm_of(F)
         if rn < best[0]:
             best = (rn, u.copy(), lam, it)
-    if best[0] <= tol:
-        rn, u, lam, it = best
-        f = Field(dom, eps, u)
-        return Solution(field=f, lam=lam, residual_norm=rn, iterations=it,
-                        constraint=m, energy=assemble_energy(f, well))
     rn, u, lam, it = best
     f = Field(dom, eps, u)
+    if rn <= tol:
+        return Solution(field=f, lam=lam, residual_norm=rn, iterations=it,
+                        constraint=m, energy=assemble_energy(f, well),
+                        factorizations=factorizations)
     raise NoConvergence(
         f"Newton stalled at residual {rn:.3e} after {max_iter} iterations",
         best=Solution(field=f, lam=lam, residual_norm=rn, iterations=it,
                       constraint=m, converged=False,
-                      energy=assemble_energy(f, well)))
+                      energy=assemble_energy(f, well),
+                      factorizations=factorizations))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +423,7 @@ def _newton_start(f: Field, well: DoubleWell,
         w = f.dom.cut_cell_weights
         u = u + (constraint - float(w @ u) / float(w.sum()))
         lam = _chemical_mean(Field(f.dom, f.epsilon, u), well,
-                             stiffness_matrix(f.dom))
+                             _stiffness(f.dom))
     return Solution(field=Field(f.dom, f.epsilon, u), lam=lam,
                     residual_norm=math.inf, iterations=0,
                     constraint=constraint, converged=False)

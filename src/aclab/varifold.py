@@ -14,7 +14,7 @@ from .diagnostics import (TestVectorField, density_fields, node_gradient,
                           node_jacobian, plateau_value, radius_ladder,
                           unit_ball_volume)
 from .errors import BallEscapesU, NoInterface, NotTangential, RadiusTooSmall
-from .geometry import Domain, _shape_sdist_grad
+from .geometry import Domain
 from .potential import DoubleWell
 from .solver import Solution
 
@@ -235,7 +235,7 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
                 t = walk[1 + off[0]] - end_pt
                 t = t / np.linalg.norm(t)
                 bp = dom.nearest_boundary_point(end_pt)
-                nu = -_shape_sdist_grad(dom.shape, dom.params, bp[None, :])[0]
+                nu = -dom.distance_gradient(bp)[0]
                 tau = np.array([-nu[1], nu[0]])
                 angles.append(float(np.arccos(min(1.0, abs(float(t @ tau))))))
     return InterfaceCurve(polylines=polylines, seg_mid=mids, seg_len=lens,

@@ -123,6 +123,24 @@ class TestSolutionIO:
         assert back.lam == sol.lam
         assert back.residual_norm == sol.residual_norm
         assert back.constraint == sol.constraint
+        assert back.iterations == sol.iterations
+        assert back.factorizations == sol.factorizations >= 1
+
+    def test_header_without_factorizations_loads(self, tmp_path):
+        # files written before the count was stored still load, with 0
+        dom = build_domain("interval", (1.0,), 64)
+        sol = solve_single(dom, DoubleWell(), 0.1, constraint=0.0)
+        path = tmp_path / "s.txt"
+        cli.save_solution(path, sol)
+        head, *rest = path.read_text().splitlines()
+        old = json.loads(head)
+        del old["factorizations"]
+        path.write_text("\n".join([json.dumps(old), *rest]) + "\n")
+        assert cli.load_solution(path, dom).factorizations == 0
+
+    def test_missing_file_is_domain_mismatch(self, tmp_path):
+        with pytest.raises(DomainMismatch, match="cannot read"):
+            cli.load_solution(tmp_path / "absent.txt")
 
     def test_domain_mismatch(self, tmp_path):
         well = DoubleWell()
@@ -408,6 +426,27 @@ class TestMoreCli:
                      "integrality.csv"):
             assert (tmp_path / "d1" / name).read_bytes() \
                 == (tmp_path / "d2" / name).read_bytes()
+
+    def test_summary_counts_factorizations(self, small_cfg, tmp_path):
+        assert cli.main(["solve", "--config", str(small_cfg)]) == 0
+        out = tmp_path / "out"
+        header, *rows = (out / "summary.csv").read_text().splitlines()
+        cols = header.split(",")
+        assert cols[cols.index("iterations") + 1] == "factorizations"
+        for k, row in enumerate(rows):
+            vals = dict(zip(cols, row.split(",")))
+            head = json.loads(
+                (out / f"solution_{k:02d}.txt").read_text().splitlines()[0])
+            assert int(vals["factorizations"]) == head["factorizations"]
+            assert 1 <= head["factorizations"] <= head["iterations"]
+
+    def test_missing_solution_path_exit(self, small_cfg, tmp_path, capsys):
+        # an unexpanded glob reaches diagnose as a literal path; that is a
+        # bad input (exit 2), not an acceptance failure (exit 1)
+        missing = tmp_path / "out" / "solution_*.txt"
+        assert cli.main(["diagnose", "--config", str(small_cfg),
+                         str(missing)]) == 2
+        assert "cannot read solution file" in capsys.readouterr().err
 
     def test_diagnose_extracts_once_per_solution(self, tmp_path, monkeypatch):
         text = (SMALL.format(out=tmp_path / "out")

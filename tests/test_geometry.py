@@ -114,6 +114,28 @@ class TestSignedDistance:
         assert err.max() < 6 * dom.cell_size
 
 
+    def test_cached_once_and_read_only(self):
+        dom = build_domain("annulus", (0.5, 1.0), 64)
+        sd = signed_distance(dom)
+        assert signed_distance(dom) is sd
+        for a in (sd.values, sd.gradient):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("shape,params", [
+        ("interval", (1.0,)), ("rectangle", (1.0, 0.5)), ("disk", (1.0,)),
+        ("annulus", (0.5, 1.0)), ("half-disk", (1.0,))])
+    def test_distance_gradient_is_inward_normal(self, shape, params):
+        dom = build_domain(shape, params, 64)
+        b = dom.boundary
+        # at every boundary sample, -grad d is the outward normal
+        assert np.allclose(-dom.distance_gradient(b.points), b.normals,
+                           atol=1e-12)
+        assert np.array_equal(dom.distance_gradient(dom.points),
+                              signed_distance(dom).gradient)
+
+
 class TestBallRestriction:
     def test_half_ball_of_unit_disk(self):
         dom = build_domain("disk", (1.0,), 128)

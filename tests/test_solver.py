@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
+
+from aclab import solver
 from aclab.errors import Blowup, UnresolvedInterface
 from aclab.geometry import build_domain
 from aclab.potential import SQRT2, DoubleWell
-from aclab.solver import (Field, Solution, assemble_energy, energy_gradient,
-                          epsilon_sweep, gradient_flow, newton_refine,
-                          resharpen, seed_field, solve_single)
+from aclab.solver import (LU_OPTIONS, Field, Solution, assemble_energy,
+                          energy_gradient, epsilon_sweep, gradient_flow,
+                          newton_refine, resharpen, seed_field, solve_single,
+                          stiffness_matrix)
 
 H0 = 2.0 * math.sqrt(2.0) / 3.0
 
@@ -145,7 +150,7 @@ class TestNewtonRefine:
         f = tanh_field(dom, 0.05)
         start = Solution(field=f, lam=0.0, residual_norm=1e9, iterations=0)
         sol = newton_refine(start, quartic, tol=1e-12)
-        assert sol.iterations <= 2
+        assert sol.factorizations <= 2
         assert sol.residual_norm <= 1e-12
 
     def test_discrete_solution_is_fixed_point(self, quartic):
@@ -200,6 +205,65 @@ class TestNewtonRefine:
         b = solve_single(dom, well, 0.05, constraint=-m)
         assert abs(a.energy - b.energy) <= 1e-10
         assert abs(a.lam + b.lam) <= 1e-10
+
+
+class TestFactorizations:
+    @pytest.fixture(scope="class")
+    def disk_jacobian(self, quartic):
+        dom = build_domain("disk", (1.0,), 128)
+        eps = 0.05
+        u = seed_field(dom, eps, "radial", 0.3).values
+        w = dom.cut_cell_weights
+        d = w * quartic.wpp(u) / eps
+        J = (eps * stiffness_matrix(dom) + sp.diags(d)).tocsc()
+        return dom, eps, d, J
+
+    def test_reordered_natural_factor_keeps_fill(self, disk_jacobian):
+        _, _, _, J = disk_jacobian
+        mmd = splu(J, permc_spec="MMD_AT_PLUS_A", **LU_OPTIONS)
+        p = np.argsort(mmd.perm_c)
+        nat = splu(J[p][:, p].tocsc(), permc_spec="NATURAL", **LU_OPTIONS)
+        assert nat.L.nnz + nat.U.nnz == mmd.L.nnz + mmd.U.nnz
+        b = np.random.default_rng(3).standard_normal(J.shape[0])
+        x = np.empty_like(b)
+        x[p] = nat.solve(b[p])
+        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_domain_keeps_one_order(self, disk_jacobian):
+        # the second factorization on a domain runs through the kept order
+        dom, eps, d, J = disk_jacobian
+        b = np.random.default_rng(4).standard_normal(J.shape[0])
+        for scale in (1.0, 0.5):
+            solve = solver._factor_jacobian(dom, eps, scale * d)
+            Js = J + sp.diags((scale - 1.0) * d)
+            assert "newton_order" in dom.cache
+            x = solve(b)
+            assert np.linalg.norm(Js @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_stiffness_built_once_per_domain(self, quartic, monkeypatch):
+        built = []
+
+        def counting(dom):
+            built.append(dom)
+            return stiffness_matrix(dom)
+
+        monkeypatch.setattr(solver, "stiffness_matrix", counting)
+        dom = build_domain("interval", (1.0,), 256)
+        sweep = epsilon_sweep(dom, quartic, [0.1, 0.07, 0.05], constraint=0.2)
+        assert len(sweep) == 3
+        assert built == [dom]
+        energy_gradient(sweep[-1].field, quartic, sweep[-1].lam)
+        assert built == [dom]
+
+    def test_disk_sweep_chord_steps(self, quartic):
+        dom = build_domain("disk", (1.0,), 128)
+        sweep = epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
+                              constraint=0.3, recipe="radial",
+                              newton_tol=1e-10)
+        assert len(sweep) == 3
+        for sol in sweep:
+            assert sol.factorizations < sol.iterations
+            assert sol.residual_norm <= 1e-10
 
 
 class TestSweep:
