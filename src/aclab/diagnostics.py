@@ -39,17 +39,36 @@ def node_gradient(dom: Domain, values: np.ndarray) -> np.ndarray:
     h = dom.cell_size
     g = np.zeros((dom.n_nodes, dom.dim))
     u = values
+    for a, (both, only_r, only_l) in enumerate(
+            dom.cached("gradient_stencil", _gradient_stencil)):
+        i, left, right = both
+        g[i, a] = (u[right] - u[left]) / (2.0 * h)
+        i, right = only_r
+        g[i, a] = (u[right] - u[i]) / h
+        i, left = only_l
+        g[i, a] = (u[i] - u[left]) / h
+    return g
+
+
+def _gradient_stencil(dom: Domain):
+    """Per axis, the node and neighbor indices of node_gradient's three
+    cases: (nodes, left, right) with both neighbors, (nodes, right) with
+    only the right one, (nodes, left) with only the left one; read-only."""
+    stencil = []
     for a in range(dom.dim):
         left = dom.neighbors[:, a, 0]
         right = dom.neighbors[:, a, 1]
         has_l, has_r = left >= 0, right >= 0
-        both = has_l & has_r
-        g[both, a] = (u[right[both]] - u[left[both]]) / (2.0 * h)
-        only_r = has_r & ~has_l
-        g[only_r, a] = (u[right[only_r]] - u[only_r]) / h
-        only_l = has_l & ~has_r
-        g[only_l, a] = (u[only_l] - u[left[only_l]]) / h
-    return g
+        both = np.flatnonzero(has_l & has_r)
+        only_r = np.flatnonzero(has_r & ~has_l)
+        only_l = np.flatnonzero(has_l & ~has_r)
+        cases = ((both, left[both], right[both]),
+                 (only_r, right[only_r]), (only_l, left[only_l]))
+        for case in cases:
+            for idx in case:
+                idx.flags.writeable = False
+        stencil.append(cases)
+    return tuple(stencil)
 
 
 def node_jacobian(dom: Domain, vec_values: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aclab.errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
 from aclab.geometry import (ball_restriction, ball_restrictions,
@@ -134,6 +137,24 @@ class TestSignedDistance:
                            atol=1e-12)
         assert np.array_equal(dom.distance_gradient(dom.points),
                               signed_distance(dom).gradient)
+
+    @pytest.mark.parametrize("shape,params", [
+        ("rectangle", (1.0, 0.5)), ("disk", (1.0,)), ("annulus", (0.4, 1.0)),
+        ("half-disk", (1.0,))])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_snap_is_idempotent(self, shape, params, data):
+        dom = _domain(shape, params, 2 * data.draw(st.integers(16, 48)))
+        on_boundary = data.draw(st.booleans())
+        pool = dom.boundary.points if on_boundary else dom.points
+        x = pool[data.draw(st.integers(0, len(pool) - 1))]
+        y = dom.nearest_boundary_point(x)
+        assert np.array_equal(dom.nearest_boundary_point(y), y)
+
+
+@functools.lru_cache(maxsize=None)
+def _domain(shape, params, cells):
+    return build_domain(shape, params, cells)
 
 
 class TestBallRestriction:

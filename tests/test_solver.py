@@ -18,6 +18,8 @@ from aclab.solver import (LU_OPTIONS, Field, Solution, assemble_energy,
                           stiffness_matrix)
 
 H0 = 2.0 * math.sqrt(2.0) / 3.0
+SHAPES = [("interval", (1.0,)), ("rectangle", (1.0, 0.5)), ("disk", (1.0,)),
+          ("annulus", (0.4, 1.0)), ("half-disk", (1.0,))]
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +34,21 @@ def line256():
 
 def tanh_field(dom, eps, x0=0.5):
     return Field(dom, eps, np.tanh((dom.points[:, 0] - x0) / (eps * SQRT2)))
+
+
+class TestField:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, line256, bad):
+        u = np.zeros(line256.n_nodes)
+        u[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Field(line256, 0.1, u)
+
+    def test_rejects_bad_epsilon_and_shape(self, line256):
+        with pytest.raises(ValueError):
+            Field(line256, 0.0, np.zeros(line256.n_nodes))
+        with pytest.raises(ValueError):
+            Field(line256, 0.1, np.zeros(line256.n_nodes + 1))
 
 
 class TestAssembleEnergy:
@@ -239,6 +256,79 @@ class TestFactorizations:
             assert "newton_order" in dom.cache
             x = solve(b)
             assert np.linalg.norm(Js @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("shape,params", SHAPES)
+    @given(half_cells=st.integers(16, 64))
+    @settings(max_examples=10, deadline=None)
+    def test_red_black_colouring(self, shape, params, half_cells):
+        dom = build_domain(shape, params, 2 * half_cells)
+        rb = solver._split_red_black(dom)
+        colour = np.full(dom.n_nodes, -1)
+        colour[rb.red], colour[rb.black] = 0, 1
+        assert colour.min() == 0
+        # no stencil neighbour shares a node's colour
+        for side in dom.neighbors.reshape(dom.n_nodes, -1).T:
+            has = side >= 0
+            assert np.all(colour[side[has]] != colour[has])
+
+    @pytest.mark.parametrize("shape,params,recipe,m", [
+        ("interval", (1.0,), "step-x", 0.3),
+        ("rectangle", (1.0, 0.5), "step-x", 0.0),
+        ("disk", (1.0,), "radial", 0.3),
+        ("annulus", (0.4, 1.0), "radial", 0.0),
+        ("half-disk", (1.0,), "radial", 0.0)])
+    def test_schur_solve_matches_whole(self, quartic, shape, params, recipe,
+                                       m):
+        dom = build_domain(shape, params, 96)
+        eps = 0.06
+        u = seed_field(dom, eps, recipe, m).values
+        d = dom.cut_cell_weights * quartic.wpp(u) / eps
+        # W'' < 0 in the interface band: diag(d) is indefinite
+        assert d.min() < 0.0 < d.max()
+        J = (eps * stiffness_matrix(dom) + sp.diags(d)).tocsr()
+        # a right-hand side in the range of J: with a random one, the
+        # near-null translation mode of the step seeds alone puts the
+        # residual of either factorization near 1e-11
+        b = J @ np.random.default_rng(5).standard_normal(dom.n_nodes)
+        whole = solver._factor_whole_jacobian(dom, eps, d)(b)
+        for _ in range(2):  # the MMD factor, then the renumbered natural one
+            x = solver._factor_jacobian(dom, eps, d)(b)
+            assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(x - whole) <= 1e-10 * np.linalg.norm(whole)
+        assert dom.cache["newton_order"].ordered
+
+    def test_weak_red_pivot_factors_whole(self, disk_jacobian):
+        _, eps, d, _ = disk_jacobian
+        dom = build_domain("disk", (1.0,), 128)
+        rb = solver._split_red_black(dom)
+        i = len(rb.red) // 2
+        d = d.copy()
+        d[rb.red[i]] = -eps * rb.a_red[i]
+        J = (eps * stiffness_matrix(dom) + sp.diags(d)).tocsr()
+        assert J[rb.red[i], rb.red[i]] == 0.0
+        b = np.random.default_rng(6).standard_normal(dom.n_nodes)
+        x = solver._factor_jacobian(dom, eps, d)(b)
+        assert "jacobian_order" in dom.cache
+        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_schur_fill_below_whole(self, disk_jacobian, monkeypatch):
+        _, eps, d, J = disk_jacobian
+        dom = build_domain("disk", (1.0,), 128)
+        factors = []
+
+        def recording(M, **kw):
+            factors.append(splu(M, **kw))
+            return factors[-1]
+
+        monkeypatch.setattr(solver, "splu", recording)
+        solver._factor_jacobian(dom, eps, d)
+        solver._factor_jacobian(dom, eps, d)
+        solver._factor_whole_jacobian(dom, eps, d)
+        mmd, _, whole = factors
+        fill = [f.L.nnz + f.U.nnz for f in factors]
+        assert mmd.shape[0] < J.shape[0] == whole.shape[0]
+        # the natural order of the renumbered black nodes keeps the MMD fill
+        assert fill[0] == fill[1] < fill[2]
 
     def test_stiffness_built_once_per_domain(self, quartic, monkeypatch):
         built = []
