@@ -26,10 +26,11 @@ from .diagnostics import (almost_monotonicity_fit, boundary_energy,
                           xi_integral_bound_fit)
 from .errors import (AcLabError, ConfigError, DomainMismatch,
                      InvalidShapeParams, UnresolvedInterface)
-from .geometry import Domain, build_domain, domain_from_descriptor
+from .geometry import (Domain, build_domain, domain_from_descriptor,
+                       signed_distance)
 from .potential import DoubleWell, compute_h0
 from .solver import Field, Solution, epsilon_sweep
-from .varifold import (build_varifold, extract_interface,
+from .varifold import (build_varifold, export_atoms, extract_interface,
                        first_variation_bound_constant,
                        free_boundary_test, integrality_check,
                        sample_interface_nodes)
@@ -92,10 +93,12 @@ def save_solution(path, sol: Solution):
 def load_solution(path, dom: Domain | None = None) -> Solution:
     """Read a stored solution; validates against dom when given.
 
-    A missing file, an unparsable header or value line, non-finite nodal
-    values and a non-finite epsilon or lambda raise DomainMismatch; the
-    energy may be NaN (its default).  Files written before the factorization
-    count was stored read it as 0.
+    A missing file, an unparsable header or value line, a header that is
+    not a JSON object, lacks a required key or holds an unconvertible value,
+    non-finite nodal values, a non-finite epsilon or lambda and an epsilon
+    that is not positive raise DomainMismatch; the energy may be NaN (its
+    default).  Files written before the factorization count was stored read
+    it as 0.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -108,33 +111,44 @@ def load_solution(path, dom: Domain | None = None) -> Solution:
             values = np.array([float(line) for line in fh if line.strip()])
         except ValueError as exc:
             raise DomainMismatch(f"{path}: unparsable solution file: {exc}") from exc
+    if not isinstance(head, dict):
+        raise DomainMismatch(f"{path}: solution header is not a JSON object")
     if head.get("schema") != SOLUTION_SCHEMA:
         raise DomainMismatch(f"{path}: unknown solution schema")
+    try:
+        stored = head["domain"]
+        eps, lam = float(head["epsilon"]), float(head["lambda"])
+        residual = float(head["residual_norm"])
+        iterations = int(head["iterations"])
+        factorizations = int(head.get("factorizations", 0))
+        energy = float(head.get("energy", math.nan))
+    except KeyError as exc:
+        raise DomainMismatch(f"{path}: solution header lacks {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainMismatch(f"{path}: bad solution header value: {exc}") \
+            from exc
     if dom is None:
-        dom = domain_from_descriptor(head["domain"])
-    else:
-        want = dom.to_descriptor()
-        if head["domain"] != want:
-            raise DomainMismatch(
-                f"{path}: stored domain {head['domain']} does not match "
-                f"configured domain {want}")
+        dom = domain_from_descriptor(stored)
+    elif stored != dom.to_descriptor():
+        raise DomainMismatch(
+            f"{path}: stored domain {stored} does not match configured "
+            f"domain {dom.to_descriptor()}")
     if values.size != dom.n_nodes:
         raise DomainMismatch(
             f"{path}: {values.size} nodal values for a domain with "
             f"{dom.n_nodes} active nodes")
     if not np.all(np.isfinite(values)):
         raise DomainMismatch(f"{path}: non-finite nodal values")
-    eps, lam = float(head["epsilon"]), float(head["lambda"])
     if not (math.isfinite(eps) and math.isfinite(lam)):
         raise DomainMismatch(f"{path}: non-finite epsilon {eps} or lambda {lam}")
-    f = Field(dom, eps, values)
-    return Solution(field=f, lam=lam,
-                    residual_norm=float(head["residual_norm"]),
-                    iterations=int(head["iterations"]),
-                    factorizations=int(head.get("factorizations", 0)),
+    if not eps > 0.0:
+        raise DomainMismatch(f"{path}: epsilon {eps} is not positive")
+    return Solution(field=Field(dom, eps, values), lam=lam,
+                    residual_norm=residual, iterations=iterations,
+                    factorizations=factorizations,
                     constraint=head.get("constraint"),
                     converged=bool(head.get("converged", True)),
-                    energy=float(head.get("energy", math.nan)))
+                    energy=energy)
 
 
 def _make_well(cfg: RunConfig) -> DoubleWell:
@@ -209,9 +223,15 @@ def _diag_equipartition(report, out, sols, well):
 
 
 def _interior_margin(dom):
-    from .geometry import signed_distance
     return min(0.15 * dom.extent,
                0.5 * float(signed_distance(dom).values.max()))
+
+
+def _boundary_normal_field(dom):
+    """The boundary-normal test field, cut off at a fifth of the largest
+    distance to the boundary."""
+    return make_boundary_normal_field(
+        dom, 0.2 * float(signed_distance(dom).values.max()))
 
 
 def _diag_ratios(report, out, sols, well, cfg, rng):
@@ -281,10 +301,7 @@ def _diag_pohozaev(report, out, sols, well):
                                make_radial_field(dom, center, rho))
         rows.append((eps, "interior-radial", ri))
         try:
-            from .geometry import signed_distance
-            a = 0.2 * float(signed_distance(dom).values.max())
-            rb = pohozaev_residual(sol, well,
-                                   make_boundary_normal_field(dom, a))
+            rb = pohozaev_residual(sol, well, _boundary_normal_field(dom))
             rows.append((eps, "boundary-normal", rb))
         except AcLabError as exc:
             report.errors.append((eps, f"pohozaev boundary field: {exc}"))
@@ -299,7 +316,6 @@ def _diag_boundary_energy(report, out, sols, well):
 
 
 def _diag_varifold(report, out, sols, well, cfg, rng, h0):
-    from .varifold import export_atoms
     mass_rows, fb_rows, integ_rows, iface_rows = [], [], [], []
     for k, sol in enumerate(sols):
         dom = sol.field.dom
@@ -321,13 +337,11 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0):
                     lhs, rhs, deficit = free_boundary_test(V, sol, well, h0,
                                                            X, curve=curve)
                     fb_rows.append((eps, lhs, rhs, deficit, X.c1_norm))
-                from .geometry import signed_distance
-                a = 0.2 * float(signed_distance(dom).values.max())
-                Xn = make_boundary_normal_field(dom, a)
                 report.fitted_constants["first_variation_C"] = max(
                     report.fitted_constants.get("first_variation_C", 0.0),
-                    first_variation_bound_constant(V, sol, h0, Xn,
-                                                   curve=curve))
+                    first_variation_bound_constant(
+                        V, sol, h0, _boundary_normal_field(dom),
+                        curve=curve))
             except AcLabError as exc:
                 report.errors.append((eps, f"varifold: {exc}"))
         try:

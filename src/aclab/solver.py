@@ -1,20 +1,22 @@
 """Discrete Allen-Cahn energy, constrained gradient flow and Newton refinement.
 
 The energy is the finite-volume form: face-centered differences for the
-gradient term, nodal potential with cut-cell weights.  energy_gradient is the
-exact derivative of assemble_energy divided by the cell weight, which makes
-the scheme variational: missing neighbors across the boundary act as mirror
-ghost nodes, i.e. the homogeneous Neumann condition.
+gradient term (eps u.A.u / 2 with the face-weighted stiffness A kept per
+domain), nodal potential with cut-cell weights.  Its exact gradient less the
+multiplier term is the one residual F that Newton, energy_gradient (F / w)
+and residual_norm share; the scheme is variational: missing neighbors across
+the boundary act as mirror ghost nodes, i.e. the homogeneous Neumann
+condition.
 
 Stencil application and reductions are data-parallel over nodes; the time
 loop of the flow is sequential.  Solutions are immutable once returned.
-Newton's linear solves eliminate the red nodes of a red-black split exactly
-and factor only the Schur complement on the black nodes.
+Newton factors only the black Schur complement of a red-black split, in the
+minimum-degree order of the first LU on its domain.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,7 +63,8 @@ class Solution:
 
     iterations counts the Newton iterations that produced it, chord steps
     included (the flow steps for a gradient_flow result); factorizations
-    counts the Jacobian LUs among them.
+    counts the Jacobian LUs among them.  On solver results, residual_norm
+    and energy equal residual_norm and assemble_energy of field, exactly.
     """
 
     field: Field
@@ -118,10 +121,9 @@ class _RedBlack:
     indices: on the 5-point stencil no two nodes of one colour are
     neighbours, so the red-red and black-black blocks of A are diagonal.
 
-    black is in elimination order once ordered is set; a_red and a_black
-    are diag(A) on each colour, off_red the largest off-diagonal |A| in each
-    red row, A_br the black-red block and A_rb its transpose.  All arrays
-    are read-only.
+    a_red and a_black are diag(A) on each colour, off_red the largest
+    off-diagonal |A| in each red row, A_br the black-red block and A_rb its
+    transpose.  All arrays are read-only.
     """
 
     red: np.ndarray
@@ -130,23 +132,14 @@ class _RedBlack:
     a_black: np.ndarray
     off_red: np.ndarray
     A_br: sp.csr_matrix
-    ordered: bool = False
-    A_rb: sp.csr_matrix = field(init=False)
+    A_rb: sp.csr_matrix
 
     def __post_init__(self):
-        object.__setattr__(self, "A_rb", self.A_br.T.tocsr())
         for a in (self.red, self.black, self.a_red, self.a_black,
                   self.off_red, self.A_br.data, self.A_br.indices,
                   self.A_br.indptr, self.A_rb.data, self.A_rb.indices,
                   self.A_rb.indptr):
             a.flags.writeable = False
-
-    def reordered(self, perm_c) -> _RedBlack:
-        """The split with its black nodes in the column order perm_c of a
-        factorization of the Schur complement."""
-        p = np.argsort(perm_c)
-        return replace(self, black=self.black[p], a_black=self.a_black[p],
-                       A_br=self.A_br[p].tocsr(), ordered=True)
 
 
 def _split_red_black(dom: Domain) -> _RedBlack:
@@ -156,16 +149,34 @@ def _split_red_black(dom: Domain) -> _RedBlack:
     black = np.flatnonzero(colour == 1)
     diag = A.diagonal()
     off = abs(A - sp.diags(diag)).max(axis=1).toarray().ravel()
-    return _RedBlack(red, black, diag[red], diag[black], off[red],
-                     A[black][:, red].tocsr())
+    A_br = A[black][:, red].tocsr()
+    return _RedBlack(red, black, diag[red], diag[black], off[red], A_br,
+                     A_br.T.tocsr())
 
 
-def _splu(M, ordered: bool):
+def _ordered_lu(dom: Domain, key: str, M: sp.csr_matrix):
+    """Factor M with LU_OPTIONS; return its solve.  The first matrix under
+    key on a domain is ordered by minimum degree on M + M^T and that order p
+    is kept in dom.cache[key]; every later one is factored as M[p][:, p] in
+    the natural order, with the same fill."""
+    p = dom.cache.get(key)
+    # rebinding M frees the caller's matrix before splu runs
+    M = M.tocsc() if p is None else M[p][:, p].tocsc()
     try:
-        return splu(M, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
-                     **LU_OPTIONS)
+        lu = splu(M, permc_spec="MMD_AT_PLUS_A" if p is None else "NATURAL",
+                  **LU_OPTIONS)
     except RuntimeError as exc:
         raise SingularJacobian(str(exc)) from exc
+    if p is None:
+        dom.cache[key] = np.argsort(lu.perm_c)
+        return lu.solve
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[p] = lu.solve(b[p])
+        return x
+
+    return solve
 
 
 def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray):
@@ -178,28 +189,24 @@ def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray):
         S = eps A_bb + diag(d_b) - eps^2 A_br diag(1/p_r) A_rb
 
     goes to the LU (Saad, Iterative Methods for Sparse Linear Systems,
-    2003, sec. 3.3).  The first S on a domain is ordered by minimum degree
-    on S + S^T; the black nodes are then renumbered in that order, so every
-    later S is assembled pre-permuted and factored in the natural order.
-
-    A red pivot is weak when |p_r| < 0.1 max_j |J_rj|, the diagonal pivot
-    threshold of LU_OPTIONS; then J is factored whole, under its own kept
-    minimum-degree order.
+    2003, sec. 3.3).  A red pivot is weak when |p_r| < 0.1 max_j |J_rj|, the
+    diagonal pivot threshold of LU_OPTIONS; then J is factored whole.  S
+    and J each keep their own order through _ordered_lu.
     """
-    rb = dom.cached("newton_order", _split_red_black)
+    rb = dom.cached("red_black", _split_red_black)
     p_r = eps * rb.a_red + d[rb.red]
     if not np.all(np.abs(p_r) >= 0.1 * eps * rb.off_red):
-        return _factor_whole_jacobian(dom, eps, d)
+        return _ordered_lu(dom, "jacobian_order",
+                           eps * _stiffness(dom) + sp.diags(d))
     M = rb.A_br.copy()
     M.data *= (eps * eps / p_r)[M.indices]
-    S = (sp.diags(eps * rb.a_black + d[rb.black]) - M @ rb.A_rb).tocsc()
-    lu = _splu(S, rb.ordered)
-    if not rb.ordered:
-        dom.cache["newton_order"] = rb.reordered(lu.perm_c)
+    solve_s = _ordered_lu(dom, "schur_order",
+                          sp.diags(eps * rb.a_black + d[rb.black])
+                          - M @ rb.A_rb)
 
     def solve(f):
         f_r = f[rb.red]
-        x_b = lu.solve(f[rb.black] - eps * (rb.A_br @ (f_r / p_r)))
+        x_b = solve_s(f[rb.black] - eps * (rb.A_br @ (f_r / p_r)))
         x = np.empty_like(f)
         x[rb.black] = x_b
         x[rb.red] = (f_r - eps * (rb.A_rb @ x_b)) / p_r
@@ -208,59 +215,43 @@ def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray):
     return solve
 
 
-def _factor_whole_jacobian(dom: Domain, eps: float, d: np.ndarray):
-    """Factor J itself, as J[p][:, p] once its order p is kept."""
-    J = (eps * _stiffness(dom) + sp.diags(d)).tocsc()
-    p = dom.cache.get("jacobian_order")
-    if p is None:
-        lu = _splu(J, ordered=False)
-        dom.cache["jacobian_order"] = np.argsort(lu.perm_c)
-        return lu.solve
-    lu = _splu(J[p][:, p], ordered=True)
+def _residual(dom: Domain, eps: float, well: DoubleWell, u: np.ndarray,
+              lam: float) -> np.ndarray:
+    """F = eps A u + w W'(u)/eps - lam w: the gradient of assemble_energy
+    less lam times that of the mass, i.e. the residual integrated per cell."""
+    w = dom.cut_cell_weights
+    return eps * (_stiffness(dom) @ u) + w * well.wp(u) / eps - lam * w
 
-    def solve(b):
-        x = np.empty_like(b)
-        x[p] = lu.solve(b[p])
-        return x
 
-    return solve
+def _norm(dom: Domain, F: np.ndarray) -> float:
+    """sqrt(sum F^2 / w): the discrete L2 norm of the nodal residual F / w."""
+    return float(np.sqrt(np.sum(F * F / dom.cut_cell_weights)))
 
 
 def assemble_energy(f: Field, well: DoubleWell) -> float:
-    """Total discrete energy: sum of eps |grad u|^2 / 2 + W(u) / eps."""
-    dom, eps, u = f.dom, f.epsilon, f.values
-    h = dom.cell_size
-    w = dom.cut_cell_weights
-    kinetic = 0.0
-    for a in range(dom.dim):
-        i = np.flatnonzero(dom.neighbors[:, a, 1] >= 0)
-        j = dom.neighbors[i, a, 1]
-        aw = np.minimum(w[i], w[j])
-        kinetic += 0.5 * eps * float(np.sum(aw * ((u[j] - u[i]) / h) ** 2))
-    potential = float(np.sum(w * well.w(u)) / eps)
-    return kinetic + potential
+    """Total discrete energy: eps u.A.u / 2 + sum w W(u) / eps, where u.A.u
+    is twice the face sum of the face weight times |grad u|^2."""
+    u, eps = f.values, f.epsilon
+    kinetic = 0.5 * eps * float(u @ (_stiffness(f.dom) @ u))
+    return kinetic + float(np.sum(f.dom.cut_cell_weights * well.w(u)) / eps)
 
 
-def energy_gradient(f: Field, well: DoubleWell, lam: float = 0.0,
-                    A: sp.spmatrix | None = None) -> np.ndarray:
+def energy_gradient(f: Field, well: DoubleWell,
+                    lam: float = 0.0) -> np.ndarray:
     """Pointwise residual -eps lap(u) + W'(u)/eps - lam at every node."""
-    if A is None:
-        A = _stiffness(f.dom)
-    w = f.dom.cut_cell_weights
-    return (f.epsilon * (A @ f.values)) / w + well.wp(f.values) / f.epsilon - lam
+    F = _residual(f.dom, f.epsilon, well, f.values, lam)
+    return F / f.dom.cut_cell_weights
 
 
-def residual_norm(f: Field, well: DoubleWell, lam: float,
-                  A: sp.spmatrix | None = None) -> float:
+def residual_norm(f: Field, well: DoubleWell, lam: float) -> float:
     """Discrete L2 norm of the Euler-Lagrange residual."""
-    r = energy_gradient(f, well, lam, A)
-    return float(np.sqrt(np.sum(f.dom.cut_cell_weights * r * r)))
+    return _norm(f.dom, _residual(f.dom, f.epsilon, well, f.values, lam))
 
 
-def _chemical_mean(f: Field, well: DoubleWell, A) -> float:
+def _chemical_mean(f: Field, well: DoubleWell) -> float:
     """Spatial mean of -eps lap(u) + W'(u)/eps (the multiplier candidate)."""
     w = f.dom.cut_cell_weights
-    num = f.epsilon * float(np.sum(A @ f.values)) \
+    num = f.epsilon * float(np.sum(_stiffness(f.dom) @ f.values)) \
         + float(np.sum(w * well.wp(f.values))) / f.epsilon
     return num / float(w.sum())
 
@@ -282,11 +273,9 @@ def gradient_flow(init: Field, well: DoubleWell, dt: float | None = None,
         dt = dt_factor * eps * h * h
     if dt > 0.25 * eps * h * h * (1.0 + 1e-12):
         raise ValueError(f"dt={dt} violates the stability bound eps*h^2/4")
-    A = _stiffness(dom)
     w = dom.cut_cell_weights
     wsum = float(w.sum())
-    M = sp.diags(w)
-    lhs = (M + dt * eps * A).tocsr()
+    lhs = (sp.diags(w) + dt * eps * _stiffness(dom)).tocsr()
     diag_inv = sp.diags(1.0 / lhs.diagonal())
 
     u = init.values.copy()
@@ -296,8 +285,8 @@ def gradient_flow(init: Field, well: DoubleWell, dt: float | None = None,
     best = (np.inf, u, lam, 0)
     for steps in range(max_steps + 1):
         f = Field(dom, eps, u)
-        lam = _chemical_mean(f, well, A) if constraint is not None else 0.0
-        rn = residual_norm(f, well, lam, A)
+        lam = _chemical_mean(f, well) if constraint is not None else 0.0
+        rn = residual_norm(f, well, lam)
         if history is not None:
             history.append((rn, assemble_energy(f, well),
                             float(w @ u) / wsum))
@@ -326,8 +315,7 @@ def gradient_flow(init: Field, well: DoubleWell, dt: float | None = None,
 
 
 def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
-                  max_iter: int = 40,
-                  basin_threshold: float | None = None) -> Solution:
+                  max_iter: int = 40) -> Solution:
     """Damped Newton on the residual, bordered with the mean constraint.
 
     A step reuses the last LU and border solve (a chord step) while the
@@ -336,36 +324,29 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     linearization cannot be factorized, NoConvergence (carrying the best
     iterate) if the budget runs out.
     """
-    if basin_threshold is not None and sol.residual_norm > basin_threshold:
-        raise NoConvergence(
-            f"residual {sol.residual_norm:.3e} outside the Newton basin "
-            f"threshold {basin_threshold:.3e}", best=sol)
     dom = sol.field.dom
     eps = sol.field.epsilon
     m = sol.constraint
-    A = _stiffness(dom)
     w = dom.cut_cell_weights
     wsum = float(w.sum())
     u = sol.field.values.copy()
     lam = sol.lam
+    factorizations = 0
 
-    def fvec(u, lam):
-        return eps * (A @ u) + w * well.wp(u) / eps - lam * w
+    def solution(u, lam, rn, it, converged=True):
+        f = Field(dom, eps, u)
+        return Solution(field=f, lam=lam, residual_norm=rn, iterations=it,
+                        constraint=m, converged=converged,
+                        energy=assemble_energy(f, well),
+                        factorizations=factorizations)
 
-    def norm_of(F):
-        return float(np.sqrt(np.sum(F * F / w)))
-
-    F = fvec(u, lam)
-    rn = norm_of(F)
+    F = _residual(dom, eps, well, u, lam)
+    rn = _norm(dom, F)
     best = (rn, u.copy(), lam, 0)
-    solve, factorizations, rn_last = None, 0, math.inf
+    solve, rn_last = None, math.inf
     for it in range(1, max_iter + 1):
         if rn <= tol and (m is None or abs(w @ u / wsum - m) <= 1e-13):
-            f = Field(dom, eps, u)
-            return Solution(field=f, lam=lam, residual_norm=rn,
-                            iterations=it - 1, constraint=m,
-                            energy=assemble_energy(f, well),
-                            factorizations=factorizations)
+            return solution(u, lam, rn, it - 1)
         if solve is None or rn > CHORD_CONTRACTION * rn_last:
             solve = _factor_jacobian(dom, eps, w * well.wpp(u) / eps)
             factorizations += 1
@@ -391,26 +372,21 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
         for _ in range(30):
             u_try = u + step * du
             lam_try = lam + step * dlam
-            F_try = fvec(u_try, lam_try)
-            if norm_of(F_try) < rn or rn < 10.0 * tol:
+            F_try = _residual(dom, eps, well, u_try, lam_try)
+            rn_try = _norm(dom, F_try)
+            if rn_try < rn or rn < 10.0 * tol:
                 break
             step *= 0.5
         u, lam, F = u_try, lam_try, F_try
-        rn_last, rn = rn, norm_of(F)
+        rn_last, rn = rn, rn_try
         if rn < best[0]:
             best = (rn, u.copy(), lam, it)
     rn, u, lam, it = best
-    f = Field(dom, eps, u)
     if rn <= tol:
-        return Solution(field=f, lam=lam, residual_norm=rn, iterations=it,
-                        constraint=m, energy=assemble_energy(f, well),
-                        factorizations=factorizations)
+        return solution(u, lam, rn, it)
     raise NoConvergence(
         f"Newton stalled at residual {rn:.3e} after {max_iter} iterations",
-        best=Solution(field=f, lam=lam, residual_norm=rn, iterations=it,
-                      constraint=m, converged=False,
-                      energy=assemble_energy(f, well),
-                      factorizations=factorizations))
+        best=solution(u, lam, rn, it, converged=False))
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +487,7 @@ def _newton_start(f: Field, well: DoubleWell,
     if constraint is not None:
         w = f.dom.cut_cell_weights
         u = u + (constraint - float(w @ u) / float(w.sum()))
-        lam = _chemical_mean(Field(f.dom, f.epsilon, u), well,
-                             _stiffness(f.dom))
+        lam = _chemical_mean(Field(f.dom, f.epsilon, u), well)
     return Solution(field=Field(f.dom, f.epsilon, u), lam=lam,
                     residual_norm=math.inf, iterations=0,
                     constraint=constraint, converged=False)

@@ -202,6 +202,43 @@ class TestBadSolutionFiles:
         with pytest.raises(DomainMismatch, match="unparsable"):
             cli.load_solution(path, dom)
 
+    @staticmethod
+    def rewrite_header(path, edit):
+        head, *rest = path.read_text().splitlines()
+        head = edit(json.loads(head))
+        path.write_text("\n".join([json.dumps(head), *rest]) + "\n")
+
+    def test_header_not_an_object(self, saved):
+        path, dom = saved
+        self.rewrite_header(path, lambda head: list(head))
+        with pytest.raises(DomainMismatch, match="not a JSON object"):
+            cli.load_solution(path, dom)
+
+    @pytest.mark.parametrize("key", ["domain", "epsilon", "lambda",
+                                     "residual_norm", "iterations"])
+    def test_missing_header_key(self, saved, key):
+        path, dom = saved
+        self.rewrite_header(path, lambda head: {k: v for k, v in head.items()
+                                                if k != key})
+        with pytest.raises(DomainMismatch, match=f"lacks '{key}'"):
+            cli.load_solution(path, dom)
+
+    @pytest.mark.parametrize("key, bad", [("epsilon", "abc"),
+                                          ("iterations", None),
+                                          ("iterations", float("inf"))])
+    def test_unconvertible_header_value(self, saved, key, bad):
+        path, dom = saved
+        self.rewrite_header(path, lambda head: dict(head, **{key: bad}))
+        with pytest.raises(DomainMismatch, match="bad solution header"):
+            cli.load_solution(path, dom)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1])
+    def test_non_positive_epsilon(self, saved, bad):
+        path, dom = saved
+        self.rewrite_header(path, lambda head: dict(head, epsilon=bad))
+        with pytest.raises(DomainMismatch, match="not positive"):
+            cli.load_solution(path, dom)
+
     def test_nan_energy_stays_legal(self, tmp_path):
         dom = build_domain("interval", (1.0,), 64)
         sol = Solution(field=Field(dom, 0.1, np.zeros(dom.n_nodes)), lam=0.0,
@@ -313,6 +350,19 @@ class TestCli:
         cfgpath = small_cfg.parent / "other.cfg"
         cfgpath.write_text(other)
         assert cli.main(["diagnose", "--config", str(cfgpath), *sols]) == 2
+
+    def test_diagnose_malformed_header_exit(self, small_cfg, tmp_path,
+                                            capsys):
+        dom = build_domain("interval", (1.0,), 512)
+        sol = Solution(field=Field(dom, 0.05, np.ones(dom.n_nodes)), lam=0.0,
+                       residual_norm=0.0, iterations=0)
+        path = tmp_path / "s.txt"
+        cli.save_solution(path, sol)
+        TestBadSolutionFiles.rewrite_header(
+            path, lambda head: dict(head, iterations=None))
+        assert cli.main(["diagnose", "--config", str(small_cfg),
+                         str(path)]) == 2
+        assert "bad solution header" in capsys.readouterr().err
 
     def test_unresolvable_epsilon_exit(self, small_cfg):
         text = small_cfg.read_text().replace("epsilons = 0.1 0.05 0.025",

@@ -14,8 +14,8 @@ from aclab.geometry import build_domain
 from aclab.potential import SQRT2, DoubleWell
 from aclab.solver import (LU_OPTIONS, Field, Solution, assemble_energy,
                           energy_gradient, epsilon_sweep, gradient_flow,
-                          newton_refine, resharpen, seed_field, solve_single,
-                          stiffness_matrix)
+                          newton_refine, resharpen, residual_norm, seed_field,
+                          solve_single, stiffness_matrix)
 
 H0 = 2.0 * math.sqrt(2.0) / 3.0
 SHAPES = [("interval", (1.0,)), ("rectangle", (1.0, 0.5)), ("disk", (1.0,)),
@@ -64,6 +64,24 @@ class TestAssembleEnergy:
         dom = build_domain("interval", (1.0,), 1024)
         f = tanh_field(dom, 0.02)
         assert assemble_energy(f, quartic) == pytest.approx(0.9428, abs=0.01)
+
+    @pytest.mark.parametrize("shape,params", SHAPES)
+    def test_matches_face_sum(self, quartic, shape, params):
+        # the kinetic term from u.A.u against the sum over faces of the
+        # face weight min(w_i, w_j) times the squared difference quotient
+        dom = build_domain(shape, params, 48)
+        u = seed_field(dom, 0.1, "radial" if dom.dim == 2 else "step-x",
+                       0.2).values
+        h, w = dom.cell_size, dom.cut_cell_weights
+        kinetic = 0.0
+        for a in range(dom.dim):
+            i = np.flatnonzero(dom.neighbors[:, a, 1] >= 0)
+            j = dom.neighbors[i, a, 1]
+            kinetic += 0.5 * 0.1 * float(
+                np.sum(np.minimum(w[i], w[j]) * ((u[j] - u[i]) / h) ** 2))
+        ref = kinetic + float(np.sum(w * quartic.w(u)) / 0.1)
+        assert assemble_energy(Field(dom, 0.1, u), quartic) == pytest.approx(
+            ref, rel=1e-13, abs=0.0)
 
 
 class TestEnergyGradient:
@@ -192,14 +210,19 @@ class TestNewtonRefine:
         assert sol.residual_norm <= 1e-12
         assert sol.iterations <= 5
 
-    def test_basin_threshold_gate(self, quartic, line256):
-        from aclab.errors import NoConvergence
-        from aclab.solver import residual_norm
-        f = Field(line256, 0.1, np.full(line256.n_nodes, 0.5))
-        rn = residual_norm(f, quartic, 0.0)
-        start = Solution(field=f, lam=0.0, residual_norm=rn, iterations=0)
-        with pytest.raises(NoConvergence):
-            newton_refine(start, quartic, basin_threshold=0.5 * rn)
+    @pytest.mark.parametrize("shape,params,recipe,m", [
+        ("interval", (1.0,), "step-x", 0.3),
+        ("disk", (1.0,), "radial", 0.3),
+        ("rectangle", (1.0, 0.5), "step-x", 0.0)])
+    def test_reports_its_own_residual_norm(self, quartic, shape, params,
+                                           recipe, m):
+        # Newton and residual_norm evaluate one residual the same way; 96
+        # cells give cell weights that are not powers of two, where two
+        # different roundings of the norm would differ
+        dom = build_domain(shape, params, 96)
+        sol = solve_single(dom, quartic, 0.1, constraint=m, recipe=recipe)
+        assert sol.residual_norm == residual_norm(sol.field, quartic,
+                                                  sol.lam)
 
     def test_unstable_critical_point_is_fixed(self, quartic, line256):
         f = Field(line256, 0.1, np.full(line256.n_nodes, quartic.gamma))
@@ -235,25 +258,46 @@ class TestFactorizations:
         J = (eps * stiffness_matrix(dom) + sp.diags(d)).tocsc()
         return dom, eps, d, J
 
-    def test_reordered_natural_factor_keeps_fill(self, disk_jacobian):
-        _, _, _, J = disk_jacobian
-        mmd = splu(J, permc_spec="MMD_AT_PLUS_A", **LU_OPTIONS)
-        p = np.argsort(mmd.perm_c)
-        nat = splu(J[p][:, p].tocsc(), permc_spec="NATURAL", **LU_OPTIONS)
-        assert nat.L.nnz + nat.U.nnz == mmd.L.nnz + mmd.U.nnz
+    @pytest.fixture
+    def recorded_splu(self, monkeypatch):
+        # (permc_spec, L+U fill) of every LU the solver makes
+        calls = []
+
+        def recording(M, permc_spec, **kw):
+            lu = splu(M, permc_spec=permc_spec, **kw)
+            calls.append((permc_spec, lu.L.nnz + lu.U.nnz))
+            return lu
+
+        monkeypatch.setattr(solver, "splu", recording)
+        return calls
+
+    def test_reordered_natural_factor_keeps_fill(self, disk_jacobian,
+                                                 recorded_splu):
+        # the first LU under a key orders by MMD and keeps p; the later
+        # one factors J[p][:, p] in the natural order with the same fill
+        dom, _, _, J = disk_jacobian
         b = np.random.default_rng(3).standard_normal(J.shape[0])
-        x = np.empty_like(b)
-        x[p] = nat.solve(b[p])
-        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+        for _ in range(2):
+            x = solver._ordered_lu(dom, "test_order", J.tocsr())(b)
+            assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+        (first, fill0), (later, fill1) = recorded_splu
+        assert (first, later) == ("MMD_AT_PLUS_A", "NATURAL")
+        assert fill0 == fill1
+        mmd = splu(J, permc_spec="MMD_AT_PLUS_A", **LU_OPTIONS)
+        assert np.array_equal(dom.cache["test_order"],
+                              np.argsort(mmd.perm_c))
 
     def test_domain_keeps_one_order(self, disk_jacobian):
         # the second factorization on a domain runs through the kept order
         dom, eps, d, J = disk_jacobian
         b = np.random.default_rng(4).standard_normal(J.shape[0])
+        kept = None
         for scale in (1.0, 0.5):
             solve = solver._factor_jacobian(dom, eps, scale * d)
             Js = J + sp.diags((scale - 1.0) * d)
-            assert "newton_order" in dom.cache
+            if kept is None:
+                kept = dom.cache["schur_order"]
+            assert dom.cache["schur_order"] is kept
             x = solve(b)
             assert np.linalg.norm(Js @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -290,12 +334,15 @@ class TestFactorizations:
         # near-null translation mode of the step seeds alone puts the
         # residual of either factorization near 1e-11
         b = J @ np.random.default_rng(5).standard_normal(dom.n_nodes)
-        whole = solver._factor_whole_jacobian(dom, eps, d)(b)
-        for _ in range(2):  # the MMD factor, then the renumbered natural one
+        # the MMD factors, then the natural ones under the kept orders
+        for _ in range(2):
+            whole = solver._ordered_lu(dom, "jacobian_order", J)(b)
             x = solver._factor_jacobian(dom, eps, d)(b)
             assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(x - whole) <= 1e-10 * np.linalg.norm(whole)
-        assert dom.cache["newton_order"].ordered
+        rb = dom.cache["red_black"]
+        assert len(dom.cache["schur_order"]) == len(rb.black)
+        assert len(dom.cache["jacobian_order"]) == dom.n_nodes
 
     def test_weak_red_pivot_factors_whole(self, disk_jacobian):
         _, eps, d, _ = disk_jacobian
@@ -307,28 +354,25 @@ class TestFactorizations:
         J = (eps * stiffness_matrix(dom) + sp.diags(d)).tocsr()
         assert J[rb.red[i], rb.red[i]] == 0.0
         b = np.random.default_rng(6).standard_normal(dom.n_nodes)
-        x = solver._factor_jacobian(dom, eps, d)(b)
+        for _ in range(2):  # MMD, then the kept order of J
+            x = solver._factor_jacobian(dom, eps, d)(b)
+            assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
         assert "jacobian_order" in dom.cache
-        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert "schur_order" not in dom.cache
 
-    def test_schur_fill_below_whole(self, disk_jacobian, monkeypatch):
-        _, eps, d, J = disk_jacobian
+    def test_schur_fill_below_whole(self, disk_jacobian, recorded_splu):
+        _, eps, d, _ = disk_jacobian
         dom = build_domain("disk", (1.0,), 128)
-        factors = []
-
-        def recording(M, **kw):
-            factors.append(splu(M, **kw))
-            return factors[-1]
-
-        monkeypatch.setattr(solver, "splu", recording)
-        solver._factor_jacobian(dom, eps, d)
-        solver._factor_jacobian(dom, eps, d)
-        solver._factor_whole_jacobian(dom, eps, d)
-        mmd, _, whole = factors
-        fill = [f.L.nnz + f.U.nnz for f in factors]
-        assert mmd.shape[0] < J.shape[0] == whole.shape[0]
-        # the natural order of the renumbered black nodes keeps the MMD fill
-        assert fill[0] == fill[1] < fill[2]
+        weak = d.copy()
+        rb = solver._split_red_black(dom)
+        weak[rb.red[0]] = -eps * rb.a_red[0]
+        # Schur, whole J, Schur, whole J: each keeps its own order
+        for dd in (d, weak, d, weak):
+            solver._factor_jacobian(dom, eps, dd)
+        specs = [spec for spec, _ in recorded_splu]
+        fill = [f for _, f in recorded_splu]
+        assert specs == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 2
+        assert fill[0] == fill[2] < fill[1] == fill[3]
 
     def test_stiffness_built_once_per_domain(self, quartic, monkeypatch):
         built = []
