@@ -8,6 +8,7 @@ wrapper over solver.epsilon_sweep that writes its solutions.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -30,6 +31,7 @@ from .geometry import (Domain, build_domain, domain_from_descriptor,
                        signed_distance)
 from .potential import DoubleWell, compute_h0
 from .solver import Field, Solution, epsilon_sweep
+from .tables import write_rows
 from .varifold import (build_varifold, export_atoms, extract_interface,
                        first_variation_bound_constant,
                        free_boundary_test, integrality_check,
@@ -87,7 +89,7 @@ def save_solution(path, sol: Solution):
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head) + "\n")
-        fh.writelines("%.17g\n" % v for v in sol.field.values.tolist())
+        write_rows(fh, "%.17g\n", [sol.field.values.tolist()])
 
 
 def load_solution(path, dom: Domain | None = None) -> Solution:
@@ -108,7 +110,9 @@ def load_solution(path, dom: Domain | None = None) -> Solution:
     with fh:
         try:
             head = json.loads(fh.readline())
-            values = np.array([float(line) for line in fh if line.strip()])
+            # numpy parses each line as float(line) would
+            values = np.array([line for line in fh if line.strip()],
+                              dtype=float)
         except ValueError as exc:
             raise DomainMismatch(f"{path}: unparsable solution file: {exc}") from exc
     if not isinstance(head, dict):
@@ -128,7 +132,12 @@ def load_solution(path, dom: Domain | None = None) -> Solution:
         raise DomainMismatch(f"{path}: bad solution header value: {exc}") \
             from exc
     if dom is None:
-        dom = domain_from_descriptor(stored)
+        try:
+            dom = domain_from_descriptor(stored)
+        except (KeyError, TypeError, ValueError, OverflowError,
+                InvalidShapeParams) as exc:
+            raise DomainMismatch(f"{path}: bad stored domain {stored!r}: "
+                                 f"{exc}") from exc
     elif stored != dom.to_descriptor():
         raise DomainMismatch(
             f"{path}: stored domain {stored} does not match configured "
@@ -234,6 +243,13 @@ def _boundary_normal_field(dom):
         dom, 0.2 * float(signed_distance(dom).values.max()))
 
 
+def _interior_radial_field(dom):
+    """The radial test field about the center of the grid box, of support
+    radius 0.3 extent."""
+    center = dom.origin + 0.5 * np.asarray(dom.n_cells) * dom.cell_size
+    return make_radial_field(dom, center, 0.3 * dom.extent)
+
+
 def _diag_ratios(report, out, sols, well, cfg, rng):
     rows, mono_rows, viol_rows = [], [], []
     for sol in sols:
@@ -290,18 +306,14 @@ def _diag_ratios(report, out, sols, well, cfg, rng):
                               worst <= 1e-3, _g17(worst), "<= 1e-3"))
 
 
-def _diag_pohozaev(report, out, sols, well):
+def _diag_pohozaev(report, out, sols, well, radial, normal_field):
     rows = []
     for sol in sols:
-        dom = sol.field.dom
         eps = sol.field.epsilon
-        center = dom.origin + 0.5 * np.asarray(dom.n_cells) * dom.cell_size
-        rho = 0.3 * dom.extent
-        ri = pohozaev_residual(sol, well,
-                               make_radial_field(dom, center, rho))
-        rows.append((eps, "interior-radial", ri))
+        rows.append((eps, "interior-radial",
+                     pohozaev_residual(sol, well, radial)))
         try:
-            rb = pohozaev_residual(sol, well, _boundary_normal_field(dom))
+            rb = pohozaev_residual(sol, well, normal_field())
             rows.append((eps, "boundary-normal", rb))
         except AcLabError as exc:
             report.errors.append((eps, f"pohozaev boundary field: {exc}"))
@@ -315,7 +327,7 @@ def _diag_boundary_energy(report, out, sols, well):
     report.tables["boundary_energy"] = rows
 
 
-def _diag_varifold(report, out, sols, well, cfg, rng, h0):
+def _diag_varifold(report, out, sols, well, cfg, rng, h0, normal_field):
     mass_rows, fb_rows, integ_rows, iface_rows = [], [], [], []
     for k, sol in enumerate(sols):
         dom = sol.field.dom
@@ -340,8 +352,7 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0):
                 report.fitted_constants["first_variation_C"] = max(
                     report.fitted_constants.get("first_variation_C", 0.0),
                     first_variation_bound_constant(
-                        V, sol, h0, _boundary_normal_field(dom),
-                        curve=curve))
+                        V, sol, h0, normal_field(), curve=curve))
             except AcLabError as exc:
                 report.errors.append((eps, f"varifold: {exc}"))
         try:
@@ -386,16 +397,21 @@ def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
         return report
     rng = np.random.default_rng(cfg.seed)
     h0 = compute_h0(well).h0
+    # every solution lives on dom: the boundary-normal field is built on
+    # first use and then shared; a failed build is retried on the next use
+    normal_field = functools.cache(lambda: _boundary_normal_field(dom))
 
     runners = {
         "equipartition": lambda: _diag_equipartition(report, out, sols, well),
         "ratios": lambda: _diag_ratios(report, out, sols, well, cfg, rng),
         "monotonicity": lambda: None,  # folded into the ratios scan
-        "pohozaev": lambda: _diag_pohozaev(report, out, sols, well),
+        "pohozaev": lambda: _diag_pohozaev(report, out, sols, well,
+                                           _interior_radial_field(dom),
+                                           normal_field),
         "boundary-energy": lambda: _diag_boundary_energy(report, out, sols,
                                                          well),
         "varifold": lambda: _diag_varifold(report, out, sols, well, cfg, rng,
-                                           h0),
+                                           h0, normal_field),
     }
     if "monotonicity" in cfg.checks and "ratios" not in cfg.checks:
         runners["monotonicity"] = lambda: _diag_ratios(report, out, sols,

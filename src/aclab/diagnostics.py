@@ -71,6 +71,17 @@ def _gradient_stencil(dom: Domain):
     return tuple(stencil)
 
 
+def field_gradient(f: Field) -> np.ndarray:
+    """node_gradient of f, built once per field and kept read-only."""
+    return f.cached("gradient", _frozen_gradient)
+
+
+def _frozen_gradient(f: Field) -> np.ndarray:
+    g = node_gradient(f.dom, f.values)
+    g.flags.writeable = False
+    return g
+
+
 def node_jacobian(dom: Domain, vec_values: np.ndarray) -> np.ndarray:
     """J[i, a, b] = d_a X_b by the same centered/one-sided differences."""
     J = np.empty((dom.n_nodes, dom.dim, dom.dim))
@@ -94,13 +105,24 @@ class DensityFields:
 
 
 def density_fields(f: Field, well: DoubleWell) -> DensityFields:
-    g = node_gradient(f.dom, f.values)
+    """The density fields of f under well, built once per field and well
+    object and kept read-only."""
+    # the entry holds the well, so its id names no other well while kept
+    return f.cached(("density_fields", id(well)),
+                    lambda f: (well, _frozen_density_fields(f, well)))[1]
+
+
+def _frozen_density_fields(f: Field, well: DoubleWell) -> DensityFields:
+    g = field_gradient(f)
     kin = 0.5 * f.epsilon * np.sum(g * g, axis=1)
     pot = well.w(f.values) / f.epsilon
     e = kin + pot
     xi = kin - pot
-    return DensityFields(e=e, xi=xi, xi_plus=np.maximum(xi, 0.0),
-                         xi_minus=np.maximum(-xi, 0.0))
+    d = DensityFields(e=e, xi=xi, xi_plus=np.maximum(xi, 0.0),
+                      xi_minus=np.maximum(-xi, 0.0))
+    for a in (d.e, d.xi, d.xi_plus, d.xi_minus):
+        a.flags.writeable = False
+    return d
 
 
 def tilted_densities(f: Field, d: DensityFields, lam: float):
@@ -287,13 +309,15 @@ def xi_integral_bound_fit(curve: RatioCurve) -> float:
 
 @dataclass(frozen=True)
 class TestVectorField:
-    """Vector field sampled on the active nodes and the boundary samples."""
+    """Vector field sampled on the active nodes and the boundary samples,
+    with its node Jacobian."""
 
     values: np.ndarray              # (N, dim)
     boundary_values: np.ndarray     # (M, dim) at the boundary sample points
     tangential_on_boundary: bool
     support_radius: float
     c1_norm: float
+    jacobian: np.ndarray = field(repr=False, compare=False)  # node_jacobian
     evaluator: object = field(default=None, repr=False, compare=False)
 
 
@@ -353,8 +377,7 @@ def scaled_cutoff_derivatives(s, a: float):
     return cp, cpp / a
 
 
-def _c1_norm(dom: Domain, values: np.ndarray) -> float:
-    J = node_jacobian(dom, values)
+def _c1_norm(values: np.ndarray, J: np.ndarray) -> float:
     sup_x = float(np.linalg.norm(values, axis=1).max(initial=0.0))
     sup_j = float(np.sqrt(np.sum(J * J, axis=(1, 2))).max(initial=0.0))
     return sup_x + sup_j
@@ -369,10 +392,12 @@ def field_from_callable(dom: Domain, fn, support_radius: float) -> TestVectorFie
     """Wrap an analytic vector field; fn maps (k, dim) points to vectors."""
     vals = np.asarray(fn(dom.points), dtype=float)
     bvals = np.asarray(fn(dom.boundary.points), dtype=float)
+    J = node_jacobian(dom, vals)
+    J.flags.writeable = False
     return TestVectorField(values=vals, boundary_values=bvals,
                            tangential_on_boundary=_tangential_flag(dom, bvals),
                            support_radius=support_radius,
-                           c1_norm=_c1_norm(dom, vals), evaluator=fn)
+                           c1_norm=_c1_norm(vals, J), jacobian=J, evaluator=fn)
 
 
 def make_radial_field(dom: Domain, x, rho: float) -> TestVectorField:
@@ -447,8 +472,8 @@ def pohozaev_residual(sol: Solution, well: DoubleWell,
     """
     f = sol.field
     dom, eps = f.dom, f.epsilon
-    g = node_gradient(dom, f.values)
-    J = node_jacobian(dom, X.values)
+    g = field_gradient(f)
+    J = X.jacobian
     lam0 = max(1.0, abs(sol.lam))
     wt = well.w(f.values) - eps * sol.lam * f.values + eps * lam0 * C0
     e_t = 0.5 * eps * np.sum(g * g, axis=1) + wt / eps
@@ -492,7 +517,7 @@ def equipartition_report(sweep: list, well: DoubleWell) -> EquipartitionReport:
     for sol in sweep:
         f = sol.field
         w = f.dom.cut_cell_weights
-        g = node_gradient(f.dom, f.values)
+        g = field_gradient(f)
         kin = float(np.sum(w * 0.5 * f.epsilon * np.sum(g * g, axis=1)))
         pot = float(np.sum(w * well.w(f.values)) / f.epsilon)
         xi_l1 = float(np.sum(w * np.abs(density_fields(f, well).xi)))

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
 
@@ -348,6 +347,45 @@ def _subsample_offsets(dim, h):
     return np.stack([ox.ravel(), oy.ravel()], axis=1)
 
 
+def _grid_axes(lo, cells, h):
+    """Per axis, the cell-center coordinates of the grid."""
+    return [lo[a] + (np.arange(cells[a]) + 0.5) * h for a in range(len(cells))]
+
+
+def _nearest_active_node(pts, lo, h, grid_shape, active_of_grid, apts):
+    """Active index of the node nearest to each point, by an exact search
+    over the window of cells around it.
+
+    A node outside the window of half-width k cells around the cell holding
+    a point lies at least (k + 1/2) h from it, so a node within k h found in
+    the window is the nearest; points without one retry with twice the
+    width.  Ties go to the node with the lowest active index.
+    """
+    dim = len(grid_shape)
+    shape = np.asarray(grid_shape)
+    strides = np.array((1,) if dim == 1 else (grid_shape[1], 1))
+    home = np.floor((pts - lo) / h).astype(np.int64)
+    node = np.empty(pts.shape[0], dtype=np.int64)
+    todo = np.arange(pts.shape[0])
+    k = 2
+    while todo.size:
+        steps = np.arange(-k, k + 1)
+        offs = np.stack(np.meshgrid(*[steps] * dim, indexing="ij"),
+                        axis=-1).reshape(-1, dim)
+        cell = home[todo, None, :] + offs[None, :, :]
+        inside = np.all((cell >= 0) & (cell < shape), axis=2)
+        act = np.where(inside, active_of_grid[
+            np.where(inside, cell @ strides, 0)], -1)
+        dist = np.sum((apts[act] - pts[todo, None, :]) ** 2, axis=2)
+        dist[act < 0] = np.inf
+        best = np.min(dist, axis=1)
+        act = np.where(dist == best[:, None], act, np.iinfo(np.int64).max)
+        node[todo] = act.min(axis=1)
+        found = (best < (k * h) ** 2) | (k > max(grid_shape))
+        todo, k = todo[~found], 2 * k
+    return node
+
+
 def build_domain(shape: str, params, n_cells) -> Domain:
     """Build the cut-cell discretization of a supported shape.
 
@@ -360,7 +398,7 @@ def build_domain(shape: str, params, n_cells) -> Domain:
     lo, hi = _grid_box(shape, params)
     cells, h = _normalize_cells(shape, params, n_cells, lo, hi)
 
-    axes = [lo[a] + (np.arange(cells[a]) + 0.5) * h for a in range(dim)]
+    axes = _grid_axes(lo, cells, h)
     if dim == 1:
         pts = axes[0][:, None]
         grid_shape = (cells[0],)
@@ -410,8 +448,7 @@ def build_domain(shape: str, params, n_cells) -> Domain:
         bp.append(point_fn(t)); bn.append(normal_fn(t))
         bw.append(np.full(k, ln / k))
     bp = np.concatenate(bp); bn = np.concatenate(bn); bw = np.concatenate(bw)
-    tree = cKDTree(apts)
-    _, bnode = tree.query(bp)
+    bnode = _nearest_active_node(bp, lo, h, grid_shape, active_of_grid, apts)
 
     margin = 0.5 * float(np.max(hi - lo))
     return Domain(
@@ -422,7 +459,7 @@ def build_domain(shape: str, params, n_cells) -> Domain:
         grid_index=grid_index,
         active_of_grid=active_of_grid, neighbors=nbr,
         boundary=BoundarySamples(points=bp, normals=bn, weights=bw,
-                                 node=bnode.astype(np.int64)),
+                                 node=bnode),
         kappa0=_shape_kappa0(shape, params),
         u_lo=lo - margin, u_hi=hi + margin,
     )
@@ -444,6 +481,21 @@ def _node_signed_distance(dom: Domain) -> SignedDistance:
     values.flags.writeable = False
     gradient.flags.writeable = False
     return SignedDistance(values=values, gradient=gradient)
+
+
+def grid_axis_text(dom: Domain):
+    """Per axis, the %.17g text of each grid coordinate, in a read-only
+    object array built once per domain; node coordinates are among them."""
+    return dom.cached("grid_axis_text", _grid_axis_text)
+
+
+def _grid_axis_text(dom: Domain):
+    text = []
+    for axis in _grid_axes(dom.origin, dom.grid_shape, dom.cell_size):
+        t = np.array(["%.17g" % v for v in axis.tolist()], dtype=object)
+        t.flags.writeable = False
+        text.append(t)
+    return tuple(text)
 
 
 def ball_restriction(dom: Domain, x, r: float) -> BallRestriction:

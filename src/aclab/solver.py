@@ -16,7 +16,7 @@ minimum-degree order of the first LU on its domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,11 +38,17 @@ LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
 @dataclass(frozen=True)
 class Field:
-    """Scalar grid function with its diffuse-interface width epsilon."""
+    """Scalar grid function with its diffuse-interface width epsilon.
+
+    Fields derived from the values are built once and kept in its cache,
+    read-only, for as long as the field lives; values are never written.
+    """
 
     dom: Domain
     epsilon: float
     values: np.ndarray
+    cache: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -51,6 +57,12 @@ class Field:
             raise ValueError("values must have one entry per active node")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
+
+    def cached(self, key, build):
+        """build(self), computed on the first call for key and kept."""
+        if key not in self.cache:
+            self.cache[key] = build(self)
+        return self.cache[key]
 
     def mean(self):
         w = self.dom.cut_cell_weights

@@ -10,13 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (TestVectorField, density_fields, node_gradient,
-                          node_jacobian, plateau_value, radius_ladder,
-                          unit_ball_volume)
+from .diagnostics import (TestVectorField, density_fields, field_gradient,
+                          plateau_value, radius_ladder, unit_ball_volume)
 from .errors import BallEscapesU, NoInterface, NotTangential, RadiusTooSmall
-from .geometry import Domain
+from .geometry import Domain, grid_axis_text
 from .potential import DoubleWell
 from .solver import Solution
+from .tables import write_rows
 
 # |grad u| below this multiple of 1/eps gets the zero-normal flag; separates
 # phase plateaus from transition layers on the natural gradient scale
@@ -75,7 +75,7 @@ def build_varifold(sol: Solution, well: DoubleWell, h0: float) -> DiscreteVarifo
     keep = d.e > 0.0
     idx = np.flatnonzero(keep)
     w = dom.cut_cell_weights[idx] * d.e[idx] / h0
-    g = node_gradient(dom, f.values)[idx]
+    g = field_gradient(f)[idx]
     gn = np.linalg.norm(g, axis=1)
     zero = gn <= GRADIENT_FLOOR / f.epsilon
     normals = np.zeros_like(g)
@@ -86,22 +86,28 @@ def build_varifold(sol: Solution, well: DoubleWell, h0: float) -> DiscreteVarifo
 
 
 def export_atoms(V: DiscreteVarifold, path):
-    """Write the atoms as CSV: position, weight, normal, zero flag."""
-    dim = V.dom.dim
-    coords = ("x", "y")[:dim]
+    """Write the atoms as CSV: position, weight, normal, zero flag.
+
+    Each atom sits on its node, so its position is written as the node's
+    grid coordinates, formatted once per domain.
+    """
+    dom = V.dom
+    coords = ("x", "y")[:dom.dim]
     ncols = tuple("n" + c for c in coords)
-    row = ",".join(["%.17g"] * (2 * dim + 1) + ["%d"]) + "\n"
-    table = np.column_stack((V.points, V.weights, V.normals, V.zero_flag))
+    row = ",".join(["%s"] * dom.dim + ["%.17g"] * (dom.dim + 1) + ["%d"]) + "\n"
+    cells = np.unravel_index(dom.grid_index[V.node_index], dom.grid_shape)
+    columns = [text[c].tolist() for text, c in zip(grid_axis_text(dom), cells)]
+    columns += [V.weights.tolist(), *V.normals.T.tolist(),
+                V.zero_flag.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(coords + ("weight",) + ncols + ("zero_flag",)) + "\n")
-        fh.writelines(row % tuple(r) for r in table.tolist())
+        write_rows(fh, row, columns)
 
 
 def first_variation(V: DiscreteVarifold, X: TestVectorField) -> float:
     """delta V(X) = sum of weight * <grad X, I - nu x nu> over the atoms."""
-    J_nodes = node_jacobian(V.dom, X.values)
     live = ~V.zero_flag
-    J = J_nodes[V.node_index[live]]
+    J = X.jacobian[V.node_index[live]]
     nu = V.normals[live]
     divX = np.trace(J, axis1=1, axis2=2)
     nn = np.einsum("iab,ia,ib->i", J, nu, nu)
@@ -205,7 +211,7 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
     if seg_a.shape[0] == 0:
         raise NoInterface("no zero level set segments found")
 
-    grad = node_gradient(dom, f.values)
+    grad = field_gradient(f)
     mids = 0.5 * (seg_a + seg_b)
     dirs = seg_b - seg_a
     lens = np.linalg.norm(dirs, axis=1)

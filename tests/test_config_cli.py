@@ -38,6 +38,25 @@ seed = 11
 """
 
 
+def tiny_disk_cfg(tmp_path, checks="varifold"):
+    """The SMALL run on a 64-cell disk at eps 0.12 and 0.1, writing to
+    tmp_path/out."""
+    text = (SMALL.format(out=tmp_path / "out")
+            .replace("shape = interval", "shape = disk")
+            .replace("cells = 512", "cells = 64")
+            .replace("constraint_mean = 0.0", "constraint_mean = 0.3")
+            .replace("recipe = step-x", "recipe = radial")
+            .replace("epsilons = 0.1 0.05 0.025", "epsilons = 0.12 0.1")
+            .replace("checks = equipartition varifold", f"checks = {checks}"))
+    path = tmp_path / "disk.cfg"
+    path.write_text(text)
+    return load_config(path)
+
+
+ALL_CHECKS = ("equipartition ratios monotonicity pohozaev boundary-energy "
+              "varifold")
+
+
 @pytest.fixture()
 def small_cfg(tmp_path):
     text = SMALL.format(out=tmp_path / "out")
@@ -193,7 +212,8 @@ class TestBadSolutionFiles:
         with pytest.raises(DomainMismatch, match="non-finite epsilon"):
             cli.load_solution(path, dom)
 
-    @pytest.mark.parametrize("line, bad", [(7, "0.25,0.5"), (0, '{"schema": ')])
+    @pytest.mark.parametrize("line, bad", [(7, "0.25,0.5"), (7, "0.25 0.5"),
+                                           (0, '{"schema": ')])
     def test_unparsable_line(self, saved, line, bad):
         path, dom = saved
         lines = path.read_text().splitlines()
@@ -238,6 +258,25 @@ class TestBadSolutionFiles:
         self.rewrite_header(path, lambda head: dict(head, epsilon=bad))
         with pytest.raises(DomainMismatch, match="not positive"):
             cli.load_solution(path, dom)
+
+    def test_blank_lines_and_crlf_skipped(self, saved):
+        path, dom = saved
+        want = cli.load_solution(path, dom).field.values
+        head, *rest = path.read_text().splitlines()
+        lines = [head, "", *rest[:5], "  ", *rest[5:], "\t", ""]
+        path.write_bytes("\r\n".join(lines).encode())
+        assert np.array_equal(cli.load_solution(path, dom).field.values, want)
+
+    @pytest.mark.parametrize("stored", [
+        {"shape": "interval"}, 5,
+        {"shape": "interval", "params": [1.0], "cells": "x"}],
+        ids=["no-params", "not-an-object", "bad-cells"])
+    def test_malformed_stored_domain(self, saved, stored):
+        # without a configured domain the file's descriptor builds one
+        path, _ = saved
+        self.rewrite_header(path, lambda head: dict(head, domain=stored))
+        with pytest.raises(DomainMismatch, match="bad stored domain"):
+            cli.load_solution(path)
 
     def test_nan_energy_stays_legal(self, tmp_path):
         dom = build_domain("interval", (1.0,), 64)
@@ -388,6 +427,56 @@ class TestCli:
         assert any("integrality" in str(msg) for _, msg in report.errors)
 
 
+class TestWriters:
+    @pytest.mark.parametrize("shape,params,cells", [
+        ("interval", (1.0,), 2500), ("disk", (1.0,), 64),
+        ("annulus", (0.4, 1.0), 80), ("half-disk", (1.0,), 96)])
+    def test_solution_bytes(self, tmp_path, shape, params, cells):
+        # the per-line writer is the reference; the node count spans a
+        # partial chunk
+        from aclab.tables import CHUNK_ROWS
+        dom = build_domain(shape, params, cells)
+        assert dom.n_nodes > CHUNK_ROWS and dom.n_nodes % CHUNK_ROWS
+        rng = np.random.default_rng(3)
+        u = np.tanh(rng.standard_normal(dom.n_nodes) * 10.0 ** rng.integers(
+            -20, 3, dom.n_nodes))
+        u[:4] = (-0.0, 0.0, 1.0, -1.0)
+        sol = Solution(field=Field(dom, 0.05, u), lam=0.25,
+                       residual_norm=1e-11, iterations=3)
+        cli.save_solution(tmp_path / "s.txt", sol)
+        _, body = (tmp_path / "s.txt").read_bytes().split(b"\n", 1)
+        assert body == "".join("%.17g\n" % v for v in u.tolist()).encode()
+        back = cli.load_solution(tmp_path / "s.txt", dom).field.values
+        assert np.array_equal(back, u)
+
+
+class TestLifetime:
+    def test_solve_and_diagnose_leave_no_domain_or_field(self, tmp_path):
+        # with the cycle collector off, a cache that closes a reference
+        # cycle through a Domain or a Field keeps it alive after return
+        import gc
+        from aclab.geometry import Domain
+        cfg = tiny_disk_cfg(tmp_path, ALL_CHECKS)
+
+        def alive():
+            return {id(o) for o in gc.get_objects()
+                    if isinstance(o, (Domain, Field))}
+
+        gc.collect()
+        before = alive()
+        gc.disable()
+        try:
+            cli.cmd_solve(cfg)
+            sols = sorted((tmp_path / "out").glob("solution_*.txt"))
+            report = cli.cmd_diagnose(cfg, sols)
+            left = alive() - before
+        finally:
+            gc.enable()
+        assert len(sols) == 2 and len(report.tables["pohozaev"]) == 4
+        assert report.tables["free_boundary"]
+        assert not left
+
+
 class TestSeededFaults:
     def test_tampered_potential_fails_construction(self):
         # W(1) = 0.1 violates the well invariant by name
@@ -499,16 +588,7 @@ class TestMoreCli:
         assert "cannot read solution file" in capsys.readouterr().err
 
     def test_diagnose_extracts_once_per_solution(self, tmp_path, monkeypatch):
-        text = (SMALL.format(out=tmp_path / "out")
-                .replace("shape = interval", "shape = disk")
-                .replace("cells = 512", "cells = 64")
-                .replace("constraint_mean = 0.0", "constraint_mean = 0.3")
-                .replace("recipe = step-x", "recipe = radial")
-                .replace("epsilons = 0.1 0.05 0.025", "epsilons = 0.12 0.1")
-                .replace("checks = equipartition varifold", "checks = varifold"))
-        path = tmp_path / "disk.cfg"
-        path.write_text(text)
-        cfg = load_config(path)
+        cfg = tiny_disk_cfg(tmp_path)
         cli.cmd_solve(cfg)
         out = tmp_path / "out"
         dom = build_domain("disk", (1.0,), 64)
@@ -531,6 +611,29 @@ class TestMoreCli:
         assert len(report.tables["free_boundary"]) == 4  # 2 fields x 2 eps
         assert "first_variation_C" in report.fitted_constants
         assert calls == [0.12, 0.1]
+
+    def test_diagnose_differentiates_each_array_once(self, tmp_path,
+                                                     monkeypatch):
+        # a solution's gradient and a test field's Jacobian are computed
+        # once and shared by every check that needs them
+        from aclab import diagnostics
+        cfg = tiny_disk_cfg(tmp_path, ALL_CHECKS)
+        cli.cmd_solve(cfg)
+        sols = sorted((tmp_path / "out").glob("solution_*.txt"))
+        seen = []
+        real = diagnostics.node_gradient
+
+        def recording(dom, values):
+            seen.append(values)
+            return real(dom, values)
+
+        monkeypatch.setattr(diagnostics, "node_gradient", recording)
+        monkeypatch.setattr(varifold, "node_gradient", recording,
+                            raising=False)
+        report = cli.cmd_diagnose(cfg, sols)
+        assert report.tables["free_boundary"]
+        assert not [k for k, v in enumerate(seen)
+                    if any(v is w for w in seen[:k])]
 
     def test_user_polynomial_through_config(self, tmp_path):
         text = SMALL.format(out=tmp_path / "out").replace(

@@ -64,6 +64,22 @@ class TestDensityFields:
         assert np.allclose(d.xi, d.xi_plus - d.xi_minus)
         assert np.all(d.xi_plus * d.xi_minus == 0.0)
 
+    def test_kept_per_field_and_well(self, quartic, rect_sol):
+        f = rect_sol.field
+        d = density_fields(f, quartic)
+        assert density_fields(f, quartic) is d
+        for a in (d.e, d.xi, d.xi_plus, d.xi_minus):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        # another well object gets its own entry: the scaled quartic
+        other = DoubleWell(kind="user-polynomial",
+                           coefficients=(0.5, 0.0, -1.0, 0.0, 0.5))
+        assert np.allclose(density_fields(f, other).e,
+                           d.e + (d.e - d.xi) / 2, rtol=1e-9, atol=1e-9)
+        fresh = Field(f.dom, f.epsilon, f.values)
+        assert density_fields(fresh, quartic) is not d
+        assert np.array_equal(density_fields(fresh, quartic).e, d.e)
+
 
 class TestRatioCurve:
     def test_interior_interface_plateau(self, quartic, rect_sol):
@@ -239,6 +255,7 @@ class TestRadialField:
         X = make_radial_field(dom, x, 0.4)
         from aclab.diagnostics import node_jacobian
         J = node_jacobian(dom, X.values)
+        assert np.array_equal(X.jacobian, J) and not X.jacobian.flags.writeable
         k = np.argmin(np.linalg.norm(dom.points - x, axis=1))
         assert np.trace(J[k]) == pytest.approx(2.0, abs=1e-6)
 

@@ -71,6 +71,19 @@ class TestBuildDomain:
         floor = 1.2e-4 * perim
         assert fine <= max(0.5 * coarse, floor)
 
+    @pytest.mark.parametrize("shape,params", [
+        ("interval", (1.0,)), ("rectangle", (1.0, 0.5)), ("disk", (1.0,)),
+        ("annulus", (0.4, 1.0)), ("half-disk", (1.0,))])
+    @pytest.mark.parametrize("cells", [32, 48, 100, 256])
+    def test_boundary_node_matches_kdtree(self, shape, params, cells):
+        # the k-d tree is the reference for the nearest active node; on the
+        # half-disk at 48 cells two samples are equidistant from two nodes
+        from scipy.spatial import cKDTree
+        dom = build_domain(shape, params, cells)
+        _, ref = cKDTree(dom.points).query(dom.boundary.points)
+        assert dom.boundary.node.dtype == np.int64
+        assert np.array_equal(dom.boundary.node, ref)
+
     def test_descriptor_roundtrip(self):
         dom = build_domain("annulus", (0.5, 1.0), 64)
         dom2 = domain_from_descriptor(dom.to_descriptor())

@@ -398,6 +398,32 @@ class TestDensity:
         with pytest.raises(RadiusTooSmall):
             integrality_check(V, p)
 
+    @pytest.mark.parametrize("shape,params,cells", [
+        ("interval", (1.0,), 2500), ("disk", (1.0,), 64),
+        ("annulus", (0.4, 1.0), 80), ("half-disk", (1.0,), 96)])
+    def test_atom_export_bytes(self, quartic, h0, tmp_path, shape, params,
+                               cells):
+        # the per-row writer is the reference; plateaus at +-0.5 give
+        # zero-normal atoms, and the atom count spans a partial chunk
+        from aclab.tables import CHUNK_ROWS
+        from aclab.varifold import export_atoms
+        dom = build_domain(shape, params, cells)
+        x = dom.points[:, 0]
+        u = np.clip(3.0 * np.sin(7.0 * x + dom.points.sum(axis=1)), -0.5, 0.5)
+        V = build_varifold(Solution(field=Field(dom, 0.05, u), lam=0.0,
+                                    residual_norm=0.0, iterations=0),
+                           quartic, h0)
+        assert V.weights.size > CHUNK_ROWS and V.weights.size % CHUNK_ROWS
+        assert V.zero_flag.any() and not V.zero_flag.all()
+        coords = ("x", "y")[:dom.dim]
+        row = ",".join(["%.17g"] * (2 * dom.dim + 1) + ["%d"]) + "\n"
+        table = np.column_stack((V.points, V.weights, V.normals, V.zero_flag))
+        ref = ",".join(coords + ("weight",) + tuple("n" + c for c in coords)
+                       + ("zero_flag",)) + "\n"
+        ref += "".join(row % tuple(r) for r in table.tolist())
+        export_atoms(V, tmp_path / "atoms.csv")
+        assert (tmp_path / "atoms.csv").read_bytes() == ref.encode()
+
     def test_atom_export_columns(self, band_varifold, tmp_path):
         from aclab.varifold import export_atoms
         path = tmp_path / "atoms.csv"
