@@ -11,7 +11,8 @@ condition.
 Stencil application and reductions are data-parallel over nodes; the time
 loop of the flow is sequential.  Solutions are immutable once returned.
 Newton factors only the black Schur complement of a red-black split, in the
-minimum-degree order of the first LU on its domain.
+minimum-degree order of the first LU on its domain, and holds one LU at a
+time.
 """
 from __future__ import annotations
 
@@ -332,9 +333,11 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
 
     A step reuses the last LU and border solve (a chord step) while the
     residual norm falls by CHORD_CONTRACTION per step, and refactors
-    otherwise; max_iter counts both kinds.  Raises SingularJacobian if the
-    linearization cannot be factorized, NoConvergence (carrying the best
-    iterate) if the budget runs out.
+    otherwise; max_iter counts both kinds.  A chord direction along which
+    30 halvings lower nothing is not taken: Newton refactors at the same
+    iterate within the iteration.  At most one LU is alive at a time.
+    Raises SingularJacobian if the linearization cannot be factorized,
+    NoConvergence (carrying the best iterate) if the budget runs out.
     """
     dom = sol.field.dom
     eps = sol.field.epsilon
@@ -359,36 +362,47 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     for it in range(1, max_iter + 1):
         if rn <= tol and (m is None or abs(w @ u / wsum - m) <= 1e-13):
             return solution(u, lam, rn, it - 1)
-        if solve is None or rn > CHORD_CONTRACTION * rn_last:
-            solve = _factor_jacobian(dom, eps, w * well.wpp(u) / eps)
-            factorizations += 1
+        refactor = solve is None or rn > CHORD_CONTRACTION * rn_last
+        while True:
+            if refactor:
+                # release the stale LU before SuperLU builds the next one,
+                # so that at most one is alive
+                solve = q = None
+                solve = _factor_jacobian(dom, eps, w * well.wpp(u) / eps)
+                factorizations += 1
+                if m is not None:
+                    q = solve(w)
+                    wq = float(w @ q)
+                    if abs(wq) < 1e-300:
+                        raise SingularJacobian("degenerate constraint border")
+            try:
+                p = solve(F)
+            except RuntimeError as exc:
+                raise SingularJacobian(str(exc)) from exc
+            if not np.all(np.isfinite(p)):
+                raise SingularJacobian("non-finite Newton direction")
             if m is not None:
-                q = solve(w)
-                wq = float(w @ q)
-                if abs(wq) < 1e-300:
-                    raise SingularJacobian("degenerate constraint border")
-        try:
-            p = solve(F)
-        except RuntimeError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        if not np.all(np.isfinite(p)):
-            raise SingularJacobian("non-finite Newton direction")
-        if m is not None:
-            G = float(w @ u) - m * wsum
-            dlam = (float(w @ p) - G) / wq
-            du = -p + dlam * q
-        else:
-            dlam = 0.0
-            du = -p
-        step = 1.0
-        for _ in range(30):
-            u_try = u + step * du
-            lam_try = lam + step * dlam
-            F_try = _residual(dom, eps, well, u_try, lam_try)
-            rn_try = _norm(dom, F_try)
-            if rn_try < rn or rn < 10.0 * tol:
+                G = float(w @ u) - m * wsum
+                dlam = (float(w @ p) - G) / wq
+                du = -p + dlam * q
+            else:
+                dlam = 0.0
+                du = -p
+            step = 1.0
+            for _ in range(30):
+                u_try = u + step * du
+                lam_try = lam + step * dlam
+                F_try = _residual(dom, eps, well, u_try, lam_try)
+                rn_try = _norm(dom, F_try)
+                lowered = rn_try < rn or rn < 10.0 * tol
+                if lowered:
+                    break
+                step *= 0.5
+            if lowered or refactor:
                 break
-            step *= 0.5
+            # no step along the stale LU's direction lowers the residual:
+            # refactor at this iterate instead of taking one
+            refactor = True
         u, lam, F = u_try, lam_try, F_try
         rn_last, rn = rn, rn_try
         if rn < best[0]:
@@ -439,7 +453,10 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
                constraint: float | None = None, recipe_params=None) -> Field:
     """Interface-bearing initial data: step profiles smoothed by the
     heteroclinic width at the given epsilon.  The file recipe takes its
-    nodal values from recipe_params["values"]."""
+    nodal values from recipe_params["values"].  Given a constraint m, the
+    radial recipe seeds the disk (m != 0) with an orthogonal arc and, unless
+    recipe_params has a "radius", the annulus and half-disk with a circle
+    about the origin, each enclosing the area that m asks for."""
     if recipe not in RECIPES:
         raise ValueError(f"unknown init recipe {recipe!r}")
     p = dict(recipe_params or {})
@@ -476,7 +493,16 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
         u = -np.sign(constraint) * np.tanh(s / s2e)
         return Field(dom, epsilon, u)
     center = np.asarray(p.get("center", np.zeros(dom.dim)), dtype=float)
-    rho0 = float(p.get("radius", 0.5 * dom.extent / 2.0))
+    if "radius" in p:
+        rho0 = float(p["radius"])
+    elif dom.shape in ("annulus", "half-disk") and constraint is not None:
+        # u = +1 on r < rho has mean m when rho^2 - r_in^2 is the fraction
+        # (1+m)/2 of R^2 - r_in^2; r_in = 0 on the half-disk
+        r_in = dom.params[0] if dom.shape == "annulus" else 0.0
+        R = dom.params[-1]
+        rho0 = math.sqrt(r_in**2 + 0.5 * (1.0 + constraint) * (R**2 - r_in**2))
+    else:
+        rho0 = 0.5 * dom.extent / 2.0
     s = rho0 - np.linalg.norm(pts - center[None, :], axis=1)
     return Field(dom, epsilon, np.tanh(s / s2e))
 

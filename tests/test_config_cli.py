@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aclab import cli, solver, varifold
 from aclab.config import example_config, load_config, parse_config
@@ -144,6 +147,33 @@ class TestSolutionIO:
         assert back.constraint == sol.constraint
         assert back.iterations == sol.iterations
         assert back.factorizations == sol.factorizations >= 1
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_bit_for_bit(self, tmp_path_factory, data):
+        shape, params = data.draw(st.sampled_from([
+            ("rectangle", (1.0, 1.0)), ("disk", (1.0,)),
+            ("annulus", (0.4, 1.0)), ("half-disk", (1.0,))]))
+        dom = build_domain(shape, params, 2 * data.draw(st.integers(16, 24)))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        edge = st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300])
+        values = data.draw(arrays(np.float64, dom.n_nodes,
+                                  elements=st.one_of(edge, finite)))
+        sol = Solution(
+            field=Field(dom, data.draw(st.floats(1e-300, 1e300)), values),
+            lam=data.draw(st.one_of(edge, finite)),
+            residual_norm=data.draw(st.floats(0.0, 1e300)),
+            iterations=data.draw(st.integers(0, 10**6)),
+            factorizations=data.draw(st.integers(0, 10**6)))
+        path = tmp_path_factory.mktemp("io") / "s.txt"
+        cli.save_solution(path, sol)
+        back = cli.load_solution(path, dom)
+        assert back.field.values.tobytes() == values.tobytes()
+        got = (back.lam, back.residual_norm, back.field.epsilon)
+        want = (sol.lam, sol.residual_norm, sol.field.epsilon)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert (back.iterations, back.factorizations) == \
+            (sol.iterations, sol.factorizations)
 
     def test_header_without_factorizations_loads(self, tmp_path):
         # files written before the count was stored still load, with 0

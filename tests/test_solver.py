@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import math
 
 import numpy as np
@@ -233,6 +235,38 @@ class TestNewtonRefine:
         assert np.allclose(sol.field.values, quartic.gamma)
         assert sol.residual_norm <= 1e-12
 
+    def test_chord_direction_lowering_nothing_is_not_taken(self, quartic,
+                                                           monkeypatch):
+        # acceptance's disk solve meets a chord direction along which 30
+        # halvings lower nothing; Newton refactors at that iterate instead
+        # of taking the last trial, so every LU is built at the lowest
+        # residual norm evaluated so far
+        dom = build_domain("disk", (1.0,), 256)
+        w = dom.cut_cell_weights
+        norms, lowest, lus = {}, [math.inf], []
+
+        def key(d):
+            return hashlib.sha1(d.tobytes()).digest()
+
+        def recording_residual(dom, eps, well, u, lam):
+            F = residual(dom, eps, well, u, lam)
+            norms[key(w * well.wpp(u) / eps)] = rn = solver._norm(dom, F)
+            lowest[0] = min(lowest[0], rn)
+            return F
+
+        def recording_factor(dom, eps, d):
+            lus.append((norms[key(d)], lowest[0]))
+            return factor(dom, eps, d)
+
+        residual, factor = solver._residual, solver._factor_jacobian
+        monkeypatch.setattr(solver, "_residual", recording_residual)
+        monkeypatch.setattr(solver, "_factor_jacobian", recording_factor)
+        sol = solve_single(dom, quartic, 0.02, constraint=0.3,
+                           recipe="radial")
+        assert sol.residual_norm <= 1e-10
+        assert len(lus) == sol.factorizations > 1
+        assert all(rn == low for rn, low in lus)
+
 
     @given(st.floats(-0.5, 0.5))
     @settings(max_examples=25, deadline=None)
@@ -399,6 +433,41 @@ class TestFactorizations:
             assert sol.factorizations < sol.iterations
             assert sol.residual_norm <= 1e-10
 
+    def test_one_lu_alive_at_a_time(self, quartic, monkeypatch):
+        # Newton releases the stale LU before SuperLU builds the next one.
+        # SuperLU objects take no weak references, so each factor hides
+        # behind a proxy that reports its release; with the cycle
+        # collector off, only reference counts release it
+        alive, at_entry = set(), []
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu, self.perm_c = lu, lu.perm_c
+                alive.add(id(self))
+
+            def solve(self, b):
+                return self.lu.solve(b)
+
+            def __del__(self):
+                alive.discard(id(self))
+
+        def tracked(M, **kw):
+            at_entry.append(len(alive))
+            return Factor(splu(M, **kw))
+
+        monkeypatch.setattr(solver, "splu", tracked)
+        dom = build_domain("disk", (1.0,), 128)
+        gc.disable()
+        try:
+            sweep = epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
+                                  constraint=0.3, recipe="radial",
+                                  newton_tol=1e-10)
+        finally:
+            gc.enable()
+        assert [sol.factorizations for sol in sweep] == [2, 1, 2]
+        assert at_entry == [0] * 5
+        assert not alive
+
 
 class TestSweep:
     def test_1d_gamma_limit(self, quartic):
@@ -455,6 +524,25 @@ class TestSweep:
         assert errs[0] < 10 * (1.0 / 128)
         assert errs[1] < 10 * (1.0 / 256)
 
+    @pytest.mark.parametrize("shape,params", [("annulus", (0.4, 1.0)),
+                                              ("half-disk", (1.0,))])
+    @pytest.mark.parametrize("m", [0.3, 0.0, -0.3])
+    def test_matched_radial_seed_sweep(self, quartic, shape, params, m):
+        # the radial seed is the circle about the origin that holds the
+        # constraint's area; the multiplier then matches the
+        # sharp-interface oracle |lambda| = h0 / (2 rho) (criterion 8)
+        r_in = params[0] if shape == "annulus" else 0.0
+        R = params[-1]
+        rho = math.sqrt(r_in**2 + 0.5 * (1.0 + m) * (R**2 - r_in**2))
+        dom = build_domain(shape, params, 128)
+        errors = []
+        sweep = epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
+                              constraint=m, recipe="radial", errors=errors)
+        assert not errors
+        assert [sol.field.epsilon for sol in sweep] == [0.08, 0.06, 0.04]
+        oracle = H0 / (2.0 * rho)
+        assert abs(abs(sweep[-1].lam) - oracle) <= 0.02 * oracle
+
 
 class TestSeeds:
     def test_resharpen_preserves_sign_pattern(self):
@@ -468,6 +556,19 @@ class TestSeeds:
         dom = build_domain("interval", (1.0,), 256)
         f = seed_field(dom, 0.05, "step-x", constraint=0.5)
         assert f.mean() == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("shape,params", [("annulus", (0.4, 1.0)),
+                                              ("half-disk", (1.0,))])
+    @pytest.mark.parametrize("m", [0.5, -0.5])
+    def test_radial_seed_matches_constraint(self, shape, params, m):
+        dom = build_domain(shape, params, 256)
+        f = seed_field(dom, 0.02, "radial", constraint=m)
+        assert f.mean() == pytest.approx(m, abs=0.02)
+        # an explicit radius is kept
+        g = seed_field(dom, 0.02, "radial", constraint=m,
+                       recipe_params={"radius": 0.7})
+        r = np.linalg.norm(dom.points, axis=1)
+        assert np.array_equal(g.values, np.tanh((0.7 - r) / (0.02 * SQRT2)))
 
     def test_unknown_recipe(self):
         dom = build_domain("interval", (1.0,), 64)
