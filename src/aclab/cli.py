@@ -233,14 +233,14 @@ def _diag_equipartition(report, out, sols, well):
 
 def _interior_margin(dom):
     return min(0.15 * dom.extent,
-               0.5 * float(signed_distance(dom).values.max()))
+               0.5 * float(signed_distance(dom).max()))
 
 
 def _boundary_normal_field(dom):
     """The boundary-normal test field, cut off at a fifth of the largest
     distance to the boundary."""
     return make_boundary_normal_field(
-        dom, 0.2 * float(signed_distance(dom).values.max()))
+        dom, 0.2 * float(signed_distance(dom).max()))
 
 
 def _interior_radial_field(dom):

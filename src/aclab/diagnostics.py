@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BallEscapesU, InvalidCutoffScale
-from .geometry import (Domain, ball_restrictions, boundary_integral,
-                       signed_distance)
+from .geometry import (Domain, ball_restrictions, boundary_integral, kept,
+                       read_only, signed_distance)
 from .potential import DoubleWell
 from .solver import Field, Solution
 
@@ -35,51 +35,34 @@ def unit_ball_volume(k: int) -> float:
 # ---------------------------------------------------------------------------
 
 def node_gradient(dom: Domain, values: np.ndarray) -> np.ndarray:
-    """Centered differences where both neighbors exist, one-sided otherwise."""
-    h = dom.cell_size
-    g = np.zeros((dom.n_nodes, dom.dim))
-    u = values
-    for a, (both, only_r, only_l) in enumerate(
-            dom.cached("gradient_stencil", _gradient_stencil)):
-        i, left, right = both
-        g[i, a] = (u[right] - u[left]) / (2.0 * h)
-        i, right = only_r
-        g[i, a] = (u[right] - u[i]) / h
-        i, left = only_l
-        g[i, a] = (u[i] - u[left]) / h
+    """Centered differences where both neighbors exist, one-sided where one
+    does, 0 where none does."""
+    g = np.empty((dom.n_nodes, dom.dim))
+    for a, (left, right, span) in enumerate(_gradient_stencil(dom)):
+        g[:, a] = (values[right] - values[left]) / span
     return g
 
 
+@kept
 def _gradient_stencil(dom: Domain):
-    """Per axis, the node and neighbor indices of node_gradient's three
-    cases: (nodes, left, right) with both neighbors, (nodes, right) with
-    only the right one, (nodes, left) with only the left one; read-only."""
+    """Per axis, node_gradient's (left, right, span): the left and right
+    neighbors, each the node itself where it is missing, and the number of
+    neighbors present (at least 1) times h."""
+    node = np.arange(dom.n_nodes)
     stencil = []
     for a in range(dom.dim):
-        left = dom.neighbors[:, a, 0]
-        right = dom.neighbors[:, a, 1]
+        left, right = dom.neighbors[:, a, 0], dom.neighbors[:, a, 1]
         has_l, has_r = left >= 0, right >= 0
-        both = np.flatnonzero(has_l & has_r)
-        only_r = np.flatnonzero(has_r & ~has_l)
-        only_l = np.flatnonzero(has_l & ~has_r)
-        cases = ((both, left[both], right[both]),
-                 (only_r, right[only_r]), (only_l, left[only_l]))
-        for case in cases:
-            for idx in case:
-                idx.flags.writeable = False
-        stencil.append(cases)
+        span = np.maximum(has_l.astype(int) + has_r, 1) * dom.cell_size
+        stencil.append((np.where(has_l, left, node),
+                        np.where(has_r, right, node), span))
     return tuple(stencil)
 
 
+@kept
 def field_gradient(f: Field) -> np.ndarray:
-    """node_gradient of f, built once per field and kept read-only."""
-    return f.cached("gradient", _frozen_gradient)
-
-
-def _frozen_gradient(f: Field) -> np.ndarray:
-    g = node_gradient(f.dom, f.values)
-    g.flags.writeable = False
-    return g
+    """node_gradient of f."""
+    return node_gradient(f.dom, f.values)
 
 
 def node_jacobian(dom: Domain, vec_values: np.ndarray) -> np.ndarray:
@@ -104,25 +87,16 @@ class DensityFields:
     xi_minus: np.ndarray
 
 
+@kept
 def density_fields(f: Field, well: DoubleWell) -> DensityFields:
-    """The density fields of f under well, built once per field and well
-    object and kept read-only."""
-    # the entry holds the well, so its id names no other well while kept
-    return f.cached(("density_fields", id(well)),
-                    lambda f: (well, _frozen_density_fields(f, well)))[1]
-
-
-def _frozen_density_fields(f: Field, well: DoubleWell) -> DensityFields:
+    """The density fields of f under well, kept per field and well value."""
     g = field_gradient(f)
     kin = 0.5 * f.epsilon * np.sum(g * g, axis=1)
     pot = well.w(f.values) / f.epsilon
     e = kin + pot
     xi = kin - pot
-    d = DensityFields(e=e, xi=xi, xi_plus=np.maximum(xi, 0.0),
-                      xi_minus=np.maximum(-xi, 0.0))
-    for a in (d.e, d.xi, d.xi_plus, d.xi_minus):
-        a.flags.writeable = False
-    return d
+    return DensityFields(e=e, xi=xi, xi_plus=np.maximum(xi, 0.0),
+                         xi_minus=np.maximum(-xi, 0.0))
 
 
 def tilted_densities(f: Field, d: DensityFields, lam: float):
@@ -392,8 +366,7 @@ def field_from_callable(dom: Domain, fn, support_radius: float) -> TestVectorFie
     """Wrap an analytic vector field; fn maps (k, dim) points to vectors."""
     vals = np.asarray(fn(dom.points), dtype=float)
     bvals = np.asarray(fn(dom.boundary.points), dtype=float)
-    J = node_jacobian(dom, vals)
-    J.flags.writeable = False
+    J = read_only(node_jacobian(dom, vals))
     return TestVectorField(values=vals, boundary_values=bvals,
                            tangential_on_boundary=_tangential_flag(dom, bvals),
                            support_radius=support_radius,
@@ -417,11 +390,11 @@ def make_radial_field(dom: Domain, x, rho: float) -> TestVectorField:
 def make_boundary_normal_field(dom: Domain, a: float) -> TestVectorField:
     """X = -zeta grad(chi_a o d): equals the outward normal on the boundary
     and vanishes at depth beyond 4a."""
-    sd = signed_distance(dom)
-    if not a > 0.0 or 4.0 * a >= float(sd.values.max()):
+    d_max = float(signed_distance(dom).max())
+    if not a > 0.0 or 4.0 * a >= d_max:
         raise InvalidCutoffScale(
             f"cutoff scale a={a} must satisfy 0 < 4a < max distance "
-            f"{float(sd.values.max()):.4g}")
+            f"{d_max:.4g}")
 
     def fn(pts):
         pts = np.atleast_2d(pts)

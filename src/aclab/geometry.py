@@ -7,10 +7,13 @@ its cache, read-only.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
 
@@ -43,8 +46,45 @@ class BoundarySamples:
     node: np.ndarray
 
 
+def read_only(value):
+    """Make every array value holds read-only and return value: a numpy
+    array, the arrays of a sparse matrix, and recursively the items of a
+    tuple and the fields of a dataclass."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif sp.issparse(value):
+        for a in (value.data, value.indices, value.indptr):
+            a.flags.writeable = False
+    elif isinstance(value, tuple):
+        for v in value:
+            read_only(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            read_only(getattr(value, f.name))
+    return value
+
+
+def kept(build):
+    """Decorator: build(obj, *args) is computed on the first call for obj
+    and args, made read-only and kept in obj.cache under (build, *args) for
+    as long as obj lives.  obj is a Domain or a Field; args must hash."""
+
+    @functools.wraps(build)
+    def get(obj, *args):
+        key = (build, *args)
+        if key not in obj.cache:
+            obj.cache[key] = read_only(build(obj, *args))
+        return obj.cache[key]
+
+    return get
+
+
 @dataclass(frozen=True)
 class Domain:
+    """The cut-cell discretization of one shape.  Data derived from its grid
+    is built by functions decorated with kept and held in cache, read-only,
+    for the domain's lifetime."""
+
     dim: int
     shape: str
     params: tuple
@@ -62,15 +102,9 @@ class Domain:
     kappa0: float
     u_lo: np.ndarray              # padding box U
     u_hi: np.ndarray
-    # operators derived from the grid, kept by the modules that build them
+    # the values of kept builders, plus the LU orders of the solver
     cache: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
-
-    def cached(self, key, build):
-        """build(self), computed on the first call for key and kept."""
-        if key not in self.cache:
-            self.cache[key] = build(self)
-        return self.cache[key]
 
     @property
     def n_nodes(self):
@@ -97,10 +131,6 @@ class Domain:
         half = 0.5 * factor * (self.u_hi - self.u_lo)
         return c - half, c + half
 
-    def inside(self, pts):
-        """Exact analytic indicator of the open domain."""
-        return _shape_inside(self.shape, self.params, np.atleast_2d(pts))
-
     def distance_to_boundary(self, pts):
         """Signed distance to the boundary (positive inside)."""
         return _shape_sdist(self.shape, self.params, np.atleast_2d(pts))
@@ -117,14 +147,6 @@ class Domain:
         """JSON-serializable descriptor; masks and weights are recomputed."""
         return {"shape": self.shape, "params": list(self.params),
                 "cells": list(self.n_cells)}
-
-
-@dataclass(frozen=True)
-class SignedDistance:
-    """Per-node signed distance (positive inside) and its analytic gradient."""
-
-    values: np.ndarray
-    gradient: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -202,7 +224,6 @@ def _shape_sdist(shape, params, pts):
 
 def _shape_sdist_grad(shape, params, pts):
     """Gradient of the signed distance (unit vector of the active branch)."""
-    n = pts.shape[0]
     if shape == "interval":
         g = np.where(pts[:, 0] < 0.5 * params[0], 1.0, -1.0)
         return g[:, None]
@@ -469,33 +490,20 @@ def domain_from_descriptor(desc) -> Domain:
     return build_domain(desc["shape"], desc["params"], desc["cells"])
 
 
-def signed_distance(dom: Domain) -> SignedDistance:
-    """Exact analytic signed distance and gradient at the active nodes,
-    computed once per domain; the arrays are read-only."""
-    return dom.cached("signed_distance", _node_signed_distance)
+@kept
+def signed_distance(dom: Domain) -> np.ndarray:
+    """Exact analytic signed distance (positive inside) at the active
+    nodes."""
+    return dom.distance_to_boundary(dom.points)
 
 
-def _node_signed_distance(dom: Domain) -> SignedDistance:
-    values = dom.distance_to_boundary(dom.points)
-    gradient = dom.distance_gradient(dom.points)
-    values.flags.writeable = False
-    gradient.flags.writeable = False
-    return SignedDistance(values=values, gradient=gradient)
-
-
+@kept
 def grid_axis_text(dom: Domain):
-    """Per axis, the %.17g text of each grid coordinate, in a read-only
-    object array built once per domain; node coordinates are among them."""
-    return dom.cached("grid_axis_text", _grid_axis_text)
-
-
-def _grid_axis_text(dom: Domain):
-    text = []
-    for axis in _grid_axes(dom.origin, dom.grid_shape, dom.cell_size):
-        t = np.array(["%.17g" % v for v in axis.tolist()], dtype=object)
-        t.flags.writeable = False
-        text.append(t)
-    return tuple(text)
+    """Per axis, the %.17g text of each grid coordinate as an object array;
+    node coordinates are among them."""
+    return tuple(np.array(["%.17g" % v for v in axis.tolist()], dtype=object)
+                 for axis in _grid_axes(dom.origin, dom.grid_shape,
+                                        dom.cell_size))
 
 
 def ball_restriction(dom: Domain, x, r: float) -> BallRestriction:

@@ -25,7 +25,7 @@ from scipy.sparse.linalg import cg, splu
 
 from .errors import (AcLabError, Blowup, NoConvergence, SingularJacobian,
                      UnresolvedInterface)
-from .geometry import Domain
+from .geometry import Domain, kept, read_only
 from .potential import SQRT2, DoubleWell
 
 RECIPES = ("constant", "step-x", "step-y", "two-layer", "radial", "file")
@@ -41,8 +41,9 @@ LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 class Field:
     """Scalar grid function with its diffuse-interface width epsilon.
 
-    Fields derived from the values are built once and kept in its cache,
-    read-only, for as long as the field lives; values are never written.
+    Fields derived from the values are built by kept builders and held in
+    cache, read-only, for as long as the field lives; values are never
+    written.
     """
 
     dom: Domain
@@ -58,12 +59,6 @@ class Field:
             raise ValueError("values must have one entry per active node")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-
-    def cached(self, key, build):
-        """build(self), computed on the first call for key and kept."""
-        if key not in self.cache:
-            self.cache[key] = build(self)
-        return self.cache[key]
 
     def mean(self):
         w = self.dom.cut_cell_weights
@@ -116,16 +111,10 @@ def stiffness_matrix(dom: Domain) -> sp.csr_matrix:
         shape=(n, n))
 
 
+@kept
 def _stiffness(dom: Domain) -> sp.csr_matrix:
-    """stiffness_matrix(dom), built once per domain and kept read-only."""
-    return dom.cached("stiffness", _frozen_stiffness)
-
-
-def _frozen_stiffness(dom: Domain) -> sp.csr_matrix:
-    A = stiffness_matrix(dom)
-    for a in (A.data, A.indices, A.indptr):
-        a.flags.writeable = False
-    return A
+    """stiffness_matrix(dom), kept on the domain."""
+    return stiffness_matrix(dom)
 
 
 @dataclass(frozen=True)
@@ -136,7 +125,7 @@ class _RedBlack:
 
     a_red and a_black are diag(A) on each colour, off_red the largest
     off-diagonal |A| in each red row, A_br the black-red block and A_rb its
-    transpose.  All arrays are read-only.
+    transpose.
     """
 
     red: np.ndarray
@@ -147,14 +136,8 @@ class _RedBlack:
     A_br: sp.csr_matrix
     A_rb: sp.csr_matrix
 
-    def __post_init__(self):
-        for a in (self.red, self.black, self.a_red, self.a_black,
-                  self.off_red, self.A_br.data, self.A_br.indices,
-                  self.A_br.indptr, self.A_rb.data, self.A_rb.indices,
-                  self.A_rb.indptr):
-            a.flags.writeable = False
 
-
+@kept
 def _split_red_black(dom: Domain) -> _RedBlack:
     A = _stiffness(dom)
     colour = sum(np.unravel_index(dom.grid_index, dom.grid_shape)) % 2
@@ -170,8 +153,9 @@ def _split_red_black(dom: Domain) -> _RedBlack:
 def _ordered_lu(dom: Domain, key: str, M: sp.csr_matrix):
     """Factor M with LU_OPTIONS; return its solve.  The first matrix under
     key on a domain is ordered by minimum degree on M + M^T and that order p
-    is kept in dom.cache[key]; every later one is factored as M[p][:, p] in
-    the natural order, with the same fill."""
+    is kept read-only in dom.cache[key] (the order depends on M, so no kept
+    builder makes it); every later one is factored as M[p][:, p] in the
+    natural order, with the same fill."""
     p = dom.cache.get(key)
     # rebinding M frees the caller's matrix before splu runs
     M = M.tocsc() if p is None else M[p][:, p].tocsc()
@@ -181,7 +165,7 @@ def _ordered_lu(dom: Domain, key: str, M: sp.csr_matrix):
     except RuntimeError as exc:
         raise SingularJacobian(str(exc)) from exc
     if p is None:
-        dom.cache[key] = np.argsort(lu.perm_c)
+        dom.cache[key] = read_only(np.argsort(lu.perm_c))
         return lu.solve
 
     def solve(b):
@@ -206,7 +190,7 @@ def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray):
     diagonal pivot threshold of LU_OPTIONS; then J is factored whole.  S
     and J each keep their own order through _ordered_lu.
     """
-    rb = dom.cached("red_black", _split_red_black)
+    rb = _split_red_black(dom)
     p_r = eps * rb.a_red + d[rb.red]
     if not np.all(np.abs(p_r) >= 0.1 * eps * rb.off_red):
         return _ordered_lu(dom, "jacobian_order",
@@ -453,10 +437,12 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
                constraint: float | None = None, recipe_params=None) -> Field:
     """Interface-bearing initial data: step profiles smoothed by the
     heteroclinic width at the given epsilon.  The file recipe takes its
-    nodal values from recipe_params["values"].  Given a constraint m, the
-    radial recipe seeds the disk (m != 0) with an orthogonal arc and, unless
-    recipe_params has a "radius", the annulus and half-disk with a circle
-    about the origin, each enclosing the area that m asks for."""
+    nodal values from recipe_params["values"].  The radial recipe seeds a
+    circle of recipe_params["radius"] when it is given; otherwise, given a
+    constraint m, it seeds the disk (m != 0) with an orthogonal arc, the
+    rectangle with a quarter circle about the origin corner, and the annulus
+    and half-disk with a circle about the origin, each enclosing the area
+    that m asks for."""
     if recipe not in RECIPES:
         raise ValueError(f"unknown init recipe {recipe!r}")
     p = dict(recipe_params or {})
@@ -485,16 +471,23 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
         u = np.tanh((pts[:, 0] - a) / s2e) * np.tanh((pts[:, 0] - b) / s2e)
         return Field(dom, epsilon, u)
     # radial
-    if dom.shape in ("disk",) and constraint is not None and constraint != 0.0:
+    center = np.asarray(p.get("center", np.zeros(dom.dim)), dtype=float)
+    sign = 1.0
+    if "radius" in p:
+        rho0 = float(p["radius"])
+    elif dom.shape == "disk" and constraint is not None and constraint != 0.0:
         R = dom.params[0]
         r_arc, d_arc, _ = orthogonal_arc(R, constraint)
         center = np.array([d_arc, 0.0])
         s = r_arc - np.linalg.norm(pts - center, axis=1)
         u = -np.sign(constraint) * np.tanh(s / s2e)
         return Field(dom, epsilon, u)
-    center = np.asarray(p.get("center", np.zeros(dom.dim)), dtype=float)
-    if "radius" in p:
-        rho0 = float(p["radius"])
+    elif dom.shape == "rectangle" and constraint is not None:
+        # the minority phase (-1 at m = 0) fills a quarter disk about the
+        # origin corner, with area fraction (1 - |m|)/2 of the rectangle
+        rho0 = math.sqrt(2.0 * (1.0 - abs(constraint))
+                         * dom.params[0] * dom.params[1] / math.pi)
+        sign = 1.0 if constraint < 0.0 else -1.0
     elif dom.shape in ("annulus", "half-disk") and constraint is not None:
         # u = +1 on r < rho has mean m when rho^2 - r_in^2 is the fraction
         # (1+m)/2 of R^2 - r_in^2; r_in = 0 on the half-disk
@@ -504,7 +497,7 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
     else:
         rho0 = 0.5 * dom.extent / 2.0
     s = rho0 - np.linalg.norm(pts - center[None, :], axis=1)
-    return Field(dom, epsilon, np.tanh(s / s2e))
+    return Field(dom, epsilon, sign * np.tanh(s / s2e))
 
 
 def resharpen(values: np.ndarray, eps_old: float, eps_new: float) -> np.ndarray:

@@ -6,7 +6,7 @@ the measured |E - h0| and L1-discrepancy sequences carry an O((h/eps)^2)
 discretization floor that grows as eps shrinks, while the continuum values
 they track are already exponentially small (~1e-12); no honest measurement
 at this resolution can decrease monotonically through eps = 0.025.  See
-notes/decisions.md at the repository root for the quantitative analysis.
+the docstring of the aclab.acceptance module for the analysis.
 """
 import pytest
 

@@ -507,6 +507,54 @@ class TestLifetime:
         assert not left
 
 
+class TestKeptData:
+    def test_everything_kept_is_read_only(self, tmp_path, monkeypatch):
+        # every array a solve plus diagnose leaves in a domain's or a
+        # field's cache is read-only
+        import dataclasses
+
+        import scipy.sparse as sp
+        domains, sols = [], []
+
+        def recording(fn, into):
+            def wrapped(*args, **kw):
+                out = fn(*args, **kw)
+                into.extend(out if isinstance(out, list) else [out])
+                return out
+            return wrapped
+
+        monkeypatch.setattr(cli, "build_domain",
+                            recording(cli.build_domain, domains))
+        monkeypatch.setattr(cli, "epsilon_sweep",
+                            recording(cli.epsilon_sweep, sols))
+        monkeypatch.setattr(cli, "load_solution",
+                            recording(cli.load_solution, sols))
+        cfg = tiny_disk_cfg(tmp_path, ALL_CHECKS)
+        cli.cmd_solve(cfg)
+        cli.cmd_diagnose(cfg, sorted((tmp_path / "out").glob("solution_*")))
+
+        def arrays(v):
+            if isinstance(v, np.ndarray):
+                yield v
+            elif sp.issparse(v):
+                yield from (v.data, v.indices, v.indptr)
+            elif isinstance(v, (tuple, list)):
+                for x in v:
+                    yield from arrays(x)
+            elif dataclasses.is_dataclass(v):
+                yield from arrays(list(vars(v).values()))
+
+        found = [a for obj in domains + [s.field for s in sols]
+                 for a in arrays(list(obj.cache.values()))]
+        assert len(domains) == 2 and len(sols) == 4
+        # the solve's stiffness, red-black split and Schur order (15), the
+        # diagnose's gradient stencils, distance and axis text (9), and the
+        # gradient and densities of both diagnosed fields (10)
+        assert "schur_order" in domains[0].cache
+        assert len(found) >= 34
+        assert not [a for a in found if a.flags.writeable]
+
+
 class TestSeededFaults:
     def test_tampered_potential_fails_construction(self):
         # W(1) = 0.1 violates the well invariant by name

@@ -71,11 +71,15 @@ class TestDensityFields:
         for a in (d.e, d.xi, d.xi_plus, d.xi_minus):
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        # another well object gets its own entry: the scaled quartic
+        # an equal well shares the entry; a different well gets its own,
+        # here the doubled quartic
+        assert density_fields(f, DoubleWell()) is d
         other = DoubleWell(kind="user-polynomial",
                            coefficients=(0.5, 0.0, -1.0, 0.0, 0.5))
-        assert np.allclose(density_fields(f, other).e,
-                           d.e + (d.e - d.xi) / 2, rtol=1e-9, atol=1e-9)
+        d2 = density_fields(f, other)
+        assert d2 is not d and density_fields(f, other) is d2
+        assert np.allclose(d2.e, d.e + (d.e - d.xi) / 2, rtol=1e-9,
+                           atol=1e-9)
         fresh = Field(f.dom, f.epsilon, f.values)
         assert density_fields(fresh, quartic) is not d
         assert np.array_equal(density_fields(fresh, quartic).e, d.e)

@@ -374,7 +374,7 @@ class TestFactorizations:
             x = solver._factor_jacobian(dom, eps, d)(b)
             assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(x - whole) <= 1e-10 * np.linalg.norm(whole)
-        rb = dom.cache["red_black"]
+        rb = solver._split_red_black(dom)
         assert len(dom.cache["schur_order"]) == len(rb.black)
         assert len(dom.cache["jacobian_order"]) == dom.n_nodes
 
@@ -525,15 +525,21 @@ class TestSweep:
         assert errs[1] < 10 * (1.0 / 256)
 
     @pytest.mark.parametrize("shape,params", [("annulus", (0.4, 1.0)),
-                                              ("half-disk", (1.0,))])
+                                              ("half-disk", (1.0,)),
+                                              ("rectangle", (1.0, 1.0))])
     @pytest.mark.parametrize("m", [0.3, 0.0, -0.3])
     def test_matched_radial_seed_sweep(self, quartic, shape, params, m):
-        # the radial seed is the circle about the origin that holds the
-        # constraint's area; the multiplier then matches the
-        # sharp-interface oracle |lambda| = h0 / (2 rho) (criterion 8)
-        r_in = params[0] if shape == "annulus" else 0.0
-        R = params[-1]
-        rho = math.sqrt(r_in**2 + 0.5 * (1.0 + m) * (R**2 - r_in**2))
+        # the radial seed is the circle about the origin (a quarter circle
+        # about the rectangle's corner) that holds the constraint's area;
+        # the multiplier then matches the sharp-interface oracle
+        # |lambda| = h0 / (2 rho) (criterion 8)
+        if shape == "rectangle":
+            rho = math.sqrt(2.0 * (1.0 - abs(m)) * params[0] * params[1]
+                            / math.pi)
+        else:
+            r_in = params[0] if shape == "annulus" else 0.0
+            R = params[-1]
+            rho = math.sqrt(r_in**2 + 0.5 * (1.0 + m) * (R**2 - r_in**2))
         dom = build_domain(shape, params, 128)
         errors = []
         sweep = epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
@@ -558,7 +564,9 @@ class TestSeeds:
         assert f.mean() == pytest.approx(0.5, abs=0.01)
 
     @pytest.mark.parametrize("shape,params", [("annulus", (0.4, 1.0)),
-                                              ("half-disk", (1.0,))])
+                                              ("half-disk", (1.0,)),
+                                              ("disk", (1.0,)),
+                                              ("rectangle", (1.0, 1.0))])
     @pytest.mark.parametrize("m", [0.5, -0.5])
     def test_radial_seed_matches_constraint(self, shape, params, m):
         dom = build_domain(shape, params, 256)
