@@ -102,7 +102,7 @@ class Domain:
     kappa0: float
     u_lo: np.ndarray              # padding box U
     u_hi: np.ndarray
-    # the values of kept builders, plus the LU orders of the solver
+    # the values of kept builders (the solver keeps its LU orders in its fold)
     cache: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -495,6 +495,29 @@ def signed_distance(dom: Domain) -> np.ndarray:
     """Exact analytic signed distance (positive inside) at the active
     nodes."""
     return dom.distance_to_boundary(dom.points)
+
+
+@kept
+def mirror_maps(dom: Domain) -> tuple:
+    """Per axis, the active index of the mirror image of every node across
+    the grid's midline on that axis, or None when that reflection is not an
+    exact symmetry of the discretization: the axis has an odd cell count,
+    or the active set or cut_cell_weights do not map exactly onto
+    themselves."""
+    coords = np.unravel_index(dom.grid_index, dom.grid_shape)
+    maps = []
+    for a, n in enumerate(dom.grid_shape):
+        image = None
+        if n % 2 == 0:
+            flipped = list(coords)
+            flipped[a] = n - 1 - coords[a]
+            image = dom.active_of_grid[
+                np.ravel_multi_index(flipped, dom.grid_shape)]
+            w = dom.cut_cell_weights
+            if not (np.all(image >= 0) and np.array_equal(w[image], w)):
+                image = None
+        maps.append(image)
+    return tuple(maps)
 
 
 @kept

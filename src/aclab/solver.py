@@ -11,8 +11,13 @@ condition.
 Stencil application and reductions are data-parallel over nodes; the time
 loop of the flow is sequential.  Solutions are immutable once returned.
 Newton factors only the black Schur complement of a red-black split, in the
-minimum-degree order of the first LU on its domain, and holds one LU at a
-time.
+minimum-degree order of the first LU on its domain and fold, and holds one
+LU at a time.  When the domain is exactly mirror-symmetric along an axis
+(an even cell count, and the active set and cut-cell weights map exactly
+onto themselves) and Newton's start is bitwise mirror-symmetric along it,
+the system is folded onto the low half along every such axis, which is
+exact because the Newton map commutes with the reflection; any other start
+runs unfolded, with unchanged arithmetic.
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from scipy.sparse.linalg import cg, splu
 
 from .errors import (AcLabError, Blowup, NoConvergence, SingularJacobian,
                      UnresolvedInterface)
-from .geometry import Domain, kept, read_only
+from .geometry import Domain, kept, mirror_maps, read_only
 from .potential import SQRT2, DoubleWell
 
 RECIPES = ("constant", "step-x", "step-y", "two-layer", "radial", "file")
@@ -118,16 +123,28 @@ def _stiffness(dom: Domain) -> sp.csr_matrix:
 
 
 @dataclass(frozen=True)
-class _RedBlack:
-    """Red-black split of the active nodes by the parity of their grid
-    indices: on the 5-point stencil no two nodes of one colour are
-    neighbours, so the red-red and black-black blocks of A are diagonal.
+class _Fold:
+    """The Newton system folded along mirror axes and split red-black.
 
-    a_red and a_black are diag(A) on each colour, off_red the largest
-    off-diagonal |A| in each red row, A_br the black-red block and A_rb its
-    transpose.
+    The folded unknowns are the nodes in low, those on the low side of each
+    folded axis; every node takes the value of its image among them, at
+    position rep in low.  The folded stiffness restricts A to low and adds
+    each column to that of its image; a face that crosses a folded axis
+    couples a node to its own image, so its coupling lands on the diagonal:
+    the Neumann condition on the symmetry line.  With no axes, low holds
+    every node and the fold is A itself.
+
+    The folded nodes are split by the parity of their grid indices: on the
+    5-point stencil no two nodes of one colour are neighbours, so the
+    red-red and black-black blocks are diagonal.  red and black are
+    positions in low, a_red and a_black the folded diag(A) on each colour,
+    off_red the largest off-diagonal |A| in each red row, A_br the
+    black-red block and A_rb its transpose.  orders holds the LU orders
+    _ordered_lu keeps for this fold.
     """
 
+    low: np.ndarray
+    rep: np.ndarray
     red: np.ndarray
     black: np.ndarray
     a_red: np.ndarray
@@ -135,28 +152,52 @@ class _RedBlack:
     off_red: np.ndarray
     A_br: sp.csr_matrix
     A_rb: sp.csr_matrix
+    orders: dict = field(default_factory=dict)
+
+
+def _fold_matrix(M: sp.csr_matrix, low: np.ndarray,
+                 rep: np.ndarray) -> sp.csr_matrix:
+    """M[low] with each column added to the column of its image in low."""
+    M = M[low]
+    F = sp.csr_matrix((M.data, rep[M.indices], M.indptr),
+                      shape=(low.size, low.size))
+    F.sum_duplicates()
+    return F
 
 
 @kept
-def _split_red_black(dom: Domain) -> _RedBlack:
-    A = _stiffness(dom)
-    colour = sum(np.unravel_index(dom.grid_index, dom.grid_shape)) % 2
+def fold(dom: Domain, axes: tuple) -> _Fold:
+    """The fold of the Newton system along axes, each of which must have a
+    mirror map (geometry.mirror_maps)."""
+    n = dom.n_nodes
+    coords = np.unravel_index(dom.grid_index, dom.grid_shape)
+    maps = mirror_maps(dom)
+    image = np.arange(n)
+    for a in axes:
+        high = coords[a] >= dom.grid_shape[a] // 2
+        image[high] = maps[a][image[high]]
+    low = np.flatnonzero(image == np.arange(n))
+    rep = np.empty(n, dtype=np.int64)
+    rep[low] = np.arange(low.size)
+    rep = rep[image]
+    A = _fold_matrix(_stiffness(dom), low, rep)
+    colour = sum(coords)[low] % 2
     red = np.flatnonzero(colour == 0)
     black = np.flatnonzero(colour == 1)
     diag = A.diagonal()
     off = abs(A - sp.diags(diag)).max(axis=1).toarray().ravel()
     A_br = A[black][:, red].tocsr()
-    return _RedBlack(red, black, diag[red], diag[black], off[red], A_br,
-                     A_br.T.tocsr())
+    return _Fold(low, rep, red, black, diag[red], diag[black], off[red],
+                 A_br, A_br.T.tocsr())
 
 
-def _ordered_lu(dom: Domain, key: str, M: sp.csr_matrix):
+def _ordered_lu(orders: dict, key: str, M: sp.csr_matrix):
     """Factor M with LU_OPTIONS; return its solve.  The first matrix under
-    key on a domain is ordered by minimum degree on M + M^T and that order p
-    is kept read-only in dom.cache[key] (the order depends on M, so no kept
+    key in orders is ordered by minimum degree on M + M^T and that order p
+    is kept read-only in orders[key] (the order depends on M, so no kept
     builder makes it); every later one is factored as M[p][:, p] in the
     natural order, with the same fill."""
-    p = dom.cache.get(key)
+    p = orders.get(key)
     # rebinding M frees the caller's matrix before splu runs
     M = M.tocsc() if p is None else M[p][:, p].tocsc()
     try:
@@ -165,7 +206,7 @@ def _ordered_lu(dom: Domain, key: str, M: sp.csr_matrix):
     except RuntimeError as exc:
         raise SingularJacobian(str(exc)) from exc
     if p is None:
-        dom.cache[key] = read_only(np.argsort(lu.perm_c))
+        orders[key] = read_only(np.argsort(lu.perm_c))
         return lu.solve
 
     def solve(b):
@@ -176,38 +217,57 @@ def _ordered_lu(dom: Domain, key: str, M: sp.csr_matrix):
     return solve
 
 
-def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray):
-    """Factor the Newton Jacobian J = eps A + diag(d); return its solve.
+def _minus_from_diagonal(P: sp.csr_matrix, c: np.ndarray) -> sp.csr_matrix:
+    """diag(c) - P with the floats and pattern of sp.diags(c) - P; when P
+    holds every diagonal entry, c is added in place on P's own pattern."""
+    P.data *= -1.0
+    rows = np.repeat(np.arange(c.size, dtype=P.indices.dtype),
+                     np.diff(P.indptr))
+    at = np.flatnonzero(P.indices == rows)
+    if at.size < c.size:
+        return P + sp.diags(c)
+    P.data[at] += c
+    if not np.all(P.data[at]):
+        P.eliminate_zeros()
+    return P
 
-    With the nodes split red-black (built on the first call), the red
-    block of J is the diagonal p_r = eps diag(A)_r + d_r, so the red
-    unknowns are eliminated exactly and only the black Schur complement
+
+def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray, axes: tuple):
+    """Factor the Newton Jacobian J = eps A + diag(d), folded along axes;
+    return its solve, which reads f on the folded nodes only and returns a
+    solution symmetric along axes.  d must be symmetric along axes.
+
+    On the folded nodes split red-black (fold), the red block of J is the
+    diagonal p_r = eps diag(A)_r + d_r, so the red unknowns are eliminated
+    exactly and only the black Schur complement
 
         S = eps A_bb + diag(d_b) - eps^2 A_br diag(1/p_r) A_rb
 
     goes to the LU (Saad, Iterative Methods for Sparse Linear Systems,
     2003, sec. 3.3).  A red pivot is weak when |p_r| < 0.1 max_j |J_rj|, the
-    diagonal pivot threshold of LU_OPTIONS; then J is factored whole.  S
-    and J each keep their own order through _ordered_lu.
+    diagonal pivot threshold of LU_OPTIONS; then the folded J is factored
+    whole.  S and J each keep their own order on the fold.
     """
-    rb = _split_red_black(dom)
-    p_r = eps * rb.a_red + d[rb.red]
-    if not np.all(np.abs(p_r) >= 0.1 * eps * rb.off_red):
-        return _ordered_lu(dom, "jacobian_order",
-                           eps * _stiffness(dom) + sp.diags(d))
-    M = rb.A_br.copy()
+    fd = fold(dom, axes)
+    d_low = d[fd.low]
+    p_r = eps * fd.a_red + d_low[fd.red]
+    if not np.all(np.abs(p_r) >= 0.1 * eps * fd.off_red):
+        solve_j = _ordered_lu(fd.orders, "jacobian", _fold_matrix(
+            eps * _stiffness(dom) + sp.diags(d), fd.low, fd.rep))
+        return lambda f: solve_j(f[fd.low])[fd.rep]
+    M = fd.A_br.copy()
     M.data *= (eps * eps / p_r)[M.indices]
-    solve_s = _ordered_lu(dom, "schur_order",
-                          sp.diags(eps * rb.a_black + d[rb.black])
-                          - M @ rb.A_rb)
+    solve_s = _ordered_lu(fd.orders, "schur", _minus_from_diagonal(
+        M @ fd.A_rb, eps * fd.a_black + d_low[fd.black]))
 
     def solve(f):
-        f_r = f[rb.red]
-        x_b = solve_s(f[rb.black] - eps * (rb.A_br @ (f_r / p_r)))
+        f = f[fd.low]
+        f_r = f[fd.red]
+        x_b = solve_s(f[fd.black] - eps * (fd.A_br @ (f_r / p_r)))
         x = np.empty_like(f)
-        x[rb.black] = x_b
-        x[rb.red] = (f_r - eps * (rb.A_rb @ x_b)) / p_r
-        return x
+        x[fd.black] = x_b
+        x[fd.red] = (f_r - eps * (fd.A_rb @ x_b)) / p_r
+        return x[fd.rep]
 
     return solve
 
@@ -320,6 +380,14 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     otherwise; max_iter counts both kinds.  A chord direction along which
     30 halvings lower nothing is not taken: Newton refactors at the same
     iterate within the iteration.  At most one LU is alive at a time.
+
+    The Newton map commutes with every exact symmetry of the discrete
+    problem.  So when the domain has a mirror map along an axis (an even
+    cell count, with the active set and the cut-cell weights mapping
+    exactly onto themselves) and the start u is bitwise mirror-symmetric
+    along it, every iterate stays so, and each LU factors the Jacobian
+    folded onto the low half along every such axis (fold).  A start that is
+    not exactly symmetric runs unfolded, with unchanged arithmetic.
     Raises SingularJacobian if the linearization cannot be factorized,
     NoConvergence (carrying the best iterate) if the budget runs out.
     """
@@ -331,6 +399,8 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     u = sol.field.values.copy()
     lam = sol.lam
     factorizations = 0
+    axes = tuple(a for a, image in enumerate(mirror_maps(dom))
+                 if image is not None and np.array_equal(u[image], u))
 
     def solution(u, lam, rn, it, converged=True):
         f = Field(dom, eps, u)
@@ -352,7 +422,8 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                 # release the stale LU before SuperLU builds the next one,
                 # so that at most one is alive
                 solve = q = None
-                solve = _factor_jacobian(dom, eps, w * well.wpp(u) / eps)
+                solve = _factor_jacobian(dom, eps, w * well.wpp(u) / eps,
+                                         axes)
                 factorizations += 1
                 if m is not None:
                     q = solve(w)
@@ -439,10 +510,10 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
     heteroclinic width at the given epsilon.  The file recipe takes its
     nodal values from recipe_params["values"].  The radial recipe seeds a
     circle of recipe_params["radius"] when it is given; otherwise, given a
-    constraint m, it seeds the disk (m != 0) with an orthogonal arc, the
-    rectangle with a quarter circle about the origin corner, and the annulus
-    and half-disk with a circle about the origin, each enclosing the area
-    that m asks for."""
+    constraint m, it seeds the disk with an orthogonal arc (the diameter at
+    m = 0), the rectangle with a quarter circle about the origin corner, and
+    the annulus and half-disk with a circle about the origin, each enclosing
+    the area that m asks for."""
     if recipe not in RECIPES:
         raise ValueError(f"unknown init recipe {recipe!r}")
     p = dict(recipe_params or {})
@@ -475,7 +546,10 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
     sign = 1.0
     if "radius" in p:
         rho0 = float(p["radius"])
-    elif dom.shape == "disk" and constraint is not None and constraint != 0.0:
+    elif dom.shape == "disk" and constraint == 0.0:
+        # the m -> 0+ limit of the orthogonal arc: the diameter on the y-axis
+        return Field(dom, epsilon, -np.tanh(pts[:, 0] / s2e))
+    elif dom.shape == "disk" and constraint is not None:
         R = dom.params[0]
         r_arc, d_arc, _ = orthogonal_arc(R, constraint)
         center = np.array([d_arc, 0.0])

@@ -541,17 +541,20 @@ class TestKeptData:
             elif isinstance(v, (tuple, list)):
                 for x in v:
                     yield from arrays(x)
+            elif isinstance(v, dict):
+                yield from arrays(list(v.values()))
             elif dataclasses.is_dataclass(v):
                 yield from arrays(list(vars(v).values()))
 
         found = [a for obj in domains + [s.field for s in sols]
                  for a in arrays(list(obj.cache.values()))]
         assert len(domains) == 2 and len(sols) == 4
-        # the solve's stiffness, red-black split and Schur order (15), the
-        # diagnose's gradient stencils, distance and axis text (9), and the
-        # gradient and densities of both diagnosed fields (10)
-        assert "schur_order" in domains[0].cache
-        assert len(found) >= 34
+        # the solve's stiffness, mirror maps, fold along y and its Schur
+        # order (19), the diagnose's gradient stencils, distance and axis
+        # text (9), and the gradient and densities of both diagnosed fields
+        # (10)
+        assert "schur" in solver.fold(domains[0], (1,)).orders
+        assert len(found) >= 38
         assert not [a for a in found if a.flags.writeable]
 
 

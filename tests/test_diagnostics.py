@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aclab.diagnostics import (almost_monotonicity_fit, boundary_energy,
                                cutoff_derivatives, density_fields,
@@ -12,9 +14,11 @@ from aclab.diagnostics import (almost_monotonicity_fit, boundary_energy,
                                radius_ladder, scaled_cutoff_derivatives,
                                xi_integral_bound_fit)
 from aclab.errors import InvalidCutoffScale, NoPlateau
-from aclab.geometry import build_domain
+from aclab.geometry import build_domain, mirror_maps
 from aclab.potential import SQRT2, DoubleWell
-from aclab.solver import Field, Solution, epsilon_sweep, solve_single
+from aclab.solver import (Field, Solution, assemble_energy, epsilon_sweep,
+                          solve_single)
+from aclab.varifold import build_varifold
 
 H0 = 2.0 * math.sqrt(2.0) / 3.0
 
@@ -324,3 +328,34 @@ class TestSlackBounds:
         with pytest.raises(NoPlateau):
             plateau_value(np.array([0.1, 0.2, 0.4]),
                           np.array([0.0, 5.0, 0.0]))
+
+
+class TestMirrorInvariance:
+    @given(shape=st.sampled_from([("rectangle", (1.0, 0.5)),
+                                  ("disk", (1.0,))]),
+           quarter=st.integers(8, 20), axis=st.sampled_from([0, 1]),
+           seed=st.integers(0, 2**32 - 1), eps=st.floats(0.08, 0.3))
+    @settings(max_examples=30, deadline=None)
+    def test_mirror_keeps_energy_discrepancy_and_mass(self, shape, quarter,
+                                                      axis, seed, eps):
+        # reflecting a field across a mirror axis of the domain (u o sigma)
+        # leaves its energy, L1 discrepancy and varifold mass unchanged
+        well = DoubleWell()
+        dom = build_domain(*shape, 4 * quarter)
+        image = mirror_maps(dom)[axis]
+        assert image is not None
+        rng = np.random.default_rng(seed)
+        normal = rng.standard_normal(2)
+        front = dom.points @ (normal / np.linalg.norm(normal))
+        u = (np.tanh((front - 0.2 * rng.standard_normal()) / (eps * SQRT2))
+             + 0.1 * rng.standard_normal(dom.n_nodes))
+        measured = []
+        for v in (u, u[image]):
+            sol = Solution(field=Field(dom, eps, v), lam=0.0,
+                           residual_norm=0.0, iterations=0)
+            measured.append((
+                assemble_energy(sol.field, well),
+                equipartition_report([sol], well).rows[0].xi_l1,
+                build_varifold(sol, well, H0).mass))
+        for a, b in zip(*measured):
+            assert b == pytest.approx(a, rel=1e-12, abs=0.0)

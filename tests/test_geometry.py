@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from aclab.errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
 from aclab.geometry import (ball_restriction, ball_restrictions,
                             boundary_integral, build_domain,
-                            domain_from_descriptor, signed_distance)
+                            domain_from_descriptor, mirror_maps,
+                            signed_distance)
 
 
 class TestBuildDomain:
@@ -257,3 +258,36 @@ class TestBoundaryIntegral:
     def test_odd_function_cancels(self):
         dom = build_domain("disk", (1.0,), 128)
         assert abs(boundary_integral(dom, dom.points[:, 0])) < 0.02
+
+
+class TestMirrorMaps:
+    @pytest.mark.parametrize("shape,params,symmetric", [
+        ("interval", (1.0,), (True,)),
+        ("rectangle", (1.0, 0.5), (True, True)),
+        ("disk", (1.0,), (True, True)),
+        ("annulus", (0.4, 1.0), (True, True)),
+        ("half-disk", (1.0,), (True, False))])
+    @pytest.mark.parametrize("cells", [64, 96])
+    def test_which_axes_mirror(self, shape, params, symmetric, cells):
+        dom = build_domain(shape, params, cells)
+        maps = mirror_maps(dom)
+        assert tuple(m is not None for m in maps) == symmetric
+        w = dom.cut_cell_weights
+        for a, image in enumerate(maps):
+            if image is None:
+                continue
+            # an involution without fixed nodes that keeps the weights and
+            # reflects the node across the midline of axis a
+            assert np.array_equal(image[image], np.arange(dom.n_nodes))
+            assert not np.any(image == np.arange(dom.n_nodes))
+            assert np.array_equal(w[image], w)
+            mid = dom.origin[a] + 0.5 * dom.n_cells[a] * dom.cell_size
+            assert np.allclose(dom.points[image, a],
+                               2 * mid - dom.points[:, a], rtol=0.0,
+                               atol=1e-12)
+
+    def test_odd_cell_count_has_none(self):
+        assert mirror_maps(build_domain("disk", (1.0,), 97)) == (None, None)
+        # 130 x 65 cells: only x has an even count
+        rect = mirror_maps(build_domain("rectangle", (1.0, 0.5), 130))
+        assert rect[0] is not None and rect[1] is None

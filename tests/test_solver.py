@@ -12,7 +12,7 @@ from scipy.sparse.linalg import splu
 
 from aclab import solver
 from aclab.errors import Blowup, UnresolvedInterface
-from aclab.geometry import build_domain
+from aclab.geometry import build_domain, mirror_maps
 from aclab.potential import SQRT2, DoubleWell
 from aclab.solver import (LU_OPTIONS, Field, Solution, assemble_energy,
                           energy_gradient, epsilon_sweep, gradient_flow,
@@ -254,9 +254,9 @@ class TestNewtonRefine:
             lowest[0] = min(lowest[0], rn)
             return F
 
-        def recording_factor(dom, eps, d):
+        def recording_factor(dom, eps, d, axes):
             lus.append((norms[key(d)], lowest[0]))
-            return factor(dom, eps, d)
+            return factor(dom, eps, d, axes)
 
         residual, factor = solver._residual, solver._factor_jacobian
         monkeypatch.setattr(solver, "_residual", recording_residual)
@@ -309,29 +309,30 @@ class TestFactorizations:
                                                  recorded_splu):
         # the first LU under a key orders by MMD and keeps p; the later
         # one factors J[p][:, p] in the natural order with the same fill
-        dom, _, _, J = disk_jacobian
+        _, _, _, J = disk_jacobian
         b = np.random.default_rng(3).standard_normal(J.shape[0])
+        orders = {}
         for _ in range(2):
-            x = solver._ordered_lu(dom, "test_order", J.tocsr())(b)
+            x = solver._ordered_lu(orders, "test", J.tocsr())(b)
             assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
         (first, fill0), (later, fill1) = recorded_splu
         assert (first, later) == ("MMD_AT_PLUS_A", "NATURAL")
         assert fill0 == fill1
         mmd = splu(J, permc_spec="MMD_AT_PLUS_A", **LU_OPTIONS)
-        assert np.array_equal(dom.cache["test_order"],
-                              np.argsort(mmd.perm_c))
+        assert np.array_equal(orders["test"], np.argsort(mmd.perm_c))
 
     def test_domain_keeps_one_order(self, disk_jacobian):
         # the second factorization on a domain runs through the kept order
         dom, eps, d, J = disk_jacobian
         b = np.random.default_rng(4).standard_normal(J.shape[0])
         kept = None
+        orders = solver.fold(dom, ()).orders
         for scale in (1.0, 0.5):
-            solve = solver._factor_jacobian(dom, eps, scale * d)
+            solve = solver._factor_jacobian(dom, eps, scale * d, ())
             Js = J + sp.diags((scale - 1.0) * d)
             if kept is None:
-                kept = dom.cache["schur_order"]
-            assert dom.cache["schur_order"] is kept
+                kept = orders["schur"]
+            assert orders["schur"] is kept
             x = solve(b)
             assert np.linalg.norm(Js @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -340,9 +341,9 @@ class TestFactorizations:
     @settings(max_examples=10, deadline=None)
     def test_red_black_colouring(self, shape, params, half_cells):
         dom = build_domain(shape, params, 2 * half_cells)
-        rb = solver._split_red_black(dom)
+        fd = solver.fold(dom, ())
         colour = np.full(dom.n_nodes, -1)
-        colour[rb.red], colour[rb.black] = 0, 1
+        colour[fd.low[fd.red]], colour[fd.low[fd.black]] = 0, 1
         assert colour.min() == 0
         # no stencil neighbour shares a node's colour
         for side in dom.neighbors.reshape(dom.n_nodes, -1).T:
@@ -369,40 +370,41 @@ class TestFactorizations:
         # residual of either factorization near 1e-11
         b = J @ np.random.default_rng(5).standard_normal(dom.n_nodes)
         # the MMD factors, then the natural ones under the kept orders
+        orders = {}
         for _ in range(2):
-            whole = solver._ordered_lu(dom, "jacobian_order", J)(b)
-            x = solver._factor_jacobian(dom, eps, d)(b)
+            whole = solver._ordered_lu(orders, "jacobian", J)(b)
+            x = solver._factor_jacobian(dom, eps, d, ())(b)
             assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
             assert np.linalg.norm(x - whole) <= 1e-10 * np.linalg.norm(whole)
-        rb = solver._split_red_black(dom)
-        assert len(dom.cache["schur_order"]) == len(rb.black)
-        assert len(dom.cache["jacobian_order"]) == dom.n_nodes
+        fd = solver.fold(dom, ())
+        assert len(fd.orders["schur"]) == len(fd.black)
+        assert len(orders["jacobian"]) == dom.n_nodes
 
     def test_weak_red_pivot_factors_whole(self, disk_jacobian):
         _, eps, d, _ = disk_jacobian
         dom = build_domain("disk", (1.0,), 128)
-        rb = solver._split_red_black(dom)
-        i = len(rb.red) // 2
+        fd = solver.fold(dom, ())
+        i = len(fd.red) // 2
+        r = fd.low[fd.red[i]]
         d = d.copy()
-        d[rb.red[i]] = -eps * rb.a_red[i]
+        d[r] = -eps * fd.a_red[i]
         J = (eps * stiffness_matrix(dom) + sp.diags(d)).tocsr()
-        assert J[rb.red[i], rb.red[i]] == 0.0
+        assert J[r, r] == 0.0
         b = np.random.default_rng(6).standard_normal(dom.n_nodes)
         for _ in range(2):  # MMD, then the kept order of J
-            x = solver._factor_jacobian(dom, eps, d)(b)
+            x = solver._factor_jacobian(dom, eps, d, ())(b)
             assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
-        assert "jacobian_order" in dom.cache
-        assert "schur_order" not in dom.cache
+        assert list(fd.orders) == ["jacobian"]
 
     def test_schur_fill_below_whole(self, disk_jacobian, recorded_splu):
         _, eps, d, _ = disk_jacobian
         dom = build_domain("disk", (1.0,), 128)
         weak = d.copy()
-        rb = solver._split_red_black(dom)
-        weak[rb.red[0]] = -eps * rb.a_red[0]
+        fd = solver.fold(dom, ())
+        weak[fd.low[fd.red[0]]] = -eps * fd.a_red[0]
         # Schur, whole J, Schur, whole J: each keeps its own order
         for dd in (d, weak, d, weak):
-            solver._factor_jacobian(dom, eps, dd)
+            solver._factor_jacobian(dom, eps, dd, ())
         specs = [spec for spec, _ in recorded_splu]
         fill = [f for _, f in recorded_splu]
         assert specs == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 2
@@ -469,7 +471,179 @@ class TestFactorizations:
         assert not alive
 
 
+class TestFold:
+    def test_identity_fold_is_the_red_black_split(self):
+        # with no axes, the fold is the red-black split of the whole system
+        # by grid-index parity, array for array
+        dom = build_domain("disk", (1.0,), 96)
+        A = stiffness_matrix(dom)
+        colour = sum(np.unravel_index(dom.grid_index, dom.grid_shape)) % 2
+        red, black = np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)
+        diag = A.diagonal()
+        off = abs(A - sp.diags(diag)).max(axis=1).toarray().ravel()
+        A_br = A[black][:, red].tocsr()
+        fd = solver.fold(dom, ())
+        nodes = np.arange(dom.n_nodes)
+        for got, want in ((fd.low, nodes), (fd.rep, nodes), (fd.red, red),
+                          (fd.black, black), (fd.a_red, diag[red]),
+                          (fd.a_black, diag[black]), (fd.off_red, off[red])):
+            assert np.array_equal(got, want)
+        for got, want in ((fd.A_br, A_br), (fd.A_rb, A_br.T.tocsr())):
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
+
+    def test_diagonal_in_place_matches_diags_minus_product(self):
+        # the Schur diagonal added in place on the product's pattern gives
+        # the floats and the pattern of sp.diags(c) - P, also when one
+        # diagonal sum is exactly zero or P lacks a diagonal entry
+        rng = np.random.default_rng(7)
+        P = (sp.random(40, 40, density=0.2, random_state=rng)
+             + sp.eye(40)).tocsr()
+        c = rng.standard_normal(40)
+        c[3] = P[3, 3]
+        Q = P.tolil()
+        Q[5, 5] = 0.0
+        Q = Q.tocsr()
+        Q.eliminate_zeros()
+        for M in (P, Q):
+            want = (sp.diags(c) - M).tocsc()
+            got = solver._minus_from_diagonal(M.copy(), c).tocsc()
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
+
+    def test_folded_sweep_matches_unfolded(self, quartic, monkeypatch):
+        # the radial m = 0.3 seed is an orthogonal arc centred on the x
+        # axis, so every iterate stays mirror-symmetric in y and each LU is
+        # of the system folded along y; forcing the unfolded system gives
+        # the same solutions and counts
+        dom = build_domain("disk", (1.0,), 128)
+        image = mirror_maps(dom)[1]
+        factor = solver._factor_jacobian
+        seen = []
+
+        def sweep(forced):
+            def recording(dom, eps, d, axes):
+                seen.append(axes)
+                return factor(dom, eps, d, axes if forced is None else forced)
+
+            monkeypatch.setattr(solver, "_factor_jacobian", recording)
+            return epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
+                                 constraint=0.3, recipe="radial")
+
+        folded = sweep(None)
+        assert set(seen) == {(1,)}
+        unfolded = sweep(())
+        assert len(folded) == len(unfolded) == 3
+        for a, b in zip(folded, unfolded):
+            u = a.field.values
+            assert np.array_equal(u[image], u)
+            assert np.abs(u - b.field.values).max() <= 1e-9
+            assert (a.iterations, a.factorizations) == (b.iterations,
+                                                        b.factorizations)
+            assert a.residual_norm <= 1e-10
+
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_folded_solve_matches_whole(self, quartic, weak):
+        # on a right-hand side symmetric in y, the folded solve (Schur, or
+        # whole on a weak red pivot) matches the whole folded J and the
+        # unfolded J
+        dom = build_domain("disk", (1.0,), 128)
+        eps = 0.06
+        image = mirror_maps(dom)[1]
+        u = seed_field(dom, eps, "radial", 0.3).values
+        assert np.array_equal(u[image], u)
+        d = dom.cut_cell_weights * quartic.wpp(u) / eps
+        fd = solver.fold(dom, (1,))
+        if weak:
+            i = len(fd.red) // 2
+            r = fd.low[fd.red[i]]
+            d[[r, image[r]]] = -eps * fd.a_red[i]
+        J = (eps * stiffness_matrix(dom) + sp.diags(d)).tocsr()
+        b = J @ np.random.default_rng(8).standard_normal(dom.n_nodes)
+        b = b + b[image]
+        x = solver._factor_jacobian(dom, eps, d, (1,))(b)
+        assert list(fd.orders) == ["jacobian" if weak else "schur"]
+        assert np.array_equal(x[image], x)
+        J_fold = solver._fold_matrix(J, fd.low, fd.rep).tocsc()
+        whole = splu(J_fold, permc_spec="MMD_AT_PLUS_A",
+                     **LU_OPTIONS).solve(b[fd.low])[fd.rep]
+        assert np.linalg.norm(x - whole) <= 1e-12 * np.linalg.norm(whole)
+        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_concentric_seed_folds_both_axes(self, quartic, monkeypatch):
+        # a circle about the centre is symmetric in x and y: each LU is of
+        # the Schur complement on a quarter of the black nodes
+        sizes = []
+
+        def recording(M, **kw):
+            sizes.append(M.shape[0])
+            return splu(M, **kw)
+
+        monkeypatch.setattr(solver, "splu", recording)
+        dom = build_domain("disk", (1.0,), 128)
+        sol = solve_single(dom, quartic, 0.08, constraint=-0.5,
+                           recipe="radial", recipe_params={"radius": 0.5})
+        assert sol.residual_norm <= 1e-10
+        for image in mirror_maps(dom):
+            assert np.array_equal(sol.field.values[image], sol.field.values)
+        fd = solver.fold(dom, (0, 1))
+        assert 4 * fd.low.size == dom.n_nodes
+        assert sizes == [fd.black.size] * sol.factorizations
+        whole = solver.fold(dom, ()).black.size
+        assert abs(4 * fd.black.size - whole) <= 0.01 * whole
+
+    @pytest.mark.parametrize("cells,nudge", [(97, False), (128, True)])
+    def test_asymmetric_start_runs_unfolded(self, quartic, monkeypatch,
+                                            cells, nudge):
+        # an odd cell count has no mirror map, and a start one ulp off
+        # symmetric folds nothing: both take the unfolded path, the same
+        # arithmetic as a domain without mirror maps
+        def refine():
+            dom = build_domain("disk", (1.0,), cells)
+            start = solver._newton_start(
+                seed_field(dom, 0.1, "radial", 0.3), quartic, 0.3)
+            u = start.field.values.copy()
+            if nudge:
+                k = int(np.argmax(dom.points[:, 1] > 0.3))
+                u[k] = np.nextafter(u[k], np.inf)
+            return newton_refine(
+                Solution(field=Field(dom, 0.1, u), lam=start.lam,
+                         residual_norm=math.inf, iterations=0,
+                         constraint=0.3, converged=False),
+                quartic, tol=1e-10)
+
+        factor = solver._factor_jacobian
+        seen = []
+
+        def recording(dom, eps, d, axes):
+            seen.append(axes)
+            return factor(dom, eps, d, axes)
+
+        monkeypatch.setattr(solver, "_factor_jacobian", recording)
+        sol = refine()
+        assert seen and set(seen) == {()}
+        monkeypatch.setattr(solver, "mirror_maps",
+                            lambda dom: (None,) * dom.dim)
+        plain = refine()
+        assert np.array_equal(sol.field.values, plain.field.values)
+        assert (sol.lam, sol.iterations) == (plain.lam, plain.iterations)
+
+
 class TestSweep:
+    def test_disk_diameter_seed_at_zero_mean(self, quartic):
+        # at m = 0 the disk's radial seed is the diameter, the m -> 0+
+        # limit of the orthogonal arc; each epsilon converges to it, with a
+        # vanishing multiplier and the energy h0 times its length 2
+        dom = build_domain("disk", (1.0,), 128)
+        errors = []
+        sweep = epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
+                              constraint=0.0, recipe="radial", errors=errors)
+        assert not errors
+        assert len(sweep) == 3
+        for sol in sweep:
+            assert abs(sol.lam) <= 1e-10
+            assert abs(sol.energy / (2.0 * H0) - 1.0) <= 0.01
+
     def test_1d_gamma_limit(self, quartic):
         dom = build_domain("interval", (1.0,), 512)
         sweep = epsilon_sweep(dom, quartic, [0.1, 0.05], constraint=0.0)
