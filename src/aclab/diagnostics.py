@@ -1,9 +1,10 @@
 """Scalar and field diagnostics: energy density, discrepancy, density ratios,
 almost-monotonicity scans, Pohozaev residuals and boundary energy.
 
-Everything here is read-only over Solution and Domain; reductions are
-order-insensitive up to floating-point reassociation, so tests compare with
-tolerances, never bitwise.
+Everything here is read-only over Solution and Domain.  Per-node vector
+rows reduce through the row kernels of geometry, which give the bits of the
+numpy reductions they stand for; other reductions are order-insensitive up
+to floating-point reassociation, so tests compare with tolerances.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ import numpy as np
 
 from .errors import BallEscapesU, InvalidCutoffScale
 from .geometry import (Domain, ball_restrictions, boundary_integral, kept,
-                       read_only, signed_distance)
+                       read_only, row_distance, row_dot, row_form, row_norm,
+                       row_sq_distance, row_trace, signed_distance)
 from .potential import DoubleWell
 from .solver import Field, Solution
 
@@ -91,7 +93,7 @@ class DensityFields:
 def density_fields(f: Field, well: DoubleWell) -> DensityFields:
     """The density fields of f under well, kept per field and well value."""
     g = field_gradient(f)
-    kin = 0.5 * f.epsilon * np.sum(g * g, axis=1)
+    kin = 0.5 * f.epsilon * row_dot(g, g)
     pot = well.w(f.values) / f.epsilon
     e = kin + pot
     xi = kin - pot
@@ -352,13 +354,13 @@ def scaled_cutoff_derivatives(s, a: float):
 
 
 def _c1_norm(values: np.ndarray, J: np.ndarray) -> float:
-    sup_x = float(np.linalg.norm(values, axis=1).max(initial=0.0))
-    sup_j = float(np.sqrt(np.sum(J * J, axis=(1, 2))).max(initial=0.0))
+    sup_x = float(row_norm(values).max(initial=0.0))
+    sup_j = float(row_norm(J).max(initial=0.0))
     return sup_x + sup_j
 
 
 def _tangential_flag(dom: Domain, boundary_values: np.ndarray) -> bool:
-    dots = np.abs(np.sum(boundary_values * dom.boundary.normals, axis=1))
+    dots = np.abs(row_dot(boundary_values, dom.boundary.normals))
     return bool(dots.max(initial=0.0) <= 1e-12)
 
 
@@ -380,9 +382,9 @@ def make_radial_field(dom: Domain, x, rho: float) -> TestVectorField:
         raise BallEscapesU(f"support ball of radius {rho} at {x} leaves U")
 
     def fn(pts):
-        rel = np.atleast_2d(pts) - x[None, :]
-        r = np.linalg.norm(rel, axis=1)
-        return radial_cutoff(r / rho)[:, None] * rel
+        pts = np.atleast_2d(pts)
+        r = row_distance(pts, x)
+        return radial_cutoff(r / rho)[:, None] * (pts - x[None, :])
 
     return field_from_callable(dom, fn, support_radius=float(rho))
 
@@ -423,9 +425,9 @@ def make_rotational_field(dom: Domain, rng: np.random.Generator,
         pts = np.atleast_2d(pts)
         psi = np.zeros(pts.shape[0])
         for c, s, am in zip(centers, sig, amp):
-            d2 = np.sum((pts - c[None, :]) ** 2, axis=1)
+            d2 = row_sq_distance(pts, c)
             psi += am * np.exp(-0.5 * d2 / s**2)
-        rr = np.linalg.norm(pts, axis=1)
+        rr = row_norm(pts)
         psi *= radial_cutoff(rr / r_support)
         return psi[:, None] * np.stack([-pts[:, 1], pts[:, 0]], axis=1)
 
@@ -449,11 +451,11 @@ def pohozaev_residual(sol: Solution, well: DoubleWell,
     J = X.jacobian
     lam0 = max(1.0, abs(sol.lam))
     wt = well.w(f.values) - eps * sol.lam * f.values + eps * lam0 * C0
-    e_t = 0.5 * eps * np.sum(g * g, axis=1) + wt / eps
-    divX = np.trace(J, axis1=1, axis2=2)
-    quad = np.einsum("iab,ia,ib->i", J, g, g)
+    e_t = 0.5 * eps * row_dot(g, g) + wt / eps
+    divX = row_trace(J)
+    quad = row_form(J, g, g)
     lhs = float(np.sum(dom.cut_cell_weights * (e_t * divX - eps * quad)))
-    xdotnu = np.sum(X.boundary_values * dom.boundary.normals, axis=1)
+    xdotnu = row_dot(X.boundary_values, dom.boundary.normals)
     rhs = float(np.sum(dom.boundary.weights * e_t[dom.boundary.node] * xdotnu))
     return abs(lhs - rhs)
 
@@ -491,7 +493,7 @@ def equipartition_report(sweep: list, well: DoubleWell) -> EquipartitionReport:
         f = sol.field
         w = f.dom.cut_cell_weights
         g = field_gradient(f)
-        kin = float(np.sum(w * 0.5 * f.epsilon * np.sum(g * g, axis=1)))
+        kin = float(np.sum(w * 0.5 * f.epsilon * row_dot(g, g)))
         pot = float(np.sum(w * well.w(f.values)) / f.epsilon)
         xi_l1 = float(np.sum(w * np.abs(density_fields(f, well).xi)))
         rows.append(EquipartitionRow(

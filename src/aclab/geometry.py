@@ -79,6 +79,71 @@ def kept(build):
     return get
 
 
+# ---------------------------------------------------------------------------
+# per-node row kernels
+# ---------------------------------------------------------------------------
+# Per-node vectors and Jacobians are (N, dim) and (N, dim, dim) arrays with
+# dim <= 2.  numpy reduces such short trailing axes on its slow strided path;
+# these kernels add the terms column by column instead, in numpy's order for
+# C-ordered rows and from its 0.0 start, so they give numpy's bits, signed
+# zeros included.  A square is never -0.0, so sums of squares need no start.
+
+def row_dot(a, b):
+    """np.sum(a * b, axis=1)."""
+    out = a[:, 0] * b[:, 0]
+    out += 0.0
+    for k in range(1, a.shape[1]):
+        out += a[:, k] * b[:, k]
+    return out
+
+
+def row_norm(a):
+    """np.linalg.norm(a, axis=1) of (N, dim) rows; of (N, dim, dim) ones,
+    the Frobenius norm np.sqrt(np.sum(a * a, axis=(1, 2)))."""
+    columns = [a[(slice(None),) + k] for k in np.ndindex(a.shape[1:])]
+    out = columns[0] * columns[0]
+    for c in columns[1:]:
+        out += c * c
+    return np.sqrt(out, out=out)
+
+
+def row_sq_distance(points, x):
+    """np.sum((points - x) ** 2, axis=1)."""
+    out = points[:, 0] - x[0]
+    out *= out
+    for k in range(1, points.shape[1]):
+        d = points[:, k] - x[k]
+        d *= d
+        out += d
+    return out
+
+
+def row_distance(points, x):
+    """np.linalg.norm(points - x, axis=1)."""
+    out = row_sq_distance(points, x)
+    return np.sqrt(out, out=out)
+
+
+def row_trace(J):
+    """np.trace(J, axis1=1, axis2=2)."""
+    out = J[:, 0, 0] + 0.0
+    for k in range(1, J.shape[1]):
+        out += J[:, k, k]
+    return out
+
+
+def row_form(J, u, v):
+    """np.einsum("iab,ia,ib->i", J, u, v): the terms (J_ab u_a) v_b in
+    row-major (a, b) order."""
+    out = np.zeros(J.shape[0])
+    for a in range(J.shape[1]):
+        for b in range(J.shape[2]):
+            t = J[:, a, b] * u[:, a]
+            t *= v[:, b]
+            out += t
+    return out
+
+
 @dataclass(frozen=True)
 class Domain:
     """The cut-cell discretization of one shape.  Data derived from its grid
@@ -551,7 +616,7 @@ def ball_restrictions(dom: Domain, x, radii):
     boundary_flag = abs(dist_b) < 0.5 * h
     if boundary_flag:
         x = dom.nearest_boundary_point(x)
-    s = np.linalg.norm(dom.points - x[None, :], axis=1)
+    s = row_distance(dom.points, x)
     for r in radii:
         if r <= 2.0 * h:
             raise RadiusTooSmall(f"radius {r} must exceed 2h = {2 * h}")

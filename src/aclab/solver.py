@@ -8,8 +8,10 @@ and residual_norm share; the scheme is variational: missing neighbors across
 the boundary act as mirror ghost nodes, i.e. the homogeneous Neumann
 condition.
 
-Stencil application and reductions are data-parallel over nodes; the time
-loop of the flow is sequential.  Solutions are immutable once returned.
+Everything runs in one thread: stencils and reductions are whole-array
+numpy operations over the nodes, per-node vector rows go through the row
+kernels of geometry (row_distance here), and the time loop of the flow is
+sequential.  Solutions are immutable once returned.
 Newton factors only the black Schur complement of a red-black split, in the
 minimum-degree order of the first LU on its domain and fold, and holds one
 LU at a time.  When the domain is exactly mirror-symmetric along an axis
@@ -30,7 +32,7 @@ from scipy.sparse.linalg import cg, splu
 
 from .errors import (AcLabError, Blowup, NoConvergence, SingularJacobian,
                      UnresolvedInterface)
-from .geometry import Domain, kept, mirror_maps, read_only
+from .geometry import Domain, kept, mirror_maps, read_only, row_distance
 from .potential import SQRT2, DoubleWell
 
 RECIPES = ("constant", "step-x", "step-y", "two-layer", "radial", "file")
@@ -199,7 +201,14 @@ def _ordered_lu(orders: dict, key: str, M: sp.csr_matrix):
     natural order, with the same fill."""
     p = orders.get(key)
     # rebinding M frees the caller's matrix before splu runs
-    M = M.tocsc() if p is None else M[p][:, p].tocsc()
+    if p is not None:
+        # M[p][:, p] by one row gather and a renumbering of the columns
+        # through the inverse order; tocsc sorts the rows of each column
+        M = M.tocsr()[p]
+        inv = np.empty(p.size, dtype=M.indices.dtype)
+        inv[p] = np.arange(p.size, dtype=inv.dtype)
+        M = sp.csr_matrix((M.data, inv[M.indices], M.indptr), shape=M.shape)
+    M = M.tocsc()
     try:
         lu = splu(M, permc_spec="MMD_AT_PLUS_A" if p is None else "NATURAL",
                   **LU_OPTIONS)
@@ -553,7 +562,7 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
         R = dom.params[0]
         r_arc, d_arc, _ = orthogonal_arc(R, constraint)
         center = np.array([d_arc, 0.0])
-        s = r_arc - np.linalg.norm(pts - center, axis=1)
+        s = r_arc - row_distance(pts, center)
         u = -np.sign(constraint) * np.tanh(s / s2e)
         return Field(dom, epsilon, u)
     elif dom.shape == "rectangle" and constraint is not None:
@@ -570,7 +579,7 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
         rho0 = math.sqrt(r_in**2 + 0.5 * (1.0 + constraint) * (R**2 - r_in**2))
     else:
         rho0 = 0.5 * dom.extent / 2.0
-    s = rho0 - np.linalg.norm(pts - center[None, :], axis=1)
+    s = rho0 - row_distance(pts, center)
     return Field(dom, epsilon, sign * np.tanh(s / s2e))
 
 

@@ -1,7 +1,10 @@
 """Discrete varifold of a solution: mass, first variation, density ratios,
 free-boundary relation and integrality diagnostics.
 
-Construction is a parallel map over nodes; all queries are read-only.
+Construction is one pass of whole-array numpy operations over the nodes,
+in one thread; per-node vector rows (norms, dot products, the trace and the
+quadratic form of a test field's Jacobian) go through the row kernels of
+geometry.  All queries are read-only.
 """
 from __future__ import annotations
 
@@ -13,7 +16,8 @@ import numpy as np
 from .diagnostics import (TestVectorField, density_fields, field_gradient,
                           plateau_value, radius_ladder, unit_ball_volume)
 from .errors import BallEscapesU, NoInterface, NotTangential, RadiusTooSmall
-from .geometry import Domain, grid_axis_text
+from .geometry import (Domain, grid_axis_text, row_distance, row_dot, row_form,
+                       row_norm, row_trace)
 from .potential import DoubleWell
 from .solver import Solution
 from .tables import write_rows
@@ -76,7 +80,7 @@ def build_varifold(sol: Solution, well: DoubleWell, h0: float) -> DiscreteVarifo
     idx = np.flatnonzero(keep)
     w = dom.cut_cell_weights[idx] * d.e[idx] / h0
     g = field_gradient(f)[idx]
-    gn = np.linalg.norm(g, axis=1)
+    gn = row_norm(g)
     zero = gn <= GRADIENT_FLOOR / f.epsilon
     normals = np.zeros_like(g)
     normals[~zero] = g[~zero] / gn[~zero, None]
@@ -109,8 +113,8 @@ def first_variation(V: DiscreteVarifold, X: TestVectorField) -> float:
     live = ~V.zero_flag
     J = X.jacobian[V.node_index[live]]
     nu = V.normals[live]
-    divX = np.trace(J, axis1=1, axis2=2)
-    nn = np.einsum("iab,ia,ib->i", J, nu, nu)
+    divX = row_trace(J)
+    nn = row_form(J, nu, nu)
     return float(np.sum(V.weights[live] * (divX - nn)))
 
 
@@ -214,7 +218,7 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
     grad = field_gradient(f)
     mids = 0.5 * (seg_a + seg_b)
     dirs = seg_b - seg_a
-    lens = np.linalg.norm(dirs, axis=1)
+    lens = row_norm(dirs)
     ok = lens > 1e-14
     mids, dirs, lens = mids[ok], dirs[ok], lens[ok]
     tangents = dirs / lens[:, None]
@@ -225,7 +229,7 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
     flat = cell[:, 0] * ny + cell[:, 1]
     near = dom.active_of_grid[flat]
     near[near < 0] = 0
-    flip = np.sum(normals * grad[near], axis=1) < 0.0
+    flip = row_dot(normals, grad[near]) < 0.0
     normals[flip] *= -1.0
 
     polylines = _chain_segments(list(zip(seg_a, seg_b)))
@@ -251,7 +255,7 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
 def interface_pairing(curve: InterfaceCurve, X: TestVectorField) -> float:
     """Polyline quadrature of X . nu_M over the interface."""
     xv = np.asarray(X.evaluator(curve.seg_mid), dtype=float)
-    return float(np.sum(curve.seg_len * np.sum(xv * curve.seg_normal, axis=1)))
+    return float(np.sum(curve.seg_len * row_dot(xv, curve.seg_normal)))
 
 
 def _zero_crossing_pairing_1d(sol: Solution, X: TestVectorField) -> float:
@@ -303,8 +307,8 @@ def first_variation_bound_constant(V: DiscreteVarifold, sol: Solution,
         if curve is None:
             curve = extract_interface(sol)
         lhs += 2.0 * sol.lam * interface_pairing(curve, X)
-    sup = float(np.abs(np.sum(X.boundary_values * V.dom.boundary.normals,
-                              axis=1)).max(initial=0.0))
+    sup = float(np.abs(row_dot(X.boundary_values, V.dom.boundary.normals))
+                .max(initial=0.0))
     if sup <= 1e-14:
         return 0.0 if abs(lhs) <= 1e-10 else math.inf
     return abs(lhs) / sup
@@ -333,7 +337,7 @@ def density_estimate(V: DiscreteVarifold, x, radii) -> DensityCurve:
     n = V.dom.dim
     om = unit_ball_volume(n - 1)
     live = ~V.zero_flag
-    dist = np.linalg.norm(V.points[live] - x[None, :], axis=1)
+    dist = row_distance(V.points[live], x)
     w = V.weights[live]
     theta = np.array([float(w[dist < r].sum()) / (om * r ** (n - 1))
                       for r in radii])

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aclab.errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
 from aclab.geometry import (ball_restriction, ball_restrictions,
                             boundary_integral, build_domain,
                             domain_from_descriptor, mirror_maps,
-                            signed_distance)
+                            row_distance, row_dot, row_form, row_norm,
+                            row_sq_distance, row_trace, signed_distance)
 
 
 class TestBuildDomain:
@@ -291,3 +293,65 @@ class TestMirrorMaps:
         # 130 x 65 cells: only x has an even count
         rect = mirror_maps(build_domain("rectangle", (1.0, 0.5), 130))
         assert rect[0] is not None and rect[1] is None
+
+
+# signed zeros, subnormals and magnitudes whose products overflow, among
+# ordinary floats
+ROW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310,
+                     1e150, -1e150]),
+    st.floats(-1e3, 1e3, allow_subnormal=True))
+
+
+@st.composite
+def row_array(draw, rows, trailing):
+    """A float array of shape (rows,) + trailing: C-contiguous, every other
+    row of a larger array, or every other entry along the trailing axes."""
+    layout = draw(st.sampled_from(["C", "rows", "columns"]))
+    if layout == "C":
+        return draw(hnp.arrays(np.float64, (rows,) + trailing,
+                               elements=ROW_VALUES))
+    if layout == "rows":
+        return draw(hnp.arrays(np.float64, (2 * rows,) + trailing,
+                               elements=ROW_VALUES))[::2]
+    a = draw(hnp.arrays(np.float64, (rows,) + tuple(2 * t for t in trailing),
+                        elements=ROW_VALUES))
+    return a[(slice(None),) + (slice(None, None, 2),) * len(trailing)]
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestRowKernels:
+    # each kernel gives the bits of the numpy reduction it replaces, signed
+    # zeros included, on C-ordered and strided rows in 1D and 2D
+    @given(dim=st.sampled_from([1, 2]), rows=st.integers(0, 12),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_vector_rows(self, dim, rows, data):
+        a = data.draw(row_array(rows, (dim,)))
+        b = data.draw(row_array(rows, (dim,)))
+        x = data.draw(hnp.arrays(np.float64, (dim,), elements=ROW_VALUES))
+        with np.errstate(all="ignore"):
+            _same_bits(row_dot(a, b), np.sum(a * b, axis=1))
+            _same_bits(row_norm(a), np.linalg.norm(a, axis=1))
+            _same_bits(row_sq_distance(a, x),
+                       np.sum((a - x[None, :]) ** 2, axis=1))
+            _same_bits(row_distance(a, x),
+                       np.linalg.norm(a - x[None, :], axis=1))
+
+    @given(dim=st.sampled_from([1, 2]), rows=st.integers(0, 12),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_jacobian_rows(self, dim, rows, data):
+        J = data.draw(row_array(rows, (dim, dim)))
+        u = data.draw(row_array(rows, (dim,)))
+        v = data.draw(row_array(rows, (dim,)))
+        with np.errstate(all="ignore"):
+            _same_bits(row_trace(J), np.trace(J, axis1=1, axis2=2))
+            _same_bits(row_form(J, u, v), np.einsum("iab,ia,ib->i", J, u, v))
+            _same_bits(row_norm(J),
+                       np.sqrt(np.sum(J * J, axis=(1, 2))))

@@ -396,6 +396,45 @@ class TestFactorizations:
             assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
         assert list(fd.orders) == ["jacobian"]
 
+    @pytest.mark.parametrize("weak", [False, True])
+    def test_later_lu_factors_the_permuted_matrix(self, disk_jacobian,
+                                                  monkeypatch, weak):
+        # under a kept order p, splu gets M[p][:, p].tocsc() array for
+        # array, on the Schur path and on the weak-pivot whole-J path
+        _, eps, d, _ = disk_jacobian
+        dom = build_domain("disk", (1.0,), 128)
+        fd = solver.fold(dom, ())
+        i = len(fd.red) // 2
+        r = fd.low[fd.red[i]]
+        d = d.copy()
+        if weak:
+            d[r] = -eps * fd.a_red[i]
+        given, handed = [], []
+        real_lu = solver._ordered_lu
+
+        def recording_lu(orders, key, M):
+            given.append(M.copy())
+            return real_lu(orders, key, M)
+
+        def recording_splu(M, **kw):
+            handed.append(M.copy())
+            return splu(M, **kw)
+
+        monkeypatch.setattr(solver, "_ordered_lu", recording_lu)
+        monkeypatch.setattr(solver, "splu", recording_splu)
+        later = 0.5 * d
+        later[r] = d[r]  # keeps the weak pivot exactly zero
+        for dd in (d, later):
+            solver._factor_jacobian(dom, eps, dd, ())
+        p = fd.orders["jacobian" if weak else "schur"]
+        assert list(fd.orders) == ["jacobian" if weak else "schur"]
+        want = given[1][p][:, p].tocsc()
+        got = handed[1]
+        assert got.format == "csc" and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
     def test_schur_fill_below_whole(self, disk_jacobian, recorded_splu):
         _, eps, d, _ = disk_jacobian
         dom = build_domain("disk", (1.0,), 128)

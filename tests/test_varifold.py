@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from aclab.diagnostics import (density_fields, field_from_callable,
-                               make_radial_field, make_rotational_field,
+from aclab.diagnostics import (C0, density_fields, field_from_callable,
+                               field_gradient, make_radial_field,
+                               make_rotational_field, node_jacobian,
+                               pohozaev_residual, radial_cutoff,
                                radius_ladder)
 from aclab.errors import NoInterface, NotTangential, RadiusTooSmall
-from aclab.geometry import build_domain
+from aclab.geometry import ball_restrictions, build_domain
 from aclab.potential import DoubleWell, compute_h0
 from aclab.solver import (Field, Solution, epsilon_sweep, orthogonal_arc,
                           solve_single)
@@ -471,3 +473,105 @@ class TestHalfDisk:
         lhs, rhs, deficit = free_boundary_test(V, sol, quartic, h0, X)
         assert lhs == 0.0  # codimension-one tangent planes are trivial in 1D
         assert deficit <= 1e-10  # lam ~ 0 kills the multiplier side
+
+
+class TestRowKernelCallSites:
+    """The diagnostics that reduce per-node rows through the row kernels
+    give, bit for bit, what numpy's row reductions (linalg.norm, sum over
+    axis 1, trace, einsum) give on a disk-64 solution."""
+
+    @pytest.fixture(scope="class")
+    def disk64(self, quartic, h0):
+        dom = build_domain("disk", (1.0,), 64)
+        sol = solve_single(dom, quartic, 0.08, constraint=0.3,
+                           recipe="radial")
+        return sol, build_varifold(sol, quartic, h0)
+
+    @staticmethod
+    def same_bits(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @staticmethod
+    def rotational_reference(dom, seed):
+        # make_rotational_field's draws and field, with numpy reductions
+        rng = np.random.default_rng(seed)
+        R = 0.5 * dom.extent
+        centers = rng.uniform(-0.8 * R, 0.8 * R, size=(3, 2))
+        sig = rng.uniform(0.2 * R, 0.5 * R, size=3)
+        amp = rng.uniform(-1.0, 1.0, size=3)
+        r_support = 0.45 * float(np.min(dom.u_hi - dom.u_lo))
+        pts = dom.points
+        psi = np.zeros(pts.shape[0])
+        for c, s, am in zip(centers, sig, amp):
+            d2 = np.sum((pts - c[None, :]) ** 2, axis=1)
+            psi += am * np.exp(-0.5 * d2 / s**2)
+        psi *= radial_cutoff(np.linalg.norm(pts, axis=1) / r_support)
+        return psi[:, None] * np.stack([-pts[:, 1], pts[:, 0]], axis=1)
+
+    def test_fields_and_norms(self, disk64, quartic):
+        sol, _ = disk64
+        f = sol.field
+        g = field_gradient(f)
+        kin = 0.5 * f.epsilon * np.sum(g * g, axis=1)
+        self.same_bits(density_fields(f, quartic).e,
+                       kin + quartic.w(f.values) / f.epsilon)
+        dom = f.dom
+        X = make_rotational_field(dom, np.random.default_rng(11))
+        values = self.rotational_reference(dom, 11)
+        self.same_bits(X.values, values)
+        J = node_jacobian(dom, values)
+        c1 = (float(np.linalg.norm(values, axis=1).max())
+              + float(np.sqrt(np.sum(J * J, axis=(1, 2))).max()))
+        assert X.c1_norm == c1
+
+    def test_first_variation_and_pohozaev(self, disk64, quartic):
+        sol, V = disk64
+        f = sol.field
+        dom, eps = f.dom, f.epsilon
+        X = make_rotational_field(dom, np.random.default_rng(12))
+        g = field_gradient(f)
+        gn = np.linalg.norm(g[V.node_index], axis=1)
+        live = ~V.zero_flag
+        self.same_bits(V.normals[live], g[V.node_index[live]]
+                       / gn[live, None])
+        J = X.jacobian[V.node_index[live]]
+        nu = V.normals[live]
+        div = np.trace(J, axis1=1, axis2=2)
+        nn = np.einsum("iab,ia,ib->i", J, nu, nu)
+        assert first_variation(V, X) == float(np.sum(V.weights[live]
+                                                     * (div - nn)))
+        J = X.jacobian
+        lam0 = max(1.0, abs(sol.lam))
+        wt = (quartic.w(f.values) - eps * sol.lam * f.values
+              + eps * lam0 * C0)
+        e_t = 0.5 * eps * np.sum(g * g, axis=1) + wt / eps
+        lhs = float(np.sum(dom.cut_cell_weights
+                           * (e_t * np.trace(J, axis1=1, axis2=2)
+                              - eps * np.einsum("iab,ia,ib->i", J, g, g))))
+        xn = np.sum(X.boundary_values * dom.boundary.normals, axis=1)
+        rhs = float(np.sum(dom.boundary.weights * e_t[dom.boundary.node]
+                           * xn))
+        assert pohozaev_residual(sol, quartic, X) == abs(lhs - rhs)
+
+    def test_density_and_ball_weights(self, disk64):
+        sol, V = disk64
+        dom = sol.field.dom
+        h = dom.cell_size
+        x = sample_interface_nodes(sol, 1, np.random.default_rng(13))[0]
+        radii = radius_ladder(dom, sol.field.epsilon, x)
+        assert radii.size >= 2
+        live = ~V.zero_flag
+        dist = np.linalg.norm(V.points[live] - x[None, :], axis=1)
+        theta = [float(V.weights[live][dist < r].sum()) / (2.0 * r)
+                 for r in radii]
+        self.same_bits(density_estimate(V, x, radii).theta, theta)
+        s = np.linalg.norm(dom.points - x[None, :], axis=1)
+        for r, ball in zip(radii, ball_restrictions(dom, x, radii)):
+            idx = np.flatnonzero(s < r + h)
+            w = (np.clip(0.5 + (r - s[idx]) / h, 0.0, 1.0)
+                 * dom.cut_cell_weights[idx])
+            self.same_bits(ball.node_index, idx[w > 0.0])
+            self.same_bits(ball.node_weights, w[w > 0.0])
