@@ -252,7 +252,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
         rr = radius_ladder(dom, sol.field.epsilon, p)
         c = energy_ratio_curve(sol.field, ctx.well, p, rr, lam=sol.lam)
         plateaus.append(plateau_value(c.radii, c.I_values))
-        rep = monotonicity_scan(c, sol.field, ctx.well, c1=0.0)
+        rep = monotonicity_scan(c, dom)
         worst_viol = max(worst_viol, rep.max_deficit)
     ok_plateau = all(0.9 * h0 <= v <= 1.1 * h0 for v in plateaus)
 
@@ -267,7 +267,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
             np.array([math.cos(ang), math.sin(ang)]))
         rr = radius_ladder(disk.field.dom, disk.field.epsilon, x)
         c = energy_ratio_curve(disk.field, ctx.well, x, rr, lam=disk.lam)
-        rep = monotonicity_scan(c, disk.field, ctx.well, c1=0.0)
+        rep = monotonicity_scan(c, disk.field.dom)
         fitted.append(rep.fitted_c1)
     subs = [
         SubCheck("interior I(r) plateaus in [0.9, 1.1] h0", ok_plateau,
@@ -293,8 +293,7 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     measured = []
     for _ in range(5):
         X = make_rotational_field(sol.field.dom, rng)
-        lhs, rhs, deficit = free_boundary_test(ctx.disk_varifold, sol,
-                                               ctx.well, h0, X,
+        lhs, rhs, deficit = free_boundary_test(ctx.disk_varifold, sol, h0, X,
                                                curve=ctx.disk_curve)
         deficits_ok.append(deficit <= 0.1 * X.c1_norm)
         measured.append(deficit / X.c1_norm)

@@ -2,13 +2,14 @@
 CSV report emission.
 
 Subcommands: solve, diagnose, check, example-config.  solve is a thin
-wrapper over solver.epsilon_sweep that writes its solutions.  Exit codes:
-0 success, 1 acceptance failure, 2 config error, 3 solver error.
+wrapper over solver.epsilon_sweep that writes its solutions.  Every table
+goes through _emit, which records it on the RunReport and writes its CSV;
+the boundary-normal test field is kept on the domain.  Exit codes: 0
+success, 1 acceptance failure, 2 config error, 3 solver error.
 """
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from .diagnostics import (almost_monotonicity_fit, boundary_energy,
                           xi_integral_bound_fit)
 from .errors import (AcLabError, ConfigError, DomainMismatch,
                      InvalidShapeParams, UnresolvedInterface)
-from .geometry import (Domain, build_domain, domain_from_descriptor,
+from .geometry import (Domain, build_domain, domain_from_descriptor, kept,
                        signed_distance)
 from .potential import DoubleWell, compute_h0
 from .solver import Field, Solution, epsilon_sweep
@@ -39,6 +40,10 @@ from .varifold import (build_varifold, export_atoms, extract_interface,
 
 SOLUTION_SCHEMA = "aclab-solution-1"
 
+# tables whose CSV is written only when they have rows
+SKIPPED_WHEN_EMPTY = ("free_boundary", "integrality", "interface",
+                      "fitted_constants")
+
 
 @dataclass
 class RunReport:
@@ -49,10 +54,6 @@ class RunReport:
     fitted_constants: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-
-    @property
-    def all_passed(self):
-        return all(ok for _, ok, _, _ in self.checks)
 
 
 def _g17(x):
@@ -71,6 +72,22 @@ def write_csv(path, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_g17(v) for v in row) + "\n")
+
+
+def _emit(report, out, name, header, rows):
+    """Record rows as report.tables[name] and write them to out/name.csv,
+    unless they are empty and name is in SKIPPED_WHEN_EMPTY."""
+    report.tables[name] = rows
+    if rows or name not in SKIPPED_WHEN_EMPTY:
+        write_csv(out / f"{name}.csv", header, rows)
+
+
+def _fit(report, name, value, pick=max):
+    """Fold value into the fitted constant name: the largest value seen,
+    from 0.0, or with pick=min the smallest, from inf."""
+    start = math.inf if pick is min else 0.0
+    report.fitted_constants[name] = pick(
+        report.fitted_constants.get(name, start), value)
 
 
 def save_solution(path, sol: Solution):
@@ -210,10 +227,9 @@ def cmd_solve(cfg: RunConfig, out_dir=None, verbose=False) -> RunReport:
         if verbose:
             print(f"eps={e:g}: energy={sol.energy:.6f} lambda={sol.lam:+.3e} "
                   f"residual={sol.residual_norm:.2e} -> {fn}")
-    write_csv(out / "summary.csv",
-              ("epsilon", "energy", "lambda", "residual_norm", "max_abs_u",
-               "iterations", "factorizations", "converged"), rows)
-    report.tables["summary"] = rows
+    _emit(report, out, "summary",
+          ("epsilon", "energy", "lambda", "residual_norm", "max_abs_u",
+           "iterations", "factorizations", "converged"), rows)
     for e, msg in report.errors:
         print(f"solver error at eps={e:g}: {msg}", file=sys.stderr)
     return report
@@ -223,9 +239,8 @@ def _diag_equipartition(report, out, sols, well):
     rep = equipartition_report(sols, well)
     rows = [(r.epsilon, r.kinetic, r.potential, r.ratio, r.xi_l1)
             for r in rep.rows]
-    write_csv(out / "equipartition.csv",
-              ("epsilon", "kinetic", "potential", "ratio", "xi_l1"), rows)
-    report.tables["equipartition"] = rows
+    _emit(report, out, "equipartition",
+          ("epsilon", "kinetic", "potential", "ratio", "xi_l1"), rows)
     report.checks.append(("xi_l1_decreasing", rep.xi_l1_decreasing,
                           " -> ".join(_g17(r.xi_l1) for r in rep.rows),
                           "strictly decreasing"))
@@ -236,9 +251,11 @@ def _interior_margin(dom):
                0.5 * float(signed_distance(dom).max()))
 
 
+@kept
 def _boundary_normal_field(dom):
     """The boundary-normal test field, cut off at a fifth of the largest
-    distance to the boundary."""
+    distance to the boundary; kept on dom, and built again on the next use
+    when the build raises."""
     return make_boundary_normal_field(
         dom, 0.2 * float(signed_distance(dom).max()))
 
@@ -269,65 +286,54 @@ def _diag_ratios(report, out, sols, well, cfg, rng):
                                 curve.I_tilde_values):
                 rows.append((eps, *curve.center, int(curve.boundary_centered),
                              r, I, It))
-            scan = monotonicity_scan(curve, sol.field, well, c1=0.0)
+            scan = monotonicity_scan(curve, dom)
             mono_rows.append((eps, *curve.center, 0.0, scan.fitted_c1,
                               scan.max_deficit, len(scan.violations)))
             for lo, hi, d in scan.violations:
                 viol_rows.append((eps, *curve.center, lo, hi, d))
-            report.fitted_constants["xi_integral_C"] = max(
-                report.fitted_constants.get("xi_integral_C", 0.0),
-                xi_integral_bound_fit(curve))
-            report.fitted_constants["almost_monotone_c"] = max(
-                report.fitted_constants.get("almost_monotone_c", 0.0),
-                almost_monotonicity_fit(curve))
-            report.fitted_constants["density_ratio_lower_c"] = min(
-                report.fitted_constants.get("density_ratio_lower_c",
-                                            math.inf),
-                float(curve.I_values.min()))
-            report.fitted_constants["density_ratio_upper_C"] = max(
-                report.fitted_constants.get("density_ratio_upper_C", 0.0),
-                float(curve.I_values.max()))
+            _fit(report, "xi_integral_C", xi_integral_bound_fit(curve))
+            _fit(report, "almost_monotone_c", almost_monotonicity_fit(curve))
+            _fit(report, "density_ratio_lower_c",
+                 float(curve.I_values.min()), min)
+            _fit(report, "density_ratio_upper_C", float(curve.I_values.max()))
     dim = sols[0].field.dom.dim
     center_cols = ("center_x", "center_y")[:dim]
-    write_csv(out / "ratio_curves.csv",
-              ("epsilon", *center_cols, "boundary_centered", "radius",
-               "I", "I_tilde"), rows)
-    report.tables["ratio_curves"] = rows
+    _emit(report, out, "ratio_curves",
+          ("epsilon", *center_cols, "boundary_centered", "radius", "I",
+           "I_tilde"), rows)
     if "monotonicity" in cfg.checks:
-        write_csv(out / "monotonicity.csv",
-                  ("epsilon", *center_cols, "c1", "fitted_c1", "max_deficit",
-                   "violations"), mono_rows)
-        write_csv(out / "monotonicity_violations.csv",
-                  ("epsilon", *center_cols, "rho_lo", "rho_hi", "deficit"),
-                  viol_rows)
-        report.tables["monotonicity"] = mono_rows
+        _emit(report, out, "monotonicity",
+              ("epsilon", *center_cols, "c1", "fitted_c1", "max_deficit",
+               "violations"), mono_rows)
+        _emit(report, out, "monotonicity_violations",
+              ("epsilon", *center_cols, "rho_lo", "rho_hi", "deficit"),
+              viol_rows)
         worst = max((m[-2] for m in mono_rows), default=0.0)
         report.checks.append(("interior_monotonicity_deficit",
                               worst <= 1e-3, _g17(worst), "<= 1e-3"))
 
 
-def _diag_pohozaev(report, out, sols, well, radial, normal_field):
+def _diag_pohozaev(report, out, sols, well, radial):
     rows = []
     for sol in sols:
         eps = sol.field.epsilon
         rows.append((eps, "interior-radial",
                      pohozaev_residual(sol, well, radial)))
         try:
-            rb = pohozaev_residual(sol, well, normal_field())
+            rb = pohozaev_residual(sol, well,
+                                   _boundary_normal_field(sol.field.dom))
             rows.append((eps, "boundary-normal", rb))
         except AcLabError as exc:
             report.errors.append((eps, f"pohozaev boundary field: {exc}"))
-    write_csv(out / "pohozaev.csv", ("epsilon", "field", "residual"), rows)
-    report.tables["pohozaev"] = rows
+    _emit(report, out, "pohozaev", ("epsilon", "field", "residual"), rows)
 
 
 def _diag_boundary_energy(report, out, sols, well):
     rows = [(s.field.epsilon, boundary_energy(s, well)) for s in sols]
-    write_csv(out / "boundary_energy.csv", ("epsilon", "value"), rows)
-    report.tables["boundary_energy"] = rows
+    _emit(report, out, "boundary_energy", ("epsilon", "value"), rows)
 
 
-def _diag_varifold(report, out, sols, well, cfg, rng, h0, normal_field):
+def _diag_varifold(report, out, sols, well, cfg, rng, h0):
     mass_rows, fb_rows, integ_rows, iface_rows = [], [], [], []
     for k, sol in enumerate(sols):
         dom = sol.field.dom
@@ -346,13 +352,13 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0, normal_field):
                     X = make_rotational_field(dom, rng)
                     if not X.tangential_on_boundary:
                         continue
-                    lhs, rhs, deficit = free_boundary_test(V, sol, well, h0,
-                                                           X, curve=curve)
+                    lhs, rhs, deficit = free_boundary_test(V, sol, h0, X,
+                                                           curve=curve)
                     fb_rows.append((eps, lhs, rhs, deficit, X.c1_norm))
-                report.fitted_constants["first_variation_C"] = max(
-                    report.fitted_constants.get("first_variation_C", 0.0),
-                    first_variation_bound_constant(
-                        V, sol, h0, normal_field(), curve=curve))
+                _fit(report, "first_variation_C",
+                     first_variation_bound_constant(
+                         V, sol, h0, _boundary_normal_field(dom),
+                         curve=curve))
             except AcLabError as exc:
                 report.errors.append((eps, f"varifold: {exc}"))
         try:
@@ -366,22 +372,16 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0, normal_field):
             report.errors.append((eps, f"integrality: {exc}"))
     dim = sols[0].field.dom.dim
     pc = ("x", "y")[:dim]
-    write_csv(out / "varifold_mass.csv",
-              ("epsilon", "mass", "total_measure", "zero_normal_share"),
-              mass_rows)
-    if fb_rows:
-        write_csv(out / "free_boundary.csv",
-                  ("epsilon", "lhs", "rhs", "deficit", "c1_norm"), fb_rows)
-    if integ_rows:
-        write_csv(out / "integrality.csv",
-                  ("epsilon", *pc, "plateau", "nearest_integer", "deviation"),
-                  integ_rows)
-    if iface_rows:
-        write_csv(out / "interface.csv", ("epsilon", "chain", "x", "y"),
-                  iface_rows)
-    report.tables["varifold_mass"] = mass_rows
-    report.tables["free_boundary"] = fb_rows
-    report.tables["integrality"] = integ_rows
+    _emit(report, out, "varifold_mass",
+          ("epsilon", "mass", "total_measure", "zero_normal_share"),
+          mass_rows)
+    _emit(report, out, "free_boundary",
+          ("epsilon", "lhs", "rhs", "deficit", "c1_norm"), fb_rows)
+    _emit(report, out, "integrality",
+          ("epsilon", *pc, "plateau", "nearest_integer", "deviation"),
+          integ_rows)
+    _emit(report, out, "interface", ("epsilon", "chain", "x", "y"),
+          iface_rows)
 
 
 def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
@@ -397,34 +397,29 @@ def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
         return report
     rng = np.random.default_rng(cfg.seed)
     h0 = compute_h0(well).h0
-    # every solution lives on dom: the boundary-normal field is built on
-    # first use and then shared; a failed build is retried on the next use
-    normal_field = functools.cache(lambda: _boundary_normal_field(dom))
-
+    # one ratio scan serves ratios and monotonicity; it runs where ratios
+    # stands in checks, or where monotonicity does when ratios is absent
+    scan_at = "ratios" if "ratios" in cfg.checks else "monotonicity"
     runners = {
         "equipartition": lambda: _diag_equipartition(report, out, sols, well),
-        "ratios": lambda: _diag_ratios(report, out, sols, well, cfg, rng),
-        "monotonicity": lambda: None,  # folded into the ratios scan
+        scan_at: lambda: _diag_ratios(report, out, sols, well, cfg, rng),
         "pohozaev": lambda: _diag_pohozaev(report, out, sols, well,
-                                           _interior_radial_field(dom),
-                                           normal_field),
+                                           _interior_radial_field(dom)),
         "boundary-energy": lambda: _diag_boundary_energy(report, out, sols,
                                                          well),
         "varifold": lambda: _diag_varifold(report, out, sols, well, cfg, rng,
-                                           h0, normal_field),
+                                           h0),
     }
-    if "monotonicity" in cfg.checks and "ratios" not in cfg.checks:
-        runners["monotonicity"] = lambda: _diag_ratios(report, out, sols,
-                                                       well, cfg, rng)
     for name in cfg.checks:
+        if name not in runners:
+            continue
         try:
             runners[name]()
         except AcLabError as exc:
             report.errors.append((name, str(exc)))
             print(f"diagnostic {name} failed: {exc}", file=sys.stderr)
-    if report.fitted_constants:
-        write_csv(out / "fitted_constants.csv", ("name", "value"),
-                  sorted(report.fitted_constants.items()))
+    _emit(report, out, "fitted_constants", ("name", "value"),
+          sorted(report.fitted_constants.items()))
     if verbose:
         for name, rows in report.tables.items():
             print(f"{name}: {len(rows)} rows")

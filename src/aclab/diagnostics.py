@@ -1,8 +1,8 @@
 """Scalar and field diagnostics: energy density, discrepancy, density ratios,
 almost-monotonicity scans, Pohozaev residuals and boundary energy.
 
-Everything here is read-only over Solution and Domain.  Per-node vector
-rows reduce through the row kernels of geometry, which give the bits of the
+Everything here is read-only over Solution and Domain; both fitted
+monotonicity constants come from one bisection.  Per-node vector rows reduce through the row kernels of geometry, which give the bits of the
 numpy reductions they stand for; other reductions are order-insensitive up
 to floating-point reassociation, so tests compare with tolerances.
 """
@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BallEscapesU, InvalidCutoffScale
-from .geometry import (Domain, ball_restrictions, boundary_integral, kept,
-                       read_only, row_distance, row_dot, row_form, row_norm,
-                       row_sq_distance, row_trace, signed_distance)
+from .errors import InvalidCutoffScale, NoPlateau
+from .geometry import (Domain, _shape_sdist, _shape_sdist_grad,
+                       ball_restrictions, boundary_integral, kept, read_only,
+                       require_ball_in_u, row_distance, row_dot, row_form,
+                       row_norm, row_sq_distance, row_trace, signed_distance)
 from .potential import DoubleWell
 from .solver import Field, Solution
 
@@ -26,6 +27,9 @@ C0 = 2.0
 
 # unit-ball volumes omega_k for k = 0, 1, 2
 OMEGA = (1.0, 2.0, math.pi)
+
+# a monotonicity interval passes when its deficit is at most this
+MONOTONICITY_TOLERANCE = 1e-3
 
 
 def unit_ball_volume(k: int) -> float:
@@ -183,11 +187,27 @@ def energy_ratio_curve(f: Field, well: DoubleWell, x, radii,
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    c1: float
-    violations: list          # (rho_lo, rho_hi, deficit) beyond the tolerance
-    max_deficit: float
+    violations: list          # (rho_lo, rho_hi, deficit) at c1 = 0
+    max_deficit: float        # at c1 = 0
     fitted_c1: float          # smallest c1 >= 0 passing everywhere (inf if none)
-    tolerance: float
+
+
+def _smallest_passing(ok, cap: float, steps: int) -> float:
+    """The smallest c in [0, cap] with ok(c), for ok monotone in c: 0.0 when
+    ok(0.0), inf when not ok(cap), else the upper end of a bracket halved
+    steps times."""
+    if ok(0.0):
+        return 0.0
+    if not ok(cap):
+        return math.inf
+    lo, hi = 0.0, cap
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _monotonicity_deficits(curve: RatioCurve, kappa0: float, n: int, c1: float):
@@ -207,44 +227,30 @@ def _monotonicity_deficits(curve: RatioCurve, kappa0: float, n: int, c1: float):
     return np.diff(F) - 0.5 * drho * (G[:-1] + G[1:])
 
 
-def monotonicity_scan(curve: RatioCurve, f: Field, well: DoubleWell,
-                      c1: float, tolerance: float = 1e-3,
-                      c1_cap: float = 200.0) -> MonotonicityReport:
-    """Check the discrete almost-monotonicity inequality along the curve and
-    fit the smallest c1 that makes every interval pass."""
-    kappa0 = f.dom.kappa0 if curve.boundary_centered else 0.0
-    n = f.dom.dim
+def monotonicity_scan(curve: RatioCurve, dom: Domain) -> MonotonicityReport:
+    """Check the discrete almost-monotonicity inequality along the curve at
+    c1 = 0 and fit the smallest c1 in [0, 200] that makes every interval
+    pass."""
+    kappa0 = dom.kappa0 if curve.boundary_centered else 0.0
 
     def deficits(c):
-        return np.maximum(0.0, -_monotonicity_deficits(curve, kappa0, n, c))
-
-    d0 = deficits(c1)
-    viol = [(float(curve.radii[j]), float(curve.radii[j + 1]), float(d0[j]))
-            for j in np.flatnonzero(d0 > tolerance)]
+        return np.maximum(0.0, -_monotonicity_deficits(curve, kappa0, dom.dim,
+                                                        c))
 
     def passes(c):
-        return bool(np.all(deficits(c) <= tolerance))
+        return bool(np.all(deficits(c) <= MONOTONICITY_TOLERANCE))
 
-    if passes(0.0):
-        fitted = 0.0
-    elif not passes(c1_cap):
-        fitted = math.inf
-    else:
-        lo, hi = 0.0, c1_cap
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if passes(mid):
-                hi = mid
-            else:
-                lo = mid
-        fitted = hi
-    return MonotonicityReport(c1=c1, violations=viol,
-                              max_deficit=float(d0.max(initial=0.0)),
-                              fitted_c1=fitted, tolerance=tolerance)
+    d0 = deficits(0.0)
+    viol = [(float(curve.radii[j]), float(curve.radii[j + 1]), float(d0[j]))
+            for j in np.flatnonzero(d0 > MONOTONICITY_TOLERANCE)]
+    return MonotonicityReport(
+        violations=viol, max_deficit=float(d0.max(initial=0.0)),
+        fitted_c1=_smallest_passing(passes, 200.0, 50))
 
 
-def almost_monotonicity_fit(curve: RatioCurve, cap: float = 1e4) -> float:
-    """Smallest c with I(r) >= e^{-c(r-s)} I(s) - c r^{1/8} on all pairs s<r."""
+def almost_monotonicity_fit(curve: RatioCurve) -> float:
+    """Smallest c in [0, 1e4] with I(r) >= e^{-c(r-s)} I(s) - c r^{1/8} on
+    all pairs s<r."""
     r = curve.radii
     I = curve.I_values
 
@@ -255,18 +261,7 @@ def almost_monotonicity_fit(curve: RatioCurve, cap: float = 1e4) -> float:
                 return False
         return True
 
-    if ok(0.0):
-        return 0.0
-    if not ok(cap):
-        return math.inf
-    lo, hi = 0.0, cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _smallest_passing(ok, 1e4, 60)
 
 
 def xi_integral_bound_fit(curve: RatioCurve) -> float:
@@ -290,11 +285,14 @@ class TestVectorField:
 
     values: np.ndarray              # (N, dim)
     boundary_values: np.ndarray     # (M, dim) at the boundary sample points
-    tangential_on_boundary: bool
-    support_radius: float
+    normal_sup: float               # max |X . nu| over the boundary samples
     c1_norm: float
     jacobian: np.ndarray = field(repr=False, compare=False)  # node_jacobian
     evaluator: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def tangential_on_boundary(self) -> bool:
+        return self.normal_sup <= 1e-12
 
 
 def _smoothstep(t):
@@ -359,34 +357,28 @@ def _c1_norm(values: np.ndarray, J: np.ndarray) -> float:
     return sup_x + sup_j
 
 
-def _tangential_flag(dom: Domain, boundary_values: np.ndarray) -> bool:
-    dots = np.abs(row_dot(boundary_values, dom.boundary.normals))
-    return bool(dots.max(initial=0.0) <= 1e-12)
-
-
-def field_from_callable(dom: Domain, fn, support_radius: float) -> TestVectorField:
+def field_from_callable(dom: Domain, fn) -> TestVectorField:
     """Wrap an analytic vector field; fn maps (k, dim) points to vectors."""
     vals = np.asarray(fn(dom.points), dtype=float)
     bvals = np.asarray(fn(dom.boundary.points), dtype=float)
     J = read_only(node_jacobian(dom, vals))
+    dots = np.abs(row_dot(bvals, dom.boundary.normals))
     return TestVectorField(values=vals, boundary_values=bvals,
-                           tangential_on_boundary=_tangential_flag(dom, bvals),
-                           support_radius=support_radius,
+                           normal_sup=float(dots.max(initial=0.0)),
                            c1_norm=_c1_norm(vals, J), jacobian=J, evaluator=fn)
 
 
 def make_radial_field(dom: Domain, x, rho: float) -> TestVectorField:
     """Truncated radial field phi(r/rho) * r grad r centered at x."""
     x = np.asarray(x, dtype=float)
-    if np.any(x - rho < dom.u_lo) or np.any(x + rho > dom.u_hi):
-        raise BallEscapesU(f"support ball of radius {rho} at {x} leaves U")
+    require_ball_in_u(dom, x, rho)
 
     def fn(pts):
         pts = np.atleast_2d(pts)
         r = row_distance(pts, x)
         return radial_cutoff(r / rho)[:, None] * (pts - x[None, :])
 
-    return field_from_callable(dom, fn, support_radius=float(rho))
+    return field_from_callable(dom, fn)
 
 
 def make_boundary_normal_field(dom: Domain, a: float) -> TestVectorField:
@@ -398,27 +390,30 @@ def make_boundary_normal_field(dom: Domain, a: float) -> TestVectorField:
             f"cutoff scale a={a} must satisfy 0 < 4a < max distance "
             f"{d_max:.4g}")
 
+    # fn holds dom's shape, not dom: kept on dom, it would close a cycle
+    shape, params = dom.shape, dom.params
+
     def fn(pts):
         pts = np.atleast_2d(pts)
-        d = dom.distance_to_boundary(pts)
-        g = dom.distance_gradient(pts)
+        d = _shape_sdist(shape, params, pts)
+        g = _shape_sdist_grad(shape, params, pts)
         cp, _ = scaled_cutoff_derivatives(np.maximum(d, 0.0), a)
         return -cp[:, None] * g
 
-    return field_from_callable(dom, fn, support_radius=4.0 * a)
+    return field_from_callable(dom, fn)
 
 
-def make_rotational_field(dom: Domain, rng: np.random.Generator,
-                          n_bumps: int = 3) -> TestVectorField:
+def make_rotational_field(dom: Domain,
+                          rng: np.random.Generator) -> TestVectorField:
     """Random smooth field tangential to all circles about the origin.
 
-    psi(p) * (-y, x) with psi a sum of Gaussian bumps; tangential on the
-    boundary of disks and annuli.  Supported inside U by a radial cutoff.
+    psi(p) * (-y, x) with psi a sum of three Gaussian bumps; tangential on
+    the boundary of disks and annuli.  Supported inside U by a radial cutoff.
     """
     R = 0.5 * dom.extent
-    centers = rng.uniform(-0.8 * R, 0.8 * R, size=(n_bumps, 2))
-    sig = rng.uniform(0.2 * R, 0.5 * R, size=n_bumps)
-    amp = rng.uniform(-1.0, 1.0, size=n_bumps)
+    centers = rng.uniform(-0.8 * R, 0.8 * R, size=(3, 2))
+    sig = rng.uniform(0.2 * R, 0.5 * R, size=3)
+    amp = rng.uniform(-1.0, 1.0, size=3)
     r_support = 0.45 * float(np.min(dom.u_hi - dom.u_lo))
 
     def fn(pts):
@@ -431,7 +426,7 @@ def make_rotational_field(dom: Domain, rng: np.random.Generator,
         psi *= radial_cutoff(rr / r_support)
         return psi[:, None] * np.stack([-pts[:, 1], pts[:, 0]], axis=1)
 
-    return field_from_callable(dom, fn, support_radius=r_support)
+    return field_from_callable(dom, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +459,7 @@ def boundary_energy(sol: Solution, well: DoubleWell) -> float:
     """Energy density integrated over the boundary inside the shrunk box."""
     d = density_fields(sol.field, well)
     return boundary_integral(sol.field.dom, d.e,
-                             within_box=sol.field.dom.shrunk_u_box(0.9))
+                             within_box=sol.field.dom.shrunk_u_box())
 
 
 # ---------------------------------------------------------------------------
@@ -508,17 +503,15 @@ def equipartition_report(sweep: list, well: DoubleWell) -> EquipartitionReport:
 # plateau detection shared with the varifold density estimates
 # ---------------------------------------------------------------------------
 
-def plateau_value(radii: np.ndarray, values: np.ndarray,
-                  slope_tol: float = 0.2) -> float:
+def plateau_value(radii: np.ndarray, values: np.ndarray) -> float:
     """Median of the curve over the window where |d value / d log r| stays
-    below slope_tol.  Raises NoPlateau when no window survives the filter."""
-    from .errors import NoPlateau
+    below 0.2.  Raises NoPlateau when no window survives the filter."""
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if radii.size < 2:
         raise NoPlateau("need at least two radii")
     slopes = np.diff(values) / np.diff(np.log(radii))
-    stable = np.abs(slopes) < slope_tol
+    stable = np.abs(slopes) < 0.2
     if not stable.any():
         raise NoPlateau("no stable window in the density-ratio curve")
     keep = np.zeros(radii.size, dtype=bool)

@@ -1,9 +1,9 @@
 """Discretized domains: cut-cell Cartesian grids with analytic boundary geometry.
 
 Supported shapes (all with closed-form distance and normals): interval,
-rectangle, disk, annulus, half-disk.  A Domain is immutable after
-construction; operators derived from its grid are built once and kept in
-its cache, read-only.
+rectangle, disk, annulus, half-disk.  Nodes sit symmetrically about the
+centre of the grid box.  A Domain is immutable after construction; data
+derived from its grid is built once and kept in its cache, read-only.
 """
 from __future__ import annotations
 
@@ -133,8 +133,12 @@ def row_trace(J):
 
 
 def row_form(J, u, v):
-    """np.einsum("iab,ia,ib->i", J, u, v): the terms (J_ab u_a) v_b in
-    row-major (a, b) order."""
+    """np.einsum("iab,ia,ib->i", J, u, v): the terms t_ab = (J_ab u_a) v_b
+    added from 0.0 in row-major (a, b) order; on a single 2D row, as numpy
+    adds them there, 0.0 + ((t00 + t01) + (t10 + t11))."""
+    if J.shape[0] == 1 and J.shape[1] == 2:
+        t = [J[:, a, b] * u[:, a] * v[:, b] for a in (0, 1) for b in (0, 1)]
+        return 0.0 + ((t[0] + t[1]) + (t[2] + t[3]))
     out = np.zeros(J.shape[0])
     for a in range(J.shape[1]):
         for b in range(J.shape[2]):
@@ -159,7 +163,6 @@ class Domain:
     grid_shape: tuple
     points: np.ndarray            # (N, dim) active cell centers
     cut_cell_weights: np.ndarray  # (N,) volume quadrature weights
-    interior_mask: np.ndarray     # (N,) True where the center lies inside
     grid_index: np.ndarray        # (N,) flat grid index per active node
     active_of_grid: np.ndarray    # (prod(grid),) active index or -1
     neighbors: np.ndarray         # (N, dim, 2) active index of -/+ neighbor or -1
@@ -190,10 +193,10 @@ class Domain:
     def _box_hi(self):
         return self.origin + np.asarray(self.n_cells) * self.cell_size
 
-    def shrunk_u_box(self, factor=0.9):
-        """The padding box U scaled by factor about its center."""
+    def shrunk_u_box(self):
+        """The padding box U scaled by 0.9 about its center."""
         c = 0.5 * (self.u_lo + self.u_hi)
-        half = 0.5 * factor * (self.u_hi - self.u_lo)
+        half = 0.5 * 0.9 * (self.u_hi - self.u_lo)
         return c - half, c + half
 
     def distance_to_boundary(self, pts):
@@ -404,7 +407,7 @@ def _grid_box(shape, params):
     return np.array([-R, 0.0]), np.array([R, R])
 
 
-def _normalize_cells(shape, params, n_cells, lo, hi):
+def _normalize_cells(shape, n_cells, lo, hi):
     extent = hi - lo
     cells = (int(n_cells),) if np.isscalar(n_cells) \
         else tuple(int(c) for c in np.atleast_1d(n_cells))
@@ -433,9 +436,11 @@ def _subsample_offsets(dim, h):
     return np.stack([ox.ravel(), oy.ravel()], axis=1)
 
 
-def _grid_axes(lo, cells, h):
-    """Per axis, the cell-center coordinates of the grid."""
-    return [lo[a] + (np.arange(cells[a]) + 0.5) * h for a in range(len(cells))]
+def _grid_axes(lo, hi, cells, h):
+    """Per axis, the cell centers (lo + hi)/2 + (i - (n - 1)/2) h: exact
+    mirror images across the midpoint when it is 0, whatever h is."""
+    return [(lo[a] + hi[a]) / 2 + (np.arange(n) - (n - 1) / 2) * h
+            for a, n in enumerate(cells)]
 
 
 def _nearest_active_node(pts, lo, h, grid_shape, active_of_grid, apts):
@@ -482,9 +487,9 @@ def build_domain(shape: str, params, n_cells) -> Domain:
     params = _check_params(shape, params)
     dim = 1 if shape in SHAPES_1D else 2
     lo, hi = _grid_box(shape, params)
-    cells, h = _normalize_cells(shape, params, n_cells, lo, hi)
+    cells, h = _normalize_cells(shape, n_cells, lo, hi)
 
-    axes = _grid_axes(lo, cells, h)
+    axes = _grid_axes(lo, hi, cells, h)
     if dim == 1:
         pts = axes[0][:, None]
         grid_shape = (cells[0],)
@@ -541,7 +546,6 @@ def build_domain(shape: str, params, n_cells) -> Domain:
         dim=dim, shape=shape, params=params, n_cells=cells, cell_size=h,
         origin=lo, grid_shape=grid_shape, points=apts,
         cut_cell_weights=weights,
-        interior_mask=_shape_inside(shape, params, apts),
         grid_index=grid_index,
         active_of_grid=active_of_grid, neighbors=nbr,
         boundary=BoundarySamples(points=bp, normals=bn, weights=bw,
@@ -586,12 +590,24 @@ def mirror_maps(dom: Domain) -> tuple:
 
 
 @kept
+def grid_axes(dom: Domain) -> tuple:
+    """Per axis, the grid coordinates; node coordinates are among them."""
+    lo, hi = _grid_box(dom.shape, dom.params)
+    return tuple(_grid_axes(lo, hi, dom.grid_shape, dom.cell_size))
+
+
+@kept
 def grid_axis_text(dom: Domain):
-    """Per axis, the %.17g text of each grid coordinate as an object array;
-    node coordinates are among them."""
+    """Per axis, the %.17g text of each grid coordinate as an object array."""
     return tuple(np.array(["%.17g" % v for v in axis.tolist()], dtype=object)
-                 for axis in _grid_axes(dom.origin, dom.grid_shape,
-                                        dom.cell_size))
+                 for axis in grid_axes(dom))
+
+
+def require_ball_in_u(dom: Domain, x, r: float):
+    """Raise BallEscapesU unless B_r(x) lies inside the padding box U."""
+    if np.any(x - r < dom.u_lo) or np.any(x + r > dom.u_hi):
+        raise BallEscapesU(
+            f"ball of radius {r} at {x} leaves the padding box U")
 
 
 def ball_restriction(dom: Domain, x, r: float) -> BallRestriction:
@@ -620,9 +636,7 @@ def ball_restrictions(dom: Domain, x, radii):
     for r in radii:
         if r <= 2.0 * h:
             raise RadiusTooSmall(f"radius {r} must exceed 2h = {2 * h}")
-        if np.any(x - r < dom.u_lo) or np.any(x + r > dom.u_hi):
-            raise BallEscapesU(
-                f"ball of radius {r} at {x} leaves the padding box U")
+        require_ball_in_u(dom, x, r)
         idx = np.flatnonzero(s < r + h)
         # clipped-linear fraction of each cell inside the sphere: smooth and
         # monotone in r, which the monotonicity scans difference in rho

@@ -4,7 +4,8 @@ free-boundary relation and integrality diagnostics.
 Construction is one pass of whole-array numpy operations over the nodes,
 in one thread; per-node vector rows (norms, dot products, the trace and the
 quadratic form of a test field's Jacobian) go through the row kernels of
-geometry.  All queries are read-only.
+geometry.  Interface corners take their coordinates from the grid axes
+the nodes sit on.  All queries are read-only.
 """
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ import numpy as np
 
 from .diagnostics import (TestVectorField, density_fields, field_gradient,
                           plateau_value, radius_ladder, unit_ball_volume)
-from .errors import BallEscapesU, NoInterface, NotTangential, RadiusTooSmall
-from .geometry import (Domain, grid_axis_text, row_distance, row_dot, row_form,
-                       row_norm, row_trace)
+from .errors import NoInterface, NotTangential, RadiusTooSmall
+from .geometry import (Domain, grid_axes, grid_axis_text, require_ball_in_u,
+                       row_distance, row_dot, row_form, row_norm, row_trace)
 from .potential import DoubleWell
 from .solver import Solution
 from .tables import write_rows
@@ -157,8 +158,9 @@ def _chain_segments(segments):
 _CELL_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-def _cell_segments(U, origin, h):
-    """Marching-squares segments of the zero level set of the nodal grid U.
+def _cell_segments(U, axes):
+    """Marching-squares segments of the zero level set of the nodal grid U,
+    whose node (i, j) sits at (axes[0][i], axes[1][j]).
 
     One numpy pass over all cells.  Cells touching a NaN (inactive) corner are
     skipped.  Segments come in row-major (i, j) cell order, and within a cell
@@ -175,10 +177,9 @@ def _cell_segments(U, origin, h):
     cells = np.flatnonzero(keep)
     vals, crosses = vals[keep], crosses[keep]
     i, j = np.divmod(cells, ny - 1)
-    ox, oy = origin
-    # corner positions, integer offset added before the half-cell shift
-    cx = np.stack([ox + ((i + di) + 0.5) * h for di, _ in _CELL_CORNERS], 1)
-    cy = np.stack([oy + ((j + dj) + 0.5) * h for _, dj in _CELL_CORNERS], 1)
+    ax, ay = axes
+    cx = np.stack([ax[i + di] for di, _ in _CELL_CORNERS], 1)
+    cy = np.stack([ay[j + dj] for _, dj in _CELL_CORNERS], 1)
     # edges without a crossing give inf/nan here and are never selected
     with np.errstate(divide="ignore", invalid="ignore"):
         t = vals / (vals - nxt(vals))
@@ -211,7 +212,7 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
     U[dom.grid_index] = f.values
     U = U.reshape(nx, ny)
     h = dom.cell_size
-    seg_a, seg_b = _cell_segments(U, dom.origin, h)
+    seg_a, seg_b = _cell_segments(U, grid_axes(dom))
     if seg_a.shape[0] == 0:
         raise NoInterface("no zero level set segments found")
 
@@ -273,9 +274,8 @@ def _zero_crossing_pairing_1d(sol: Solution, X: TestVectorField) -> float:
     return total
 
 
-def free_boundary_test(V: DiscreteVarifold, sol: Solution, well: DoubleWell,
-                       h0: float, X: TestVectorField,
-                       curve: InterfaceCurve | None = None):
+def free_boundary_test(V: DiscreteVarifold, sol: Solution, h0: float,
+                       X: TestVectorField, curve: InterfaceCurve | None = None):
     """Check delta V(X) = -(2 lam / h0) * int_M X . nu_M for tangential X.
 
     In 2D the pairing uses curve, the extract_interface(sol) result, which is
@@ -307,11 +307,9 @@ def first_variation_bound_constant(V: DiscreteVarifold, sol: Solution,
         if curve is None:
             curve = extract_interface(sol)
         lhs += 2.0 * sol.lam * interface_pairing(curve, X)
-    sup = float(np.abs(row_dot(X.boundary_values, V.dom.boundary.normals))
-                .max(initial=0.0))
-    if sup <= 1e-14:
+    if X.normal_sup <= 1e-14:
         return 0.0 if abs(lhs) <= 1e-10 else math.inf
-    return abs(lhs) / sup
+    return abs(lhs) / X.normal_sup
 
 
 @dataclass(frozen=True)
@@ -320,8 +318,8 @@ class DensityCurve:
     radii: np.ndarray
     theta: np.ndarray
 
-    def plateau(self, slope_tol: float = 0.2) -> float:
-        return plateau_value(self.radii, self.theta, slope_tol)
+    def plateau(self) -> float:
+        return plateau_value(self.radii, self.theta)
 
 
 def density_estimate(V: DiscreteVarifold, x, radii) -> DensityCurve:
@@ -332,8 +330,7 @@ def density_estimate(V: DiscreteVarifold, x, radii) -> DensityCurve:
     if radii.size == 0:
         raise RadiusTooSmall(f"no density radius at {x}: the ball floor "
                              "exceeds the room to the boundary")
-    if np.any(x - radii[-1] < V.dom.u_lo) or np.any(x + radii[-1] > V.dom.u_hi):
-        raise BallEscapesU("density ball leaves the padding box U")
+    require_ball_in_u(V.dom, x, radii[-1])
     n = V.dom.dim
     om = unit_ball_volume(n - 1)
     live = ~V.zero_flag
@@ -375,16 +372,13 @@ def sample_interface_nodes(sol: Solution, count: int,
     return dom.points[pick]
 
 
-def integrality_check(V: DiscreteVarifold, sample_points, radii=None,
-                      slope_tol: float = 0.2) -> IntegralityReport:
-    """Per sample point: plateau of Theta-hat, nearest integer, deviation."""
+def integrality_check(V: DiscreteVarifold, sample_points) -> IntegralityReport:
+    """Per sample point: plateau of Theta-hat over its radius_ladder, nearest
+    integer, deviation."""
     rows = []
     for p in np.atleast_2d(np.asarray(sample_points, dtype=float)):
-        if radii is None:
-            rr = radius_ladder(V.dom, V.epsilon, p)
-        else:
-            rr = np.asarray(radii, dtype=float)
-        val = density_estimate(V, p, rr).plateau(slope_tol)
+        rr = radius_ladder(V.dom, V.epsilon, p)
+        val = density_estimate(V, p, rr).plateau()
         rows.append(IntegralityRow(point=p, plateau=val,
                                    nearest_integer=int(round(val)),
                                    deviation=abs(val - round(val))))

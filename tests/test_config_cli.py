@@ -507,6 +507,46 @@ class TestLifetime:
         assert not left
 
 
+class TestBoundaryNormalField:
+    def test_built_once_per_diagnose(self, tmp_path, monkeypatch):
+        # Pohozaev and the first-variation bound of both solutions share
+        # one field, kept on the domain
+        built = []
+
+        def counting(dom, a):
+            built.append(dom)
+            return make(dom, a)
+
+        make = cli.make_boundary_normal_field
+        monkeypatch.setattr(cli, "make_boundary_normal_field", counting)
+        cfg = tiny_disk_cfg(tmp_path, ALL_CHECKS)
+        cli.cmd_solve(cfg)
+        report = cli.cmd_diagnose(
+            cfg, sorted((tmp_path / "out").glob("solution_*.txt")))
+        assert len(report.tables["pohozaev"]) == 4
+        assert "first_variation_C" in report.fitted_constants
+        assert len(built) == 1
+
+    def test_failed_build_is_retried(self, monkeypatch):
+        from aclab.errors import InvalidCutoffScale
+        dom = build_domain("disk", (1.0,), 64)
+        make = cli.make_boundary_normal_field
+        calls = []
+
+        def failing_once(dom, a):
+            calls.append(a)
+            if len(calls) == 1:
+                raise InvalidCutoffScale("first build fails")
+            return make(dom, a)
+
+        monkeypatch.setattr(cli, "make_boundary_normal_field", failing_once)
+        with pytest.raises(InvalidCutoffScale):
+            cli._boundary_normal_field(dom)
+        X = cli._boundary_normal_field(dom)
+        assert cli._boundary_normal_field(dom) is X
+        assert len(calls) == 2
+
+
 class TestKeptData:
     def test_everything_kept_is_read_only(self, tmp_path, monkeypatch):
         # every array a solve plus diagnose leaves in a domain's or a
@@ -646,6 +686,19 @@ class TestMoreCli:
                      "integrality.csv"):
             assert (tmp_path / "d1" / name).read_bytes() \
                 == (tmp_path / "d2" / name).read_bytes()
+
+    def test_empty_tables_recorded_not_written(self, small_cfg, tmp_path):
+        # a 1D run has no interface polylines and no free-boundary rows:
+        # both tables are on the report, empty, and neither CSV is written
+        cfg = load_config(small_cfg)
+        cli.cmd_solve(cfg)
+        out = tmp_path / "out"
+        report = cli.cmd_diagnose(cfg, sorted(out.glob("solution_*.txt")))
+        for name in ("free_boundary", "interface"):
+            assert report.tables[name] == []
+            assert not (out / f"{name}.csv").exists()
+        assert report.tables["varifold_mass"]
+        assert (out / "varifold_mass.csv").exists()
 
     def test_summary_counts_factorizations(self, small_cfg, tmp_path):
         assert cli.main(["solve", "--config", str(small_cfg)]) == 0

@@ -137,7 +137,7 @@ class TestMonotonicityScan:
         radii = radius_ladder(rect_sol.field.dom, 0.04, x)
         c = energy_ratio_curve(rect_sol.field, quartic, x, radii,
                                lam=rect_sol.lam)
-        rep = monotonicity_scan(c, rect_sol.field, quartic, c1=0.0)
+        rep = monotonicity_scan(c, rect_sol.field.dom)
         assert rep.violations == []
         assert rep.fitted_c1 == 0.0
 
@@ -149,7 +149,7 @@ class TestMonotonicityScan:
         x = np.array([0.5, 0.5])
         c = energy_ratio_curve(f, quartic, x, radius_ladder(dom, 0.05, x),
                                lam=0.0)
-        rep = monotonicity_scan(c, f, quartic, c1=0.0)
+        rep = monotonicity_scan(c, dom)
         assert rep.violations == []
 
     def test_boundary_centered_disk_fitted_c1(self, quartic):
@@ -160,8 +160,16 @@ class TestMonotonicityScan:
         radii = radius_ladder(dom, 0.05, x)
         c = energy_ratio_curve(sol.field, quartic, x, radii, lam=sol.lam)
         assert c.boundary_centered
-        rep = monotonicity_scan(c, sol.field, quartic, c1=0.0)
+        rep = monotonicity_scan(c, dom)
         assert rep.fitted_c1 <= 50.0
+
+    def test_smallest_passing_bisection(self):
+        from aclab.diagnostics import _smallest_passing
+        assert _smallest_passing(lambda c: True, 200.0, 50) == 0.0
+        assert _smallest_passing(lambda c: False, 200.0, 50) == math.inf
+        # the upper end of the bracket: passes, within cap / 2^steps above
+        c = _smallest_passing(lambda c: c >= 0.3, 1.0, 60)
+        assert 0.3 <= c <= 0.3 + 2.0 ** -60
 
     def test_almost_monotonicity_constant(self, quartic, rect_sol):
         x = np.array([0.5, 0.55])

@@ -581,6 +581,29 @@ class TestFold:
                                                         b.factorizations)
             assert a.residual_norm <= 1e-10
 
+    def test_spacing_off_a_power_of_two_folds(self, quartic, monkeypatch):
+        # at 96 cells h = 1/48, and nodes placed symmetrically about the
+        # centre are still exact mirror images: the radial m = 0.3 seed is
+        # bitwise symmetric in y, and Newton folds along y
+        dom = build_domain("disk", (1.0,), 96)
+        image = mirror_maps(dom)[1]
+        assert np.array_equal(dom.points[image, 1], -dom.points[:, 1])
+        u = seed_field(dom, 0.08, "radial", 0.3).values
+        assert np.array_equal(u[image], u)
+        factor = solver._factor_jacobian
+        seen = []
+
+        def recording(dom, eps, d, axes):
+            seen.append(axes)
+            return factor(dom, eps, d, axes)
+
+        monkeypatch.setattr(solver, "_factor_jacobian", recording)
+        sol = solve_single(dom, quartic, 0.08, constraint=0.3,
+                           recipe="radial")
+        assert sol.residual_norm <= 1e-10
+        assert seen and set(seen) == {(1,)}
+        assert np.array_equal(sol.field.values[image], sol.field.values)
+
     @pytest.mark.parametrize("weak", [False, True])
     def test_folded_solve_matches_whole(self, quartic, weak):
         # on a right-hand side symmetric in y, the folded solve (Schur, or

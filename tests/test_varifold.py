@@ -10,7 +10,7 @@ from aclab.diagnostics import (C0, density_fields, field_from_callable,
                                pohozaev_residual, radial_cutoff,
                                radius_ladder)
 from aclab.errors import NoInterface, NotTangential, RadiusTooSmall
-from aclab.geometry import ball_restrictions, build_domain
+from aclab.geometry import ball_restrictions, build_domain, grid_axes
 from aclab.potential import DoubleWell, compute_h0
 from aclab.solver import (Field, Solution, epsilon_sweep, orthogonal_arc,
                           solve_single)
@@ -23,14 +23,14 @@ from aclab.varifold import (_cell_segments, build_varifold, density_estimate,
 H0 = 2.0 * math.sqrt(2.0) / 3.0
 
 
-def loop_segments(U, origin, h):
-    """Per-cell marching squares over the nodal grid U: the loop reference
-    for the vectorised pass, segments in row-major cell order."""
+def loop_segments(U, axes):
+    """Per-cell marching squares over the nodal grid U with node (i, j) at
+    (axes[0][i], axes[1][j]): the loop reference for the vectorised pass,
+    segments in row-major cell order."""
     nx, ny = U.shape
-    ox, oy = origin
 
     def corner_xy(i, j):
-        return np.array([ox + (i + 0.5) * h, oy + (j + 0.5) * h])
+        return np.array([axes[0][i], axes[1][j]])
 
     segments = []
     for i in range(nx - 1):
@@ -141,8 +141,7 @@ class TestFirstVariation:
     def test_constant_field_zero(self, band_varifold):
         dom = band_varifold.dom
         X = field_from_callable(
-            dom, lambda p: np.tile([0.3, -0.7], (np.atleast_2d(p).shape[0], 1)),
-            support_radius=1.0)
+            dom, lambda p: np.tile([0.3, -0.7], (np.atleast_2d(p).shape[0], 1)))
         dv = first_variation(band_varifold, X)
         assert abs(dv) <= 1e-10 * band_varifold.mass
 
@@ -154,7 +153,7 @@ class TestFirstVariation:
             p = np.atleast_2d(p)
             return np.stack([np.zeros(p.shape[0]), p[:, 1] - 0.5], axis=1)
 
-        dv = first_variation(band_varifold, field_from_callable(dom, fn, 1.0))
+        dv = first_variation(band_varifold, field_from_callable(dom, fn))
         assert abs(dv) <= 0.05
 
     def test_tangential_stretch_integrates_length(self, band_varifold):
@@ -164,7 +163,7 @@ class TestFirstVariation:
             p = np.atleast_2d(p)
             return np.stack([p[:, 0] - 0.5, np.zeros(p.shape[0])], axis=1)
 
-        dv = first_variation(band_varifold, field_from_callable(dom, fn, 1.0))
+        dv = first_variation(band_varifold, field_from_callable(dom, fn))
         assert dv == pytest.approx(band_varifold.mass, rel=0.02)
 
     def test_linearity(self, band_varifold):
@@ -178,7 +177,7 @@ class TestFirstVariation:
             return a * X1.evaluator(p) + b * X2.evaluator(p)
 
         lhs = first_variation(band_varifold,
-                              field_from_callable(dom, combo, 1.0))
+                              field_from_callable(dom, combo))
         rhs = a * first_variation(band_varifold, X1) \
             + b * first_variation(band_varifold, X2)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -203,8 +202,8 @@ class TestFirstVariation:
             p = np.atleast_2d(p) - 0.5
             return np.stack([p[:, 0] * p[:, 1], p[:, 1] ** 2], axis=1)
 
-        dvx = first_variation(Vx, field_from_callable(dom, fx, 1.0))
-        dvy = first_variation(Vy, field_from_callable(dom, fy, 1.0))
+        dvx = first_variation(Vx, field_from_callable(dom, fx))
+        dvy = first_variation(Vy, field_from_callable(dom, fy))
         assert dvx == pytest.approx(dvy, abs=1e-10)
 
 
@@ -245,8 +244,8 @@ class TestInterface:
         assert (saddle & (cells.mean(axis=1) < 0.0)).any()
         assert ((cells == 0.0).any(axis=1) & neg.any(axis=1)).any()
 
-        ref = loop_segments(U, dom.origin, dom.cell_size)
-        a, b = _cell_segments(U, dom.origin, dom.cell_size)
+        ref = loop_segments(U, grid_axes(dom))
+        a, b = _cell_segments(U, grid_axes(dom))
         assert np.array_equal(a, np.array([p for p, _ in ref]))
         assert np.array_equal(b, np.array([q for _, q in ref]))
 
@@ -316,7 +315,7 @@ class TestFreeBoundary:
         sol = Solution(field=f, lam=0.0, residual_norm=0.0, iterations=0)
         V = build_varifold(sol, quartic, h0)
         X = make_radial_field(dom, np.array([0.5, 0.5]), 0.3)
-        assert free_boundary_test(V, sol, quartic, h0, X) == (0.0, 0.0, 0.0)
+        assert free_boundary_test(V, sol, h0, X) == (0.0, 0.0, 0.0)
 
     def test_straight_interface_stationary(self, band_sol, band_varifold,
                                            quartic, h0):
@@ -324,8 +323,8 @@ class TestFreeBoundary:
         dom = band_sol.field.dom
         X = make_radial_field(dom, np.array([0.5, 0.5]), 0.3)
         assert X.tangential_on_boundary
-        lhs, rhs, deficit = free_boundary_test(band_varifold, band_sol,
-                                               quartic, h0, X)
+        lhs, rhs, deficit = free_boundary_test(band_varifold, band_sol, h0,
+                                               X)
         assert deficit <= 0.05 * X.c1_norm
 
     def test_disk_arc_relation(self, quartic, h0):
@@ -338,7 +337,7 @@ class TestFreeBoundary:
         rng = np.random.default_rng(17)
         for _ in range(3):
             X = make_rotational_field(dom, rng)
-            lhs, rhs, deficit = free_boundary_test(V, sol, quartic, h0, X)
+            lhs, rhs, deficit = free_boundary_test(V, sol, h0, X)
             assert deficit <= 0.1 * X.c1_norm
 
     def test_not_tangential_rejected(self, band_sol, band_varifold,
@@ -346,7 +345,7 @@ class TestFreeBoundary:
         from aclab.diagnostics import make_boundary_normal_field
         X = make_boundary_normal_field(band_sol.field.dom, 0.05)
         with pytest.raises(NotTangential):
-            free_boundary_test(band_varifold, band_sol, quartic, h0, X)
+            free_boundary_test(band_varifold, band_sol, h0, X)
 
     def test_general_field_bound_constant(self, band_sol, band_varifold,
                                           quartic, h0):
@@ -468,9 +467,9 @@ class TestHalfDisk:
             x = p[:, 0]
             return (x * (1.0 - x) * np.sin(3 * x))[:, None]
 
-        X = field_from_callable(dom, fn, support_radius=0.5)
+        X = field_from_callable(dom, fn)
         assert X.tangential_on_boundary  # vanishes at both endpoints
-        lhs, rhs, deficit = free_boundary_test(V, sol, quartic, h0, X)
+        lhs, rhs, deficit = free_boundary_test(V, sol, h0, X)
         assert lhs == 0.0  # codimension-one tangent planes are trivial in 1D
         assert deficit <= 1e-10  # lam ~ 0 kills the multiplier side
 
