@@ -32,8 +32,6 @@ from .varifold import (build_varifold, density_estimate, extract_interface,
                        free_boundary_test, integrality_check,
                        sample_interface_nodes)
 
-H0_CLOSED_FORM = 2.0 * math.sqrt(2.0) / 3.0
-
 # sub-checks that cannot pass at the pinned resolution (see module docstring
 # and the repository notes); they stay implemented and red
 STRUCTURAL_LIMIT_NOTE = ("discrete (h/eps)^2 floor exceeds the exponentially "

@@ -456,10 +456,8 @@ def pohozaev_residual(sol: Solution, well: DoubleWell,
 
 
 def boundary_energy(sol: Solution, well: DoubleWell) -> float:
-    """Energy density integrated over the boundary inside the shrunk box."""
-    d = density_fields(sol.field, well)
-    return boundary_integral(sol.field.dom, d.e,
-                             within_box=sol.field.dom.shrunk_u_box())
+    """Energy density integrated over every boundary sample."""
+    return boundary_integral(sol.field.dom, density_fields(sol.field, well).e)
 
 
 # ---------------------------------------------------------------------------

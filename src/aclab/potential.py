@@ -130,7 +130,11 @@ def eval_potential(well: DoubleWell, s: float):
     return float(well.w(s)), float(well.wp(s)), float(well.wpp(s))
 
 
-def _adaptive_simpson(f, a, b, tol, max_depth=40):
+# halvings after which adaptive Simpson gives up on an interval
+SIMPSON_MAX_DEPTH = 40
+
+
+def _adaptive_simpson(f, a, b, tol):
     """Adaptive Simpson with interval-halving error estimate.
 
     Returns (integral, error_estimate).  The per-interval acceptance test is
@@ -149,8 +153,8 @@ def _adaptive_simpson(f, a, b, tol, max_depth=40):
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - whole) / 15.0
-        if abs(err) <= tol or depth >= max_depth:
-            return left + right + err, abs(err), depth >= max_depth and abs(err) > tol
+        if abs(err) <= tol or depth >= SIMPSON_MAX_DEPTH:
+            return left + right + err, abs(err), abs(err) > tol
         li, le, lbad = recurse(a, fa, lm, flm, m, fm, left, tol / 2.0, depth + 1)
         ri, re, rbad = recurse(m, fm, rm, frm, b, fb, right, tol / 2.0, depth + 1)
         return li + ri, le + re, lbad or rbad
@@ -158,7 +162,8 @@ def _adaptive_simpson(f, a, b, tol, max_depth=40):
     val, err, exhausted = recurse(a, fa, m, fm, b, fb, whole, tol, 0)
     if exhausted:
         raise QuadratureFailure(
-            f"adaptive quadrature hit max depth {max_depth} with error {err:.3e}")
+            f"adaptive quadrature hit max depth {SIMPSON_MAX_DEPTH} "
+            f"with error {err:.3e}")
     return val, err
 
 

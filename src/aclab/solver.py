@@ -172,11 +172,11 @@ def fold(dom: Domain, axes: tuple) -> _Fold:
     """The fold of the Newton system along axes, each of which must have a
     mirror map (geometry.mirror_maps)."""
     n = dom.n_nodes
-    coords = np.unravel_index(dom.grid_index, dom.grid_shape)
+    coords = np.unravel_index(dom.grid_index, dom.n_cells)
     maps = mirror_maps(dom)
     image = np.arange(n)
     for a in axes:
-        high = coords[a] >= dom.grid_shape[a] // 2
+        high = coords[a] >= dom.n_cells[a] // 2
         image[high] = maps[a][image[high]]
     low = np.flatnonzero(image == np.arange(n))
     rep = np.empty(n, dtype=np.int64)
@@ -422,9 +422,12 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     rn = _norm(dom, F)
     best = (rn, u.copy(), lam, 0)
     solve, rn_last = None, math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
+        # the one acceptance test, of iterates 0 to max_iter
         if rn <= tol and (m is None or abs(w @ u / wsum - m) <= 1e-13):
-            return solution(u, lam, rn, it - 1)
+            return solution(u, lam, rn, it)
+        if it == max_iter:
+            break
         refactor = solve is None or rn > CHORD_CONTRACTION * rn_last
         while True:
             if refactor:
@@ -470,10 +473,8 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
         u, lam, F = u_try, lam_try, F_try
         rn_last, rn = rn, rn_try
         if rn < best[0]:
-            best = (rn, u.copy(), lam, it)
+            best = (rn, u.copy(), lam, it + 1)
     rn, u, lam, it = best
-    if rn <= tol:
-        return solution(u, lam, rn, it)
     raise NoConvergence(
         f"Newton stalled at residual {rn:.3e} after {max_iter} iterations",
         best=solution(u, lam, rn, it, converged=False))
@@ -650,7 +651,7 @@ def epsilon_sweep(dom: Domain, well: DoubleWell, epsilons,
 
 def solve_single(dom: Domain, well: DoubleWell, epsilon: float,
                  constraint: float | None = None, recipe: str = "step-x",
-                 recipe_params=None, newton_tol: float = 1e-10) -> Solution:
+                 recipe_params=None) -> Solution:
     """One epsilon: seed, then Newton."""
     return epsilon_sweep(dom, well, [epsilon], constraint, recipe,
-                         recipe_params, newton_tol=newton_tol)[0]
+                         recipe_params)[0]

@@ -18,7 +18,8 @@ from .diagnostics import (TestVectorField, density_fields, field_gradient,
                           plateau_value, radius_ladder, unit_ball_volume)
 from .errors import NoInterface, NotTangential, RadiusTooSmall
 from .geometry import (Domain, grid_axes, grid_axis_text, require_ball_in_u,
-                       row_distance, row_dot, row_form, row_norm, row_trace)
+                       row_distance, row_dot, row_form, row_norm, row_trace,
+                       signed_distance)
 from .potential import DoubleWell
 from .solver import Solution
 from .tables import write_rows
@@ -100,7 +101,7 @@ def export_atoms(V: DiscreteVarifold, path):
     coords = ("x", "y")[:dom.dim]
     ncols = tuple("n" + c for c in coords)
     row = ",".join(["%s"] * dom.dim + ["%.17g"] * (dom.dim + 1) + ["%d"]) + "\n"
-    cells = np.unravel_index(dom.grid_index[V.node_index], dom.grid_shape)
+    cells = np.unravel_index(dom.grid_index[V.node_index], dom.n_cells)
     columns = [text[c].tolist() for text, c in zip(grid_axis_text(dom), cells)]
     columns += [V.weights.tolist(), *V.normals.T.tolist(),
                 V.zero_flag.tolist()]
@@ -207,7 +208,7 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
         raise NoInterface("interface extraction needs a 2D solution")
     if not (f.values.min() < 0.0 < f.values.max()):
         raise NoInterface("field has no sign change")
-    nx, ny = dom.grid_shape
+    nx, ny = dom.n_cells
     U = np.full(nx * ny, np.nan)
     U[dom.grid_index] = f.values
     U = U.reshape(nx, ny)
@@ -363,7 +364,7 @@ def sample_interface_nodes(sol: Solution, count: int,
     dom = sol.field.dom
     if interior_margin is None:
         interior_margin = 4.0 * dom.cell_size
-    d = dom.distance_to_boundary(dom.points)
+    d = signed_distance(dom)
     cand = np.flatnonzero((np.abs(sol.field.values) <= 0.5)
                           & (d > interior_margin))
     if cand.size == 0:

@@ -125,6 +125,31 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
 
+    def test_constraint_mean_outside_unit_interval(self):
+        text = example_config().replace("constraint_mean = 0.0",
+                                        "constraint_mean = 1.5")
+        with pytest.raises(ConfigError, match=r"constraint_mean must lie"):
+            parse_config(text)
+
+    def test_domain_without_cells(self):
+        with pytest.raises(ConfigError, match="missing key 'cells'"):
+            parse_config("[domain]\nshape = interval\nparams = 1\n")
+
+    def test_key_outside_any_section(self):
+        with pytest.raises(ConfigError, match="config parse error"):
+            parse_config("cells = 64\n" + example_config())
+
+    def test_missing_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(tmp_path / "absent.cfg")
+
+    def test_init_center_parsed_as_floats(self):
+        text = example_config().replace("recipe = step-x",
+                                        "recipe = step-x\ncenter = 0.25 0.5")
+        center = parse_config(text).recipe_params["center"]
+        assert center == (0.25, 0.5)
+        assert all(type(c) is float for c in center)
+
     def test_retired_preflow_keys_ignored(self):
         text = (example_config()
                 .replace("tol = 1e-10", "tol = 1e-10\ndt_factor = 0.5\n"
@@ -257,6 +282,12 @@ class TestBadSolutionFiles:
         head, *rest = path.read_text().splitlines()
         head = edit(json.loads(head))
         path.write_text("\n".join([json.dumps(head), *rest]) + "\n")
+
+    def test_unknown_schema(self, saved):
+        path, dom = saved
+        self.rewrite_header(path, lambda head: dict(head, schema="other/0"))
+        with pytest.raises(DomainMismatch, match="unknown solution schema"):
+            cli.load_solution(path, dom)
 
     def test_header_not_an_object(self, saved):
         path, dom = saved

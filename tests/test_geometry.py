@@ -41,6 +41,17 @@ class TestBuildDomain:
         with pytest.raises(InvalidShapeParams):
             build_domain("pentagon", (1.0,), 64)
 
+    @pytest.mark.parametrize("shape,params,cells,message", [
+        ("interval", (1.0, 2.0), 64, "one length parameter"),
+        ("rectangle", (1.0,), 64, "two side lengths"),
+        ("half-disk", (1.0, 2.0), 64, "half-disk expects one radius"),
+        ("annulus", (1.0,), 64, "inner and outer radii"),
+        ("rectangle", (1.0, 0.5), (64, 32, 16), "expected 2 cell counts"),
+        ("rectangle", (1.0, 0.5), (64, 64), "non-uniform spacing")])
+    def test_invalid_params_messages(self, shape, params, cells, message):
+        with pytest.raises(InvalidShapeParams, match=message):
+            build_domain(shape, params, cells)
+
     def test_normals_unit_length(self):
         for shape, params, n in [("disk", (1.0,), 64), ("annulus", (0.5, 1.0), 64),
                                  ("half-disk", (1.0,), 64),
@@ -154,7 +165,7 @@ class TestSignedDistance:
 
     @pytest.mark.parametrize("shape,params", [
         ("rectangle", (1.0, 0.5)), ("disk", (1.0,)), ("annulus", (0.4, 1.0)),
-        ("half-disk", (1.0,))])
+        ("half-disk", (1.0,)), ("interval", (1.0,))])
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_snap_is_idempotent(self, shape, params, data):
@@ -164,6 +175,48 @@ class TestSignedDistance:
         x = pool[data.draw(st.integers(0, len(pool) - 1))]
         y = dom.nearest_boundary_point(x)
         assert np.array_equal(dom.nearest_boundary_point(y), y)
+
+    @pytest.mark.parametrize("length", [1.0, 0.7])
+    def test_interval_snaps_to_exact_ends(self, length):
+        # the interval takes the path of every shape, p - d grad d, which
+        # lands exactly on 0 and on L
+        dom = build_domain("interval", (length,), 64)
+        x = dom.points[:, 0]
+        want = np.where(x < 0.5 * length, 0.0, length)
+        got = [dom.nearest_boundary_point(p)[0] for p in dom.points]
+        assert np.array_equal(got, want)
+
+
+# the inside of each shape as explicit inequalities
+INSIDE = {
+    "interval": lambda x, y, p: (x > 0.0) & (x < p[0]),
+    "rectangle": lambda x, y, p: ((x > 0.0) & (x < p[0])
+                                  & (y > 0.0) & (y < p[1])),
+    "disk": lambda x, y, p: np.hypot(x, y) < p[0],
+    "annulus": lambda x, y, p: ((np.hypot(x, y) > p[0])
+                                & (np.hypot(x, y) < p[1])),
+    "half-disk": lambda x, y, p: (np.hypot(x, y) < p[0]) & (y > 0.0),
+}
+
+
+class TestInside:
+    @pytest.mark.parametrize("shape,params", [
+        ("interval", (1.0,)), ("rectangle", (1.0, 0.5)), ("disk", (1.0,)),
+        ("annulus", (0.4, 1.0)), ("half-disk", (1.0,))])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_positive_distance_is_inside(self, shape, params, data):
+        # build_domain probes cut cells by the sign of the signed distance:
+        # it is positive exactly where the shape's inequalities hold, on
+        # nodes, on boundary samples and a few ulps either side of them
+        dom = _domain(shape, params, 2 * data.draw(st.integers(16, 48)))
+        pool = np.concatenate([dom.points, dom.boundary.points])
+        p = pool[data.draw(st.integers(0, len(pool) - 1))]
+        for _ in range(data.draw(st.integers(0, 3))):
+            p = np.nextafter(p, data.draw(st.sampled_from([-1.0, 1.0])))
+        x, y = p[0], p[-1]
+        inside = bool(dom.distance_to_boundary(p[None, :])[0] > 0.0)
+        assert inside == bool(INSIDE[shape](x, y, params))
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from aclab import solver
-from aclab.errors import Blowup, UnresolvedInterface
+from aclab.errors import Blowup, NoConvergence, UnresolvedInterface
 from aclab.geometry import build_domain, mirror_maps
 from aclab.potential import SQRT2, DoubleWell
 from aclab.solver import (LU_OPTIONS, Field, Solution, assemble_energy,
@@ -225,6 +225,32 @@ class TestNewtonRefine:
         sol = solve_single(dom, quartic, 0.1, constraint=m, recipe=recipe)
         assert sol.residual_norm == residual_norm(sol.field, quartic,
                                                   sol.lam)
+
+    @pytest.fixture(scope="class")
+    def step_start(self, quartic, line256):
+        # converges in 2 iterations on 1 LU, at 2.6e-7 after the first
+        return solver._newton_start(
+            seed_field(line256, 0.05, "step-x", 0.2), quartic, 0.2)
+
+    def test_exhausted_budget_raises_with_best(self, quartic, step_start):
+        with pytest.raises(NoConvergence) as info:
+            newton_refine(step_start, quartic, tol=1e-10, max_iter=1)
+        best = info.value.best
+        assert not best.converged
+        assert (best.iterations, best.factorizations) == (1, 1)
+        assert 1e-10 < best.residual_norm < 1e-6
+
+    def test_last_iterate_of_budget_is_accepted(self, quartic, step_start):
+        # the iterate the last step reaches passes the same test as every
+        # other: max_iter=2 returns what the unbounded run returns
+        free = newton_refine(step_start, quartic, tol=1e-10)
+        two = newton_refine(step_start, quartic, tol=1e-10, max_iter=2)
+        assert two.converged
+        assert np.array_equal(two.field.values, free.field.values)
+        assert (two.lam, two.residual_norm, two.energy) == \
+            (free.lam, free.residual_norm, free.energy)
+        assert (two.iterations, two.factorizations) == \
+            (free.iterations, free.factorizations) == (2, 1)
 
     def test_unstable_critical_point_is_fixed(self, quartic, line256):
         f = Field(line256, 0.1, np.full(line256.n_nodes, quartic.gamma))
@@ -516,7 +542,7 @@ class TestFold:
         # by grid-index parity, array for array
         dom = build_domain("disk", (1.0,), 96)
         A = stiffness_matrix(dom)
-        colour = sum(np.unravel_index(dom.grid_index, dom.grid_shape)) % 2
+        colour = sum(np.unravel_index(dom.grid_index, dom.n_cells)) % 2
         red, black = np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)
         diag = A.diagonal()
         off = abs(A - sp.diags(diag)).max(axis=1).toarray().ravel()

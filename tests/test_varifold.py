@@ -64,7 +64,7 @@ def loop_segments(U, axes):
 
 def nodal_grid(sol):
     dom = sol.field.dom
-    nx, ny = dom.grid_shape
+    nx, ny = dom.n_cells
     U = np.full(nx * ny, np.nan)
     U[dom.grid_index] = sol.field.values
     return U.reshape(nx, ny)
@@ -223,6 +223,13 @@ class TestInterface:
         with pytest.raises(NoInterface):
             extract_interface(sol)
 
+    def test_1d_solution_has_no_interface_curve(self):
+        dom = build_domain("interval", (1.0,), 64)
+        f = Field(dom, 0.05, dom.points[:, 0] - 0.5)
+        sol = Solution(field=f, lam=0.0, residual_norm=0.0, iterations=0)
+        with pytest.raises(NoInterface, match="2D"):
+            extract_interface(sol)
+
     def test_contact_angles_orthogonal(self, band_sol):
         curve = extract_interface(band_sol)
         assert len(curve.orthogonality_angles) == 2
@@ -286,7 +293,7 @@ class TestInterface:
     def test_vertices_on_zero_level(self, band_sol):
         # by linear interpolation the crossing points carry value zero
         dom = band_sol.field.dom
-        nx, ny = dom.grid_shape
+        nx, ny = dom.n_cells
         U = nodal_grid(band_sol)
         curve = extract_interface(band_sol)
         h = dom.cell_size
