@@ -28,8 +28,7 @@ from .diagnostics import (almost_monotonicity_fit, boundary_energy,
                           xi_integral_bound_fit)
 from .errors import (AcLabError, ConfigError, DomainMismatch,
                      InvalidShapeParams, UnresolvedInterface)
-from .geometry import (Domain, build_domain, domain_from_descriptor, kept,
-                       signed_distance)
+from .geometry import Domain, build_domain, kept, signed_distance
 from .potential import DoubleWell, compute_h0
 from .solver import Field, Solution, epsilon_sweep
 from .tables import write_rows
@@ -47,12 +46,11 @@ SKIPPED_WHEN_EMPTY = ("free_boundary", "integrality", "interface",
 
 @dataclass
 class RunReport:
-    """Per-epsilon summaries, diagnostic tables and pass/fail checks."""
+    """Per-epsilon summaries, diagnostic tables and fitted constants."""
 
     solutions: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)
     fitted_constants: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
     errors: list = field(default_factory=list)
 
 
@@ -109,15 +107,15 @@ def save_solution(path, sol: Solution):
         write_rows(fh, "%.17g\n", [sol.field.values.tolist()])
 
 
-def load_solution(path, dom: Domain | None = None) -> Solution:
-    """Read a stored solution; validates against dom when given.
+def load_solution(path, dom: Domain) -> Solution:
+    """Read a stored solution on dom.
 
     A missing file, an unparsable header or value line, a header that is
     not a JSON object, lacks a required key or holds an unconvertible value,
-    non-finite nodal values, a non-finite epsilon or lambda and an epsilon
-    that is not positive raise DomainMismatch; the energy may be NaN (its
-    default).  Files written before the factorization count was stored read
-    it as 0.
+    a stored domain other than dom, non-finite nodal values, a non-finite
+    epsilon or lambda and an epsilon that is not positive raise
+    DomainMismatch; the energy may be NaN (its default).  Files written
+    before the factorization count was stored read it as 0.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -148,14 +146,7 @@ def load_solution(path, dom: Domain | None = None) -> Solution:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainMismatch(f"{path}: bad solution header value: {exc}") \
             from exc
-    if dom is None:
-        try:
-            dom = domain_from_descriptor(stored)
-        except (KeyError, TypeError, ValueError, OverflowError,
-                InvalidShapeParams) as exc:
-            raise DomainMismatch(f"{path}: bad stored domain {stored!r}: "
-                                 f"{exc}") from exc
-    elif stored != dom.to_descriptor():
+    if stored != dom.to_descriptor():
         raise DomainMismatch(
             f"{path}: stored domain {stored} does not match configured "
             f"domain {dom.to_descriptor()}")
@@ -241,9 +232,6 @@ def _diag_equipartition(report, out, sols, well):
             for r in rep.rows]
     _emit(report, out, "equipartition",
           ("epsilon", "kinetic", "potential", "ratio", "xi_l1"), rows)
-    report.checks.append(("xi_l1_decreasing", rep.xi_l1_decreasing,
-                          " -> ".join(_g17(r.xi_l1) for r in rep.rows),
-                          "strictly decreasing"))
 
 
 def _interior_margin(dom):
@@ -308,9 +296,6 @@ def _diag_ratios(report, out, sols, well, cfg, rng):
         _emit(report, out, "monotonicity_violations",
               ("epsilon", *center_cols, "rho_lo", "rho_hi", "deficit"),
               viol_rows)
-        worst = max((m[-2] for m in mono_rows), default=0.0)
-        report.checks.append(("interior_monotonicity_deficit",
-                              worst <= 1e-3, _g17(worst), "<= 1e-3"))
 
 
 def _diag_pohozaev(report, out, sols, well, radial):

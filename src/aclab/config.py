@@ -103,14 +103,16 @@ def _ints(text):
     return tuple(int(v) for v in vals)
 
 
-def _scalar(section, key, parse=_floats):
-    """The one finite number section[key] holds; a ConfigError naming the
-    key for anything else."""
+def _scalar(section, key, parse=_floats, least=-math.inf):
+    """The one finite number section[key] holds, which must be at least
+    least; a ConfigError naming the key for anything else."""
     try:
         vals = parse(section[key])
         if len(vals) != 1 or not math.isfinite(vals[0]):
             raise ConfigError(f"expected one finite number, got "
                               f"{section[key]!r}")
+        if vals[0] < least:
+            raise ConfigError(f"must be at least {least}, got {vals[0]}")
     except ConfigError as exc:
         raise ConfigError(f"{section.name}.{key}: {exc}") from exc
     return vals[0]
@@ -177,10 +179,14 @@ def parse_config(text: str) -> RunConfig:
         kw["recipe_params"] = rp
 
     if cp.has_section("sweep") and "epsilons" in cp["sweep"]:
-        kw["epsilons"] = _floats(cp["sweep"]["epsilons"])
-    if any(b >= a for a, b in zip(kw.get("epsilons", ()),
-                                  kw.get("epsilons", ())[1:])):
-        raise ConfigError("sweep.epsilons must descend")
+        text = cp["sweep"]["epsilons"]
+        eps = _floats(text)
+        if not eps or not all(math.isfinite(e) for e in eps):
+            raise ConfigError(f"sweep.epsilons: expected finite numbers, "
+                              f"got {text!r}")
+        if any(b >= a for a, b in zip(eps, eps[1:])):
+            raise ConfigError("sweep.epsilons must descend")
+        kw["epsilons"] = eps
 
     if cp.has_section("diagnostics"):
         dg = cp["diagnostics"]
@@ -192,16 +198,16 @@ def parse_config(text: str) -> RunConfig:
                         f"diagnostics check {c!r} not one of "
                         f"{DIAGNOSTIC_CHECKS}")
             kw["checks"] = checks
-        for key in ("samples", "fields"):
+        for key, least in (("samples", 1), ("fields", 0)):
             if key in dg:
-                kw[key] = _scalar(dg, key, _ints)
+                kw[key] = _scalar(dg, key, _ints, least)
 
     if cp.has_section("output"):
         out = cp["output"]
         if "dir" in out:
             kw["out_dir"] = out["dir"].strip()
         if "seed" in out:
-            kw["seed"] = _scalar(out, "seed", _ints)
+            kw["seed"] = _scalar(out, "seed", _ints, 0)
 
     return RunConfig(**kw)
 

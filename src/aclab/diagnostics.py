@@ -32,10 +32,6 @@ OMEGA = (1.0, 2.0, math.pi)
 MONOTONICITY_TOLERANCE = 1e-3
 
 
-def unit_ball_volume(k: int) -> float:
-    return OMEGA[k]
-
-
 # ---------------------------------------------------------------------------
 # gradients on the cut-cell grid
 # ---------------------------------------------------------------------------
@@ -156,11 +152,11 @@ def radius_ladder(dom: Domain, epsilon: float, x) -> np.ndarray:
 
 
 def energy_ratio_curve(f: Field, well: DoubleWell, x, radii,
-                       lam: float = 0.0) -> RatioCurve:
+                       lam: float) -> RatioCurve:
     """I(r) = (omega_{n-1} r^{n-1})^{-1} * integral of e over B_r(x) in Omega."""
     dom = f.dom
     n = dom.dim
-    om = unit_ball_volume(n - 1)
+    om = OMEGA[n - 1]
     d = density_fields(f, well)
     et, xt = tilted_densities(f, d, lam)
     radii = np.sort(np.asarray(radii, dtype=float))

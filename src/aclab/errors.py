@@ -9,10 +9,6 @@ class InvalidPotential(AcLabError):
     """Potential violates the double-well axioms at construction."""
 
 
-class UnsupportedPotential(AcLabError):
-    """Operation requires the standard quartic potential."""
-
-
 class QuadratureFailure(AcLabError):
     """Adaptive quadrature failed to reach the requested error estimate."""
 

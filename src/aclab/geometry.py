@@ -183,10 +183,6 @@ class Domain:
         return self.points.shape[0]
 
     @property
-    def volume(self):
-        return float(self.cut_cell_weights.sum())
-
-    @property
     def extent(self):
         """Maximum side of the bounding box of the domain."""
         hi = self.origin + np.asarray(self.n_cells) * self.cell_size
@@ -205,7 +201,7 @@ class Domain:
         return _nearest_boundary_point(self.shape, self.params, np.asarray(p, float))
 
     def to_descriptor(self):
-        """JSON-serializable descriptor; masks and weights are recomputed."""
+        """JSON-serializable descriptor, which a stored solution must match."""
         return {"shape": self.shape, "params": list(self.params),
                 "cells": list(self.n_cells)}
 
@@ -219,10 +215,6 @@ class BallRestriction:
     node_index: np.ndarray
     node_weights: np.ndarray
     boundary_flag: bool
-
-    @property
-    def volume(self):
-        return float(self.node_weights.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +517,6 @@ def build_domain(shape: str, params, n_cells) -> Domain:
     )
 
 
-def domain_from_descriptor(desc) -> Domain:
-    return build_domain(desc["shape"], desc["params"], desc["cells"])
-
-
 @kept
 def signed_distance(dom: Domain) -> np.ndarray:
     """Exact analytic signed distance (positive inside) at the active
@@ -580,21 +568,15 @@ def require_ball_in_u(dom: Domain, x, r: float):
             f"ball of radius {r} at {x} leaves the padding box U")
 
 
-def ball_restriction(dom: Domain, x, r: float) -> BallRestriction:
-    """Quadrature weights for integrals over B_r(x) intersected with the domain.
+def ball_restrictions(dom: Domain, x, radii):
+    """Yield the quadrature weights for integrals over B_r(x) intersected
+    with the domain, for each r in radii, in order.
 
     Centers within h/2 of the boundary are snapped to the nearest boundary
     point and flagged (the monotonicity formulas only cover balls that are
-    fully interior or exactly boundary-centered).
-    """
-    return next(ball_restrictions(dom, x, (r,)))
-
-
-def ball_restrictions(dom: Domain, x, radii):
-    """Yield ball_restriction(dom, x, r) for each r in radii, in order.
-
-    The center is snapped and the node distances are computed once, so a
-    ladder of radii costs one distance pass.
+    fully interior or exactly boundary-centered).  The center is snapped and
+    the node distances are computed once, so a ladder of radii costs one
+    distance pass.
     """
     h = dom.cell_size
     x = np.asarray(x, dtype=float)

@@ -1,4 +1,5 @@
-"""Double-well potential, heteroclinic profile and the layer-energy constant.
+"""Double-well potential, its 1D transition profile and the layer-energy
+constant.
 
 All operations here are pure functions of immutable inputs and safe for
 concurrent use.
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidPotential, QuadratureFailure, UnsupportedPotential
+from .errors import InvalidPotential, QuadratureFailure
 
 SQRT2 = math.sqrt(2.0)
 
@@ -125,11 +126,6 @@ def _validate_axioms(well: DoubleWell):
             f"< kappa {well.kappa:.3e})")
 
 
-def eval_potential(well: DoubleWell, s: float):
-    """Return (W(s), W'(s), W''(s)) at a single point."""
-    return float(well.w(s)), float(well.wp(s)), float(well.wpp(s))
-
-
 # halvings after which adaptive Simpson gives up on an interval
 SIMPSON_MAX_DEPTH = 40
 
@@ -172,34 +168,21 @@ def compute_h0(well: DoubleWell) -> EnergyConstant:
 
     Uses adaptive Simpson quadrature (interval halving, max depth 40); the
     sqrt vanishing at the wells is mild enough for adaptivity to resolve.
-    Raises QuadratureFailure if the error estimate exceeds 1e-10.
+    Raises QuadratureFailure (from EnergyConstant) if the error estimate
+    exceeds 1e-10.
     """
 
     def integrand(s):
         return math.sqrt(max(2.0 * float(well.w(s)), 0.0))
 
     val, err = _adaptive_simpson(integrand, -1.0, 1.0, tol=1e-12)
-    if err >= 1e-10:
-        raise QuadratureFailure(f"h0 error estimate {err:.3e} exceeds 1e-10")
     return EnergyConstant(h0=val, quadrature_error=err)
 
 
-def heteroclinic(t, epsilon: float, well: DoubleWell | None = None):
-    """One-dimensional transition profile q(t) = tanh(t / (eps sqrt 2)).
-
-    Solves -eps^2 q'' + W'(q) = 0 exactly for the standard quartic; raises
-    UnsupportedPotential otherwise.  Accepts scalars or arrays.
-    """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if well is not None and well.kind != "standard-quartic":
-        raise UnsupportedPotential(
-            "closed-form heteroclinic profile requires the standard quartic")
-    return np.tanh(np.asarray(t, dtype=float) / (epsilon * SQRT2))
-
-
 def heteroclinic_jet(t, epsilon: float):
-    """Profile with its first and second analytic derivatives (q, q', q'')."""
+    """The transition profile q(t) = tanh(t / (eps sqrt 2)), which solves
+    -eps^2 q'' + W'(q) = 0 for the standard quartic, with its first and
+    second analytic derivatives: (q, q', q'')."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     z = np.asarray(t, dtype=float) / (epsilon * SQRT2)

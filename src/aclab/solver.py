@@ -3,10 +3,9 @@
 The energy is the finite-volume form: face-centered differences for the
 gradient term (eps u.A.u / 2 with the face-weighted stiffness A kept per
 domain), nodal potential with cut-cell weights.  Its exact gradient less the
-multiplier term is the one residual F that Newton, energy_gradient (F / w)
-and residual_norm share; the scheme is variational: missing neighbors across
-the boundary act as mirror ghost nodes, i.e. the homogeneous Neumann
-condition.
+multiplier term is the one residual F that Newton and residual_norm share;
+the scheme is variational: missing neighbors across the boundary act as
+mirror ghost nodes, i.e. the homogeneous Neumann condition.
 
 Everything runs in one thread: stencils and reductions are whole-array
 numpy operations over the nodes, per-node vector rows go through the row
@@ -66,10 +65,6 @@ class Field:
             raise ValueError("values must have one entry per active node")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-
-    def mean(self):
-        w = self.dom.cut_cell_weights
-        return float(w @ self.values / w.sum())
 
 
 @dataclass(frozen=True)
@@ -302,13 +297,6 @@ def assemble_energy(f: Field, well: DoubleWell) -> float:
     return kinetic + float(np.sum(f.dom.cut_cell_weights * well.w(u)) / eps)
 
 
-def energy_gradient(f: Field, well: DoubleWell,
-                    lam: float = 0.0) -> np.ndarray:
-    """Pointwise residual -eps lap(u) + W'(u)/eps - lam at every node."""
-    F = _residual(f.dom, f.epsilon, well, f.values, lam)
-    return F / f.dom.cut_cell_weights
-
-
 def residual_norm(f: Field, well: DoubleWell, lam: float) -> float:
     """Discrete L2 norm of the Euler-Lagrange residual."""
     return _norm(f.dom, _residual(f.dom, f.epsilon, well, f.values, lam))
@@ -517,8 +505,8 @@ def orthogonal_arc(R: float, m: float):
 def seed_field(dom: Domain, epsilon: float, recipe: str,
                constraint: float | None = None, recipe_params=None) -> Field:
     """Interface-bearing initial data: step profiles smoothed by the
-    heteroclinic width at the given epsilon.  The file recipe takes its
-    nodal values from recipe_params["values"].  The radial recipe seeds a
+    transition-profile width at the given epsilon.  The file recipe takes
+    its nodal values from recipe_params["values"].  The radial recipe seeds a
     circle of recipe_params["radius"] when it is given; otherwise, given a
     constraint m, it seeds the disk with an orthogonal arc (the diameter at
     m = 0), the rectangle with a quarter circle about the origin corner, and

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (TestVectorField, density_fields, field_gradient,
-                          plateau_value, radius_ladder, unit_ball_volume)
+from .diagnostics import (OMEGA, TestVectorField, density_fields,
+                          field_gradient, plateau_value, radius_ladder)
 from .errors import NoInterface, NotTangential, RadiusTooSmall
 from .geometry import (Domain, grid_axes, grid_axis_text, require_ball_in_u,
                        row_distance, row_dot, row_form, row_norm, row_trace,
@@ -260,54 +260,30 @@ def interface_pairing(curve: InterfaceCurve, X: TestVectorField) -> float:
     return float(np.sum(curve.seg_len * row_dot(xv, curve.seg_normal)))
 
 
-def _zero_crossing_pairing_1d(sol: Solution, X: TestVectorField) -> float:
-    """Counting-measure analogue of the interface pairing in 1D: the sum of
-    X at the zero crossings, signed by the slope ({u<0} -> {u>0})."""
-    dom = sol.field.dom
-    u = sol.field.values
-    x = dom.points[:, 0]
-    total = 0.0
-    for i in np.flatnonzero(np.diff(np.sign(u)) != 0):
-        t = u[i] / (u[i] - u[i + 1])
-        xc = x[i] + t * (x[i + 1] - x[i])
-        val = float(np.asarray(X.evaluator(np.array([[xc]])))[0, 0])
-        total += val * (1.0 if u[i + 1] > u[i] else -1.0)
-    return total
-
-
 def free_boundary_test(V: DiscreteVarifold, sol: Solution, h0: float,
-                       X: TestVectorField, curve: InterfaceCurve | None = None):
+                       X: TestVectorField, curve: InterfaceCurve):
     """Check delta V(X) = -(2 lam / h0) * int_M X . nu_M for tangential X.
 
-    In 2D the pairing uses curve, the extract_interface(sol) result, which is
-    extracted here when not given.  Returns (lhs, rhs, deficit).
+    sol is a 2D solution with a sign change and curve its
+    extract_interface(sol) result.  Returns (lhs, rhs, deficit).
     """
     if not X.tangential_on_boundary:
         raise NotTangential("X is not tangential along the boundary")
     lhs = first_variation(V, X)
-    if not (sol.field.values.min() < 0.0 < sol.field.values.max()):
-        rhs = 0.0
-    elif V.dom.dim == 1:
-        rhs = -(2.0 * sol.lam / h0) * _zero_crossing_pairing_1d(sol, X)
-    else:
-        if curve is None:
-            curve = extract_interface(sol)
-        rhs = -(2.0 * sol.lam / h0) * interface_pairing(curve, X)
+    rhs = -(2.0 * sol.lam / h0) * interface_pairing(curve, X)
     return lhs, rhs, abs(lhs - rhs)
 
 
 def first_variation_bound_constant(V: DiscreteVarifold, sol: Solution,
                                    h0: float, X: TestVectorField,
-                                   curve: InterfaceCurve | None = None) -> float:
+                                   curve: InterfaceCurve) -> float:
     """Fitted C in |h0 dV(X) + 2 lam int_M X . nu_M| <= C sup |X . nu|.
 
-    curve is the extract_interface(sol) result, extracted here when not given.
+    sol is a 2D solution with a sign change and curve its
+    extract_interface(sol) result.
     """
     lhs = h0 * first_variation(V, X)
-    if sol.field.values.min() < 0.0 < sol.field.values.max():
-        if curve is None:
-            curve = extract_interface(sol)
-        lhs += 2.0 * sol.lam * interface_pairing(curve, X)
+    lhs += 2.0 * sol.lam * interface_pairing(curve, X)
     if X.normal_sup <= 1e-14:
         return 0.0 if abs(lhs) <= 1e-10 else math.inf
     return abs(lhs) / X.normal_sup
@@ -333,7 +309,7 @@ def density_estimate(V: DiscreteVarifold, x, radii) -> DensityCurve:
                              "exceeds the room to the boundary")
     require_ball_in_u(V.dom, x, radii[-1])
     n = V.dom.dim
-    om = unit_ball_volume(n - 1)
+    om = OMEGA[n - 1]
     live = ~V.zero_flag
     dist = row_distance(V.points[live], x)
     w = V.weights[live]
@@ -358,12 +334,10 @@ class IntegralityReport:
 
 def sample_interface_nodes(sol: Solution, count: int,
                            rng: np.random.Generator,
-                           interior_margin: float | None = None) -> np.ndarray:
+                           interior_margin: float) -> np.ndarray:
     """Interior nodes with |u| <= 0.5, at least interior_margin from the
     boundary; returns their positions."""
     dom = sol.field.dom
-    if interior_margin is None:
-        interior_margin = 4.0 * dom.cell_size
     d = signed_distance(dom)
     cand = np.flatnonzero((np.abs(sol.field.values) <= 0.5)
                           & (d > interior_margin))

@@ -119,11 +119,27 @@ class TestConfig:
     @pytest.mark.parametrize("key, bad", [
         ("tol", "nan"), ("tol", "inf"), ("tol", "0"),
         ("constraint_mean", "nan"), ("samples", "inf"), ("fields", "nan"),
-        ("samples", "2.5"), ("seed", "1 2")])
+        ("samples", "2.5"), ("seed", "1 2"), ("samples", "0"),
+        ("samples", "-1"), ("fields", "-1"), ("seed", "-1")])
     def test_hostile_scalars(self, key, bad):
         text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {bad}", example_config())
         with pytest.raises(ConfigError, match=key):
             parse_config(text)
+
+    @pytest.mark.parametrize("bad", ["", "0.1 nan", "inf 0.1"],
+                             ids=["empty", "nan", "inf"])
+    def test_hostile_epsilons(self, bad):
+        text = re.sub(r"(?m)^epsilons = .*$", f"epsilons = {bad}",
+                      example_config())
+        with pytest.raises(ConfigError, match="sweep.epsilons"):
+            parse_config(text)
+
+    def test_least_counts_accepted(self):
+        text = re.sub(r"(?m)^(samples|fields|seed) = .*$",
+                      lambda m: f"{m[1]} = {1 if m[1] == 'samples' else 0}",
+                      example_config())
+        cfg = parse_config(text)
+        assert (cfg.samples, cfg.fields, cfg.seed) == (1, 0, 0)
 
     def test_constraint_mean_outside_unit_interval(self):
         text = example_config().replace("constraint_mean = 0.0",
@@ -213,8 +229,9 @@ class TestSolutionIO:
         assert cli.load_solution(path, dom).factorizations == 0
 
     def test_missing_file_is_domain_mismatch(self, tmp_path):
+        dom = build_domain("interval", (1.0,), 64)
         with pytest.raises(DomainMismatch, match="cannot read"):
-            cli.load_solution(tmp_path / "absent.txt")
+            cli.load_solution(tmp_path / "absent.txt", dom)
 
     def test_domain_mismatch(self, tmp_path):
         well = DoubleWell()
@@ -333,11 +350,11 @@ class TestBadSolutionFiles:
         {"shape": "interval", "params": [1.0], "cells": "x"}],
         ids=["no-params", "not-an-object", "bad-cells"])
     def test_malformed_stored_domain(self, saved, stored):
-        # without a configured domain the file's descriptor builds one
-        path, _ = saved
+        # a malformed descriptor never equals the configured domain's
+        path, dom = saved
         self.rewrite_header(path, lambda head: dict(head, domain=stored))
-        with pytest.raises(DomainMismatch, match="bad stored domain"):
-            cli.load_solution(path)
+        with pytest.raises(DomainMismatch, match="does not match"):
+            cli.load_solution(path, dom)
 
     def test_nan_energy_stays_legal(self, tmp_path):
         dom = build_domain("interval", (1.0,), 64)
@@ -359,6 +376,23 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("[solver]\ntol = 1e-8\n")
         assert cli.main(["solve", "--config", str(bad)]) == 2
+
+    @pytest.mark.parametrize("key, bad", [
+        ("epsilons", ""), ("epsilons", "0.1 nan"), ("epsilons", "inf 0.1"),
+        ("samples", "0"), ("samples", "-1"), ("seed", "-1")])
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    def test_hostile_value_exit_code(self, tmp_path, capsys, key, bad,
+                                     command):
+        # before any solve or diagnose starts: no traceback, no output
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {bad}",
+                              example_config()))
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "diagnose":
+            args.append(str(tmp_path / "absent.txt"))
+        assert cli.main(args) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_solve_default_sweep(self, small_cfg, tmp_path):
         assert cli.main(["solve", "--config", str(small_cfg)]) == 0
@@ -679,7 +713,8 @@ class TestFileRecipe:
         cfg_path = tmp_path / "file.cfg"
         cfg_path.write_text(cfg_text)
         assert cli.main(["solve", "--config", str(cfg_path)]) == 0
-        sol = cli.load_solution(tmp_path / "out" / "solution_00.txt")
+        sol = cli.load_solution(tmp_path / "out" / "solution_00.txt",
+                                build_domain("interval", (1.0,), dom_cells))
         assert sol.residual_norm <= 1e-10
 
     @pytest.mark.parametrize("content", [
@@ -809,5 +844,6 @@ class TestMoreCli:
         cfg = tmp_path / "poly.cfg"
         cfg.write_text(text)
         assert cli.main(["solve", "--config", str(cfg)]) == 0
-        sol = cli.load_solution(tmp_path / "out" / "solution_00.txt")
+        sol = cli.load_solution(tmp_path / "out" / "solution_00.txt",
+                                build_domain("interval", (1.0,), 512))
         assert sol.residual_norm <= 1e-10

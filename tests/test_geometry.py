@@ -8,21 +8,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from aclab.errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
-from aclab.geometry import (ball_restriction, ball_restrictions,
-                            boundary_integral, build_domain,
-                            domain_from_descriptor, mirror_maps,
-                            row_distance, row_dot, row_form, row_norm,
-                            row_sq_distance, row_trace, signed_distance)
+from aclab.geometry import (ball_restrictions, boundary_integral,
+                            build_domain, mirror_maps, row_distance, row_dot,
+                            row_form, row_norm, row_sq_distance, row_trace,
+                            signed_distance)
 
 
 class TestBuildDomain:
     def test_unit_disk_area(self):
         dom = build_domain("disk", (1.0,), 128)
-        assert abs(dom.volume - math.pi) < 0.05
+        assert abs(dom.cut_cell_weights.sum() - math.pi) < 0.05
 
     def test_interval_exact(self):
         dom = build_domain("interval", (1.0,), 256)
-        assert dom.volume == pytest.approx(1.0, abs=1e-12)
+        assert dom.cut_cell_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rectangle_edge_normal(self):
         dom = build_domain("rectangle", (2.0, 1.0), (128, 64))
@@ -78,7 +77,8 @@ class TestBuildDomain:
         # subsampled cut cells sit far below the first-order 2h|dOmega|
         # contract; halving is asserted above the subsample noise floor
         def err(cells):
-            return abs(build_domain(shape, params, cells).volume - vol)
+            dom = build_domain(shape, params, cells)
+            return abs(dom.cut_cell_weights.sum() - vol)
 
         coarse = err(n)
         fine = err(tuple(2 * c for c in n) if isinstance(n, tuple) else 2 * n)
@@ -97,13 +97,6 @@ class TestBuildDomain:
         _, ref = cKDTree(dom.points).query(dom.boundary.points)
         assert dom.boundary.node.dtype == np.int64
         assert np.array_equal(dom.boundary.node, ref)
-
-    def test_descriptor_roundtrip(self):
-        dom = build_domain("annulus", (0.5, 1.0), 64)
-        dom2 = domain_from_descriptor(dom.to_descriptor())
-        assert dom2.shape == dom.shape
-        assert dom2.n_cells == dom.n_cells
-        assert np.allclose(dom2.cut_cell_weights, dom.cut_cell_weights)
 
 
 class TestSignedDistance:
@@ -227,43 +220,46 @@ def _domain(shape, params, cells):
 class TestBallRestriction:
     def test_half_ball_of_unit_disk(self):
         dom = build_domain("disk", (1.0,), 128)
-        ball = ball_restriction(dom, np.zeros(2), 0.5)
-        assert abs(ball.volume - math.pi / 4) < 4 * dom.cell_size * math.pi
+        ball = next(ball_restrictions(dom, np.zeros(2), (0.5,)))
+        area = ball.node_weights.sum()
+        assert abs(area - math.pi / 4) < 4 * dom.cell_size * math.pi
         assert not ball.boundary_flag
 
     def test_flat_boundary_half_ball(self):
         dom = build_domain("half-disk", (1.0,), 128)
-        ball = ball_restriction(dom, np.array([0.2, 0.0]), 0.3)
+        ball = next(ball_restrictions(dom, np.array([0.2, 0.0]), (0.3,)))
         assert ball.boundary_flag
         half = 0.5 * math.pi * 0.3**2
-        assert abs(ball.volume - half) < 4 * dom.cell_size * 2 * math.pi * 0.3
+        area = ball.node_weights.sum()
+        assert abs(area - half) < 4 * dom.cell_size * 2 * math.pi * 0.3
 
     def test_interval_boundary_ball(self):
         dom = build_domain("interval", (1.0,), 256)
-        ball = ball_restriction(dom, np.array([0.0]), 0.25)
-        assert abs(ball.volume - 0.25) <= dom.cell_size
+        ball = next(ball_restrictions(dom, np.array([0.0]), (0.25,)))
+        assert abs(ball.node_weights.sum() - 0.25) <= dom.cell_size
         assert ball.boundary_flag
 
     def test_radius_gate(self):
         dom = build_domain("interval", (1.0,), 64)
         with pytest.raises(RadiusTooSmall):
-            ball_restriction(dom, np.array([0.5]), 1.5 * dom.cell_size)
+            next(ball_restrictions(dom, np.array([0.5]),
+                                   (1.5 * dom.cell_size,)))
 
     def test_escapes_padding(self):
         dom = build_domain("disk", (1.0,), 64)
         with pytest.raises(BallEscapesU):
-            ball_restriction(dom, np.array([0.9, 0.0]), 1.4)
+            next(ball_restrictions(dom, np.array([0.9, 0.0]), (1.4,)))
 
     def test_monotone_in_radius(self):
         dom = build_domain("disk", (1.0,), 64)
-        vols = [ball_restriction(dom, np.array([0.3, 0.1]), r).volume
-                for r in (0.1, 0.15, 0.2, 0.3, 0.4)]
+        vols = [ball.node_weights.sum() for ball in ball_restrictions(
+            dom, np.array([0.3, 0.1]), (0.1, 0.15, 0.2, 0.3, 0.4))]
         assert all(b >= a for a, b in zip(vols, vols[1:]))
 
     def test_full_weight_deep_inside(self):
         dom = build_domain("disk", (1.0,), 64)
         h = dom.cell_size
-        ball = ball_restriction(dom, np.zeros(2), 0.4)
+        ball = next(ball_restrictions(dom, np.zeros(2), (0.4,)))
         dist = np.linalg.norm(dom.points[ball.node_index], axis=1)
         deep = dist < 0.4 - h * math.sqrt(2)
         assert np.array_equal(ball.node_weights[deep],
@@ -281,7 +277,7 @@ class TestBallRestriction:
         ladder = list(ball_restrictions(dom, np.array(x), radii))
         assert len(ladder) == len(radii)
         for r, ball in zip(radii, ladder):
-            one = ball_restriction(dom, np.array(x), r)
+            one = next(ball_restrictions(dom, np.array(x), (r,)))
             assert np.array_equal(ball.center, one.center)
             assert ball.radius == one.radius
             assert ball.boundary_flag == one.boundary_flag

