@@ -29,7 +29,7 @@ from .diagnostics import (almost_monotonicity_fit, boundary_energy,
 from .errors import (AcLabError, ConfigError, DomainMismatch,
                      InvalidShapeParams, UnresolvedInterface)
 from .geometry import Domain, build_domain, kept, signed_distance
-from .potential import DoubleWell, compute_h0
+from .potential import compute_h0
 from .solver import Field, Solution, epsilon_sweep
 from .tables import write_rows
 from .varifold import (build_varifold, export_atoms, extract_interface,
@@ -168,12 +168,6 @@ def load_solution(path, dom: Domain) -> Solution:
                     energy=energy)
 
 
-def _make_well(cfg: RunConfig) -> DoubleWell:
-    if cfg.potential_kind == "standard-quartic":
-        return DoubleWell()
-    return DoubleWell(kind="user-polynomial", coefficients=cfg.coefficients)
-
-
 def _recipe_params(cfg: RunConfig, dom: Domain) -> dict:
     """cfg.recipe_params, plus the file recipe's nodal values, read once and
     checked against dom; a bad init file is a ConfigError."""
@@ -202,7 +196,7 @@ def cmd_solve(cfg: RunConfig, out_dir=None, verbose=False) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     dom = build_domain(cfg.shape, cfg.params, cfg.cells)
     report = RunReport()
-    sols = epsilon_sweep(dom, _make_well(cfg), cfg.epsilons,
+    sols = epsilon_sweep(dom, cfg.well, cfg.epsilons,
                          cfg.constraint_mean, cfg.recipe,
                          _recipe_params(cfg, dom), newton_tol=cfg.tol,
                          errors=report.errors)
@@ -375,7 +369,7 @@ def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
     out = Path(out_dir or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dom = build_domain(cfg.shape, cfg.params, cfg.cells)
-    well = _make_well(cfg)
+    well = cfg.well
     sols = [load_solution(p, dom) for p in solution_paths]
     report = RunReport()
     if not sols:

@@ -2,6 +2,8 @@
 
 Sections: [domain], [potential], [solver], [init], [sweep], [diagnostics],
 [output].  All defaults are documented in the generated example config.
+Every value is read through _numbers or _word, whose ConfigError starts
+with section.key, and the potential is built and checked here as well.
 Keys the parser does not read are ignored, so older configs that still set
 the retired pre-flow keys (init.pre_steps, solver.max_steps,
 solver.dt_factor) keep parsing.
@@ -12,8 +14,9 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidPotential
 from .geometry import SHAPES_1D, SHAPES_2D
+from .potential import KINDS, DoubleWell
 from .solver import RECIPES
 
 DIAGNOSTIC_CHECKS = ("equipartition", "ratios", "monotonicity", "pohozaev",
@@ -48,8 +51,10 @@ constraint_mean = 0.0
 recipe = step-x
 # value = 0.0          # constant recipe
 # offset = 0.5         # step recipes: interface position
-# center = 0.0 0.0     # radial recipe
+# center = 0.0 0.0     # radial recipe: one value per axis
 # radius = 0.25        # radial recipe
+# left = 0.25          # two-layer recipe: first interface position
+# right = 0.75         # two-layer recipe: second interface position
 # file = init.txt      # file recipe: one nodal value per line, row-major
 
 [sweep]
@@ -75,8 +80,7 @@ class RunConfig:
     shape: str
     params: tuple
     cells: tuple
-    potential_kind: str = "standard-quartic"
-    coefficients: tuple = ()
+    well: DoubleWell = DoubleWell()
     tol: float = 1e-10
     constraint_mean: float | None = 0.0
     recipe: str = "step-x"
@@ -89,33 +93,34 @@ class RunConfig:
     seed: int = 7
 
 
-def _floats(text):
+def _numbers(section, key, integer=False, count=None, ok=None, want=""):
+    """The numbers section[key] holds: finite, integers when integer is set,
+    exactly count of them when count is given, and each passing ok, which
+    want describes; a ConfigError naming section.key for anything else."""
+    text = section[key]
+    where = f"{section.name}.{key}"
+    what = "integers" if integer else "finite numbers"
     try:
-        return tuple(float(v) for v in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"expected numbers, got {text!r}") from exc
+        vals = tuple(float(v) for v in text.replace(",", " ").split())
+    except ValueError:
+        vals = ()
+    if not vals or not all(math.isfinite(v) and (not integer or v == int(v))
+                           for v in vals):
+        raise ConfigError(f"{where}: expected {what}, got {text!r}")
+    if count is not None and len(vals) != count:
+        raise ConfigError(f"{where}: expected {count} value(s), got {text!r}")
+    if ok is not None and not all(ok(v) for v in vals):
+        raise ConfigError(f"{where} must {want}, got {text!r}")
+    return tuple(int(v) for v in vals) if integer else vals
 
 
-def _ints(text):
-    vals = _floats(text)
-    if any(not math.isfinite(v) or v != int(v) for v in vals):
-        raise ConfigError(f"expected integers, got {text!r}")
-    return tuple(int(v) for v in vals)
-
-
-def _scalar(section, key, parse=_floats, least=-math.inf):
-    """The one finite number section[key] holds, which must be at least
-    least; a ConfigError naming the key for anything else."""
-    try:
-        vals = parse(section[key])
-        if len(vals) != 1 or not math.isfinite(vals[0]):
-            raise ConfigError(f"expected one finite number, got "
-                              f"{section[key]!r}")
-        if vals[0] < least:
-            raise ConfigError(f"must be at least {least}, got {vals[0]}")
-    except ConfigError as exc:
-        raise ConfigError(f"{section.name}.{key}: {exc}") from exc
-    return vals[0]
+def _word(section, key, allowed):
+    """The one word section[key] holds, which must be one of allowed."""
+    word = section[key].strip()
+    if word not in allowed:
+        raise ConfigError(f"{section.name}.{key}: {word!r} is not one of "
+                          f"{allowed}")
+    return word
 
 
 def parse_config(text: str) -> RunConfig:
@@ -132,82 +137,70 @@ def parse_config(text: str) -> RunConfig:
     for key in ("shape", "params", "cells"):
         if key not in dom:
             raise ConfigError(f"[domain] is missing key {key!r}")
-    shape = dom["shape"].strip()
-    if shape not in SHAPES_1D + SHAPES_2D:
-        raise ConfigError(f"domain.shape {shape!r} is not a supported shape")
-
-    kw = dict(shape=shape, params=_floats(dom["params"]),
-              cells=_ints(dom["cells"]))
+    shape = _word(dom, "shape", SHAPES_1D + SHAPES_2D)
+    kw = dict(shape=shape, params=_numbers(dom, "params"),
+              cells=_numbers(dom, "cells", integer=True))
 
     if cp.has_section("potential"):
         pot = cp["potential"]
-        kind = pot.get("kind", "standard-quartic").strip()
-        if kind not in ("standard-quartic", "user-polynomial"):
-            raise ConfigError(f"potential.kind {kind!r} unknown")
-        kw["potential_kind"] = kind
-        if "coefficients" in pot:
-            kw["coefficients"] = _floats(pot["coefficients"])
+        kind = (_word(pot, "kind", KINDS) if "kind" in pot
+                else "standard-quartic")
+        coefficients = (_numbers(pot, "coefficients")
+                        if "coefficients" in pot else ())
+        try:
+            kw["well"] = DoubleWell(kind=kind, coefficients=coefficients)
+        except InvalidPotential as exc:
+            raise ConfigError(f"potential.coefficients: {exc}") from exc
 
     if cp.has_section("solver"):
         sv = cp["solver"]
         if "tol" in sv:
-            kw["tol"] = _scalar(sv, "tol")
-            if not kw["tol"] > 0.0:
-                raise ConfigError("solver.tol must be positive")
-        kw["constraint_mean"] = (_scalar(sv, "constraint_mean")
-                                 if "constraint_mean" in sv else None)
-        if kw["constraint_mean"] is not None \
-                and not -1.0 < kw["constraint_mean"] < 1.0:
-            raise ConfigError("solver.constraint_mean must lie in (-1, 1)")
+            kw["tol"] = _numbers(sv, "tol", count=1, ok=lambda v: v > 0.0,
+                                 want="be positive")[0]
+        kw["constraint_mean"] = (
+            _numbers(sv, "constraint_mean", count=1,
+                     ok=lambda v: -1.0 < v < 1.0, want="lie in (-1, 1)")[0]
+            if "constraint_mean" in sv else None)
 
     if cp.has_section("init"):
         init = cp["init"]
-        recipe = init.get("recipe", "step-x").strip()
-        if recipe not in RECIPES:
-            raise ConfigError(f"init.recipe {recipe!r} not one of {RECIPES}")
-        kw["recipe"] = recipe
+        if "recipe" in init:
+            kw["recipe"] = _word(init, "recipe", RECIPES)
         rp = {}
         for key in ("value", "offset", "radius", "left", "right"):
             if key in init:
-                rp[key] = _scalar(init, key)
+                rp[key] = _numbers(init, key, count=1)[0]
         if "center" in init:
-            rp["center"] = _floats(init["center"])
+            rp["center"] = _numbers(init, "center",
+                                    count=1 if shape in SHAPES_1D else 2)
         if "file" in init:
             rp["file"] = init["file"].strip()
-        if recipe == "file" and "file" not in rp:
+        if kw.get("recipe") == "file" and "file" not in rp:
             raise ConfigError("init.recipe = file needs init.file = PATH")
         kw["recipe_params"] = rp
 
     if cp.has_section("sweep") and "epsilons" in cp["sweep"]:
-        text = cp["sweep"]["epsilons"]
-        eps = _floats(text)
-        if not eps or not all(math.isfinite(e) for e in eps):
-            raise ConfigError(f"sweep.epsilons: expected finite numbers, "
-                              f"got {text!r}")
+        eps = _numbers(cp["sweep"], "epsilons")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("sweep.epsilons must descend")
         kw["epsilons"] = eps
 
-    if cp.has_section("diagnostics"):
-        dg = cp["diagnostics"]
-        if "checks" in dg:
-            checks = tuple(dg["checks"].split())
-            for c in checks:
-                if c not in DIAGNOSTIC_CHECKS:
-                    raise ConfigError(
-                        f"diagnostics check {c!r} not one of "
-                        f"{DIAGNOSTIC_CHECKS}")
-            kw["checks"] = checks
-        for key, least in (("samples", 1), ("fields", 0)):
-            if key in dg:
-                kw[key] = _scalar(dg, key, _ints, least)
+    if cp.has_section("diagnostics") and "checks" in cp["diagnostics"]:
+        kw["checks"] = tuple(cp["diagnostics"]["checks"].split())
+        for c in kw["checks"]:
+            if c not in DIAGNOSTIC_CHECKS:
+                raise ConfigError(f"diagnostics.checks: {c!r} is not one of "
+                                  f"{DIAGNOSTIC_CHECKS}")
+    for name, key, least in (("diagnostics", "samples", 1),
+                             ("diagnostics", "fields", 0),
+                             ("output", "seed", 0)):
+        if cp.has_section(name) and key in cp[name]:
+            kw[key] = _numbers(cp[name], key, integer=True, count=1,
+                               ok=lambda v: v >= least,
+                               want=f"be at least {least}")[0]
 
-    if cp.has_section("output"):
-        out = cp["output"]
-        if "dir" in out:
-            kw["out_dir"] = out["dir"].strip()
-        if "seed" in out:
-            kw["seed"] = _scalar(out, "seed", _ints, 0)
+    if cp.has_section("output") and "dir" in cp["output"]:
+        kw["out_dir"] = cp["output"]["dir"].strip()
 
     return RunConfig(**kw)
 

@@ -223,8 +223,9 @@ class BallRestriction:
 
 def _check_params(shape, params):
     p = tuple(float(v) for v in params)
-    if any(v <= 0.0 for v in p):
-        raise InvalidShapeParams(f"{shape}: parameters must be positive, got {p}")
+    if not all(0.0 < v < math.inf for v in p):
+        raise InvalidShapeParams(
+            f"{shape}: parameters must be finite and positive, got {p}")
     if shape == "interval":
         if len(p) != 1:
             raise InvalidShapeParams("interval expects one length parameter")

@@ -21,6 +21,8 @@ SQRT2 = math.sqrt(2.0)
 QUARTIC_ALPHA = 1.0 / math.sqrt(3.0) + 0.05
 QUARTIC_KAPPA = 3.0 * QUARTIC_ALPHA**2 - 1.0
 
+KINDS = ("standard-quartic", "user-polynomial")
+
 
 @dataclass(frozen=True)
 class DoubleWell:
@@ -39,7 +41,7 @@ class DoubleWell:
     coefficients: tuple = field(default=())
 
     def __post_init__(self):
-        if self.kind not in ("standard-quartic", "user-polynomial"):
+        if self.kind not in KINDS:
             raise InvalidPotential(f"unknown potential kind {self.kind!r}")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidPotential("alpha must lie in (0, 1)")

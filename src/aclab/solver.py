@@ -509,9 +509,9 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
     its nodal values from recipe_params["values"].  The radial recipe seeds a
     circle of recipe_params["radius"] when it is given; otherwise, given a
     constraint m, it seeds the disk with an orthogonal arc (the diameter at
-    m = 0), the rectangle with a quarter circle about the origin corner, and
-    the annulus and half-disk with a circle about the origin, each enclosing
-    the area that m asks for."""
+    m = 0 or within rounding of it), the rectangle with a quarter circle
+    about the origin corner, and the annulus and half-disk with a circle
+    about the origin, each enclosing the area that m asks for."""
     if recipe not in RECIPES:
         raise ValueError(f"unknown init recipe {recipe!r}")
     p = dict(recipe_params or {})
@@ -544,10 +544,11 @@ def seed_field(dom: Domain, epsilon: float, recipe: str,
     sign = 1.0
     if "radius" in p:
         rho0 = float(p["radius"])
-    elif dom.shape == "disk" and constraint == 0.0:
-        # the m -> 0+ limit of the orthogonal arc: the diameter on the y-axis
-        return Field(dom, epsilon, -np.tanh(pts[:, 0] / s2e))
     elif dom.shape == "disk" and constraint is not None:
+        if 0.5 * (1.0 - abs(constraint)) == 0.5:
+            # the m -> 0 limit of the orthogonal arc, taken wherever the lens
+            # fraction rounds to 1/2: the diameter on the y-axis
+            return Field(dom, epsilon, -np.tanh(pts[:, 0] / s2e))
         R = dom.params[0]
         r_arc, d_arc, _ = orthogonal_arc(R, constraint)
         center = np.array([d_arc, 0.0])

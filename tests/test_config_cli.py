@@ -56,6 +56,19 @@ def tiny_disk_cfg(tmp_path, checks="varifold"):
     return load_config(path)
 
 
+# the example config on a 64-cell unit disk at eps 0.1 from the radial seed
+DISK_LINES = dict(shape="disk", cells="64", recipe="radial", epsilons="0.1")
+
+
+def example_with(**lines):
+    """The example config with each key's line, commented out or not, set
+    to key = value."""
+    text = example_config()
+    for key, value in lines.items():
+        text = re.sub(rf"(?m)^(# )?{key} = .*$", f"{key} = {value}", text)
+    return text
+
+
 ALL_CHECKS = ("equipartition ratios monotonicity pohozaev boundary-energy "
               "varifold")
 
@@ -161,9 +174,9 @@ class TestConfig:
 
     def test_init_center_parsed_as_floats(self):
         text = example_config().replace("recipe = step-x",
-                                        "recipe = step-x\ncenter = 0.25 0.5")
+                                        "recipe = step-x\ncenter = 0.25")
         center = parse_config(text).recipe_params["center"]
-        assert center == (0.25, 0.5)
+        assert center == (0.25,)
         assert all(type(c) is float for c in center)
 
     def test_retired_preflow_keys_ignored(self):
@@ -393,6 +406,42 @@ class TestCli:
         assert cli.main(args) == 2
         assert "config error: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("where, lines", [
+        ("domain.cells", dict(cells="16.5")),
+        ("sweep.epsilons", dict(epsilons="0.1 abc")),
+        ("potential.coefficients",
+         dict(kind="user-polynomial", coefficients="1 2 3")),
+        ("potential.coefficients",
+         dict(kind="user-polynomial", coefficients="0.25 0.0 -0.5 0.0 nan")),
+        ("domain.params", dict(DISK_LINES, params="nan")),
+        ("domain.params", dict(DISK_LINES, params="inf")),
+        ("domain.params", dict(DISK_LINES, params="1e400")),
+        ("init.center", dict(DISK_LINES, center="0.5", radius="0.5"))],
+        ids=["cells", "epsilons", "coefficients", "nan-coefficient",
+             "nan-params", "inf-params", "overflow-params", "center"])
+    def test_hostile_config_names_its_key(self, tmp_path, capsys, where,
+                                          lines):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(example_with(**lines))
+        assert cli.main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"config error: {where}")
+        assert "Traceback" not in err
+
+    def test_disk_mean_within_rounding_of_zero(self, tmp_path):
+        # (1 - 1e-17) / 2 rounds to 1/2, a lens fraction the orthogonal arc
+        # cannot take; the seed is the diameter, as at m = 0
+        cfg = tmp_path / "disk.cfg"
+        cfg.write_text(example_with(**DISK_LINES, constraint_mean="1e-17"))
+        assert cli.main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 0
+        dom = build_domain("disk", (1.0,), 64)
+        assert np.array_equal(
+            solver.seed_field(dom, 0.1, "radial", 1e-17).values,
+            solver.seed_field(dom, 0.1, "radial", 0.0).values)
 
     def test_solve_default_sweep(self, small_cfg, tmp_path):
         assert cli.main(["solve", "--config", str(small_cfg)]) == 0

@@ -46,7 +46,9 @@ class TestBuildDomain:
         ("half-disk", (1.0, 2.0), 64, "half-disk expects one radius"),
         ("annulus", (1.0,), 64, "inner and outer radii"),
         ("rectangle", (1.0, 0.5), (64, 32, 16), "expected 2 cell counts"),
-        ("rectangle", (1.0, 0.5), (64, 64), "non-uniform spacing")])
+        ("rectangle", (1.0, 0.5), (64, 64), "non-uniform spacing"),
+        ("disk", (math.nan,), 64, "finite and positive"),
+        ("disk", (math.inf,), 64, "finite and positive")])
     def test_invalid_params_messages(self, shape, params, cells, message):
         with pytest.raises(InvalidShapeParams, match=message):
             build_domain(shape, params, cells)
