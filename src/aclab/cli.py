@@ -196,10 +196,14 @@ def cmd_solve(cfg: RunConfig, out_dir=None, verbose=False) -> RunReport:
     out.mkdir(parents=True, exist_ok=True)
     dom = build_domain(cfg.shape, cfg.params, cfg.cells)
     report = RunReport()
-    sols = epsilon_sweep(dom, cfg.well, cfg.epsilons,
-                         cfg.constraint_mean, cfg.recipe,
-                         _recipe_params(cfg, dom), newton_tol=cfg.tol,
-                         errors=report.errors)
+    try:
+        sols = epsilon_sweep(dom, cfg.well, cfg.epsilons,
+                             cfg.constraint_mean, cfg.recipe,
+                             _recipe_params(cfg, dom), newton_tol=cfg.tol,
+                             errors=report.errors)
+    except UnresolvedInterface as exc:
+        # only the sweep's up-front gates raise it: errors collects the rest
+        raise ConfigError(f"sweep.epsilons: {exc}") from exc
     rows = []
     for sol in sols:
         e = sol.field.epsilon
@@ -461,8 +465,7 @@ def main(argv=None) -> int:
         report = cmd_diagnose(cfg, args.solutions, out_dir=args.out,
                               verbose=args.verbose)
         return 0
-    except (ConfigError, InvalidShapeParams, UnresolvedInterface) as exc:
-        # UnresolvedInterface comes only from the sweep's up-front gates
+    except (ConfigError, InvalidShapeParams) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DomainMismatch as exc:

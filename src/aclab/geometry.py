@@ -139,9 +139,12 @@ def row_trace(J):
 
 def row_form(J, u, v):
     """np.einsum("iab,ia,ib->i", J, u, v): the terms t_ab = (J_ab u_a) v_b
-    added from 0.0 in row-major (a, b) order; on a single 2D row, as numpy
-    adds them there, 0.0 + ((t00 + t01) + (t10 + t11))."""
-    if J.shape[0] == 1 and J.shape[1] == 2:
+    added from 0.0 in row-major (a, b) order; in 2D, where numpy's einsum
+    keeps (a, b) innermost, as it adds them there, 0.0 + ((t00 + t01) +
+    (t10 + t11)).  It does so on a single row, and on two rows when J is not
+    C-contiguous (numpy 2.4, every layout of up to 12 rows checked)."""
+    if J.shape[1] == 2 and (J.shape[0] == 1 or (
+            J.shape[0] == 2 and not J.flags.c_contiguous)):
         t = [J[:, a, b] * u[:, a] * v[:, b] for a in (0, 1) for b in (0, 1)]
         return 0.0 + ((t[0] + t[1]) + (t[2] + t[3]))
     out = np.zeros(J.shape[0])
@@ -221,7 +224,8 @@ class BallRestriction:
 # analytic shape geometry
 # ---------------------------------------------------------------------------
 
-def _check_params(shape, params):
+def check_params(shape, params):
+    """params as floats, checked against shape; InvalidShapeParams if not."""
     p = tuple(float(v) for v in params)
     if not all(0.0 < v < math.inf for v in p):
         raise InvalidShapeParams(
@@ -445,7 +449,7 @@ def build_domain(shape: str, params, n_cells) -> Domain:
     boundary get a subsampled fraction; slivers below SLIVER_FRACTION are
     dropped from the active set.
     """
-    params = _check_params(shape, params)
+    params = check_params(shape, params)
     dim = 1 if shape in SHAPES_1D else 2
     lo, hi = _grid_box(shape, params)
     cells, h = _normalize_cells(shape, n_cells, lo, hi)

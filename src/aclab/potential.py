@@ -51,6 +51,9 @@ class DoubleWell:
             raise InvalidPotential("gamma must lie in (-1, 1)")
         if self.kind == "user-polynomial" and len(self.coefficients) < 3:
             raise InvalidPotential("user polynomial needs at least 3 coefficients")
+        if not np.all(np.isfinite(np.asarray(self.coefficients, dtype=float))):
+            raise InvalidPotential(
+                f"coefficients must be finite, got {self.coefficients}")
         _validate_axioms(self)
 
     # -- evaluation ------------------------------------------------------

@@ -8,9 +8,15 @@ they track are already exponentially small (~1e-12); no honest measurement
 at this resolution can decrease monotonically through eps = 0.025.  See
 the docstring of the aclab.acceptance module for the analysis.
 """
+import os
+
 import pytest
 
 import aclab.acceptance as acc
+from aclab.errors import AcLabError, NoConvergence
+from aclab.geometry import build_domain
+from aclab.potential import DoubleWell
+from aclab.solver import solve_single
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +129,113 @@ def test_check_command_reports_structural_failures(capsys):
     assert "8/10 criteria passed" in out
     assert "monotone toward h0" in out
     assert "strictly decreasing" in out
+
+
+# -- the forked disk worker: only transport, same bits, no child left -----
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_solution(got, want):
+    assert got.field.values.tobytes() == want.field.values.tobytes()
+    assert repr(got.field.epsilon) == repr(want.field.epsilon)
+    for name in acc._SCALARS:
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
+def _small_disk_solve(dom):
+    return solve_single(dom, DoubleWell(), 0.1, constraint=0.3,
+                        recipe="radial")
+
+
+def _parent_may_not_solve(*args, **kwargs):
+    raise AssertionError("the parent solved the disk itself")
+
+
+def test_worker_disk_solution_is_bitwise_the_in_process_one(monkeypatch):
+    want = solve_single(build_domain("disk", (1.0,), 256), DoubleWell(), 0.02,
+                        constraint=0.3, recipe="radial")
+    fresh = acc.AcceptanceContext(seed=7)
+    fresh.fork_disk_solve()
+    try:
+        # the worker forked with the real solver; the parent may not solve
+        monkeypatch.setattr(acc, "solve_single", _parent_may_not_solve)
+        got = fresh.disk_sol
+    finally:
+        fresh.close()
+    _assert_same_solution(got, want)
+    _assert_no_child()
+
+
+def test_run_acceptance_measures_what_a_plain_context_does(ctx, monkeypatch):
+    delivered = []
+    result = acc._Worker.result
+
+    def recorded(self):
+        sol = result(self)
+        delivered.append(sol is not None)
+        return sol
+
+    monkeypatch.setattr(acc._Worker, "result", recorded)
+    forked = acc.run_acceptance(seed=7, verbose=False)
+    _assert_no_child()
+    assert delivered == [True]
+    plain = [crit(ctx) for crit in acc.CRITERIA]
+    assert ([[s.measured for s in r.subs] for r in forked]
+            == [[s.measured for s in r.subs] for r in plain])
+
+
+def test_failing_disk_solve_raises_as_in_process(monkeypatch):
+    def fail(dom, *args, **kwargs):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(acc, "solve_single", fail)
+    monkeypatch.setattr(acc, "CRITERIA", (acc.criterion_8,))
+    with pytest.raises(AcLabError) as in_process:
+        acc.AcceptanceContext(seed=7).disk_sol
+    with pytest.raises(AcLabError) as forked:
+        acc.run_acceptance(seed=7, verbose=False)
+    assert type(forked.value) is type(in_process.value) is NoConvergence
+    _assert_no_child()
+
+
+def test_worker_killed_when_an_earlier_criterion_raises(monkeypatch):
+    def boom(ctx):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(acc, "CRITERIA", (acc.criterion_1, boom,
+                                          acc.criterion_8))
+    with pytest.raises(RuntimeError, match="forced"):
+        acc.run_acceptance(seed=7, verbose=False)
+    _assert_no_child()
+
+
+def test_worker_delivers_or_returns_none():
+    # each solve on a fresh domain: a domain keeps the LU order of its first
+    # factorization, so a second solve on it is not bitwise the first
+    want = _small_disk_solve(build_domain("disk", (1.0,), 64))
+    dom = build_domain("disk", (1.0,), 64)
+    worker = acc._Worker(_small_disk_solve, dom)
+    got = worker.result()
+    worker.close()
+    assert got.field.dom is dom
+    _assert_same_solution(got, want)
+
+    # a payload shorter than the domain's nodal values is not a result
+    worker = acc._Worker(lambda d: want, build_domain("disk", (1.0,), 128))
+    assert worker.result() is None
+    _assert_no_child()
+
+
+def test_worker_without_fork_returns_none(monkeypatch):
+    def refuse():
+        raise OSError("forced")
+
+    dom = build_domain("disk", (1.0,), 64)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert acc._Worker(_small_disk_solve, dom).result() is None
+    monkeypatch.delattr(os, "fork")
+    assert acc._Worker(_small_disk_solve, dom).result() is None
+    _assert_no_child()

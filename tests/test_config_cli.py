@@ -417,9 +417,13 @@ class TestCli:
         ("domain.params", dict(DISK_LINES, params="nan")),
         ("domain.params", dict(DISK_LINES, params="inf")),
         ("domain.params", dict(DISK_LINES, params="1e400")),
-        ("init.center", dict(DISK_LINES, center="0.5", radius="0.5"))],
+        ("init.center", dict(DISK_LINES, center="0.5", radius="0.5")),
+        ("sweep.epsilons", dict(DISK_LINES, epsilons="0.05")),
+        ("domain.params", dict(DISK_LINES, shape="annulus",
+                               params="1.0 0.4"))],
         ids=["cells", "epsilons", "coefficients", "nan-coefficient",
-             "nan-params", "inf-params", "overflow-params", "center"])
+             "nan-params", "inf-params", "overflow-params", "center",
+             "unresolvable-epsilon", "annulus-radii"])
     def test_hostile_config_names_its_key(self, tmp_path, capsys, where,
                                           lines):
         cfg = tmp_path / "bad.cfg"

@@ -94,6 +94,14 @@ class TestConstruction:
             DoubleWell(kind="user-polynomial",
                        coefficients=(-0.25, 0.0, 0.5, 0.0, -0.25))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        # every axiom comparison is false on NaN, so the values are checked
+        # before the axioms
+        with pytest.raises(InvalidPotential, match="finite"):
+            DoubleWell(kind="user-polynomial",
+                       coefficients=(0.25, 0.0, -0.5, 0.0, bad))
+
     def test_parameter_ranges(self):
         with pytest.raises(InvalidPotential):
             DoubleWell(alpha=1.5)
