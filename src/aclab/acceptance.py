@@ -13,9 +13,10 @@ at eps = 0.025.  The criteria are implemented exactly as stated and left
 red rather than loosened.
 
 The disk solution of criteria 7 and 8 is the largest single cost.
-run_acceptance solves it in one forked worker process while criteria 1-6
-run, and the first use of disk_sol takes the worker's result, bit for bit
-what the same call gives in-process.  Where fork is unavailable, where the
+run_acceptance solves it in one forked worker process (forked.Forked, the
+fork transport diagnose's atom writer uses too) while criteria 1-6 run, and
+the first use of disk_sol takes the worker's result, bit for bit what the
+same call gives in-process.  Where fork is unavailable, where the
 worker does not deliver, and on a context used without run_acceptance, the
 disk is solved in-process by that same call.  Python 3.12 and later emit a
 DeprecationWarning when a process that runs other threads (a multi-threaded
@@ -24,9 +25,7 @@ BLAS, say) forks; it is left visible.
 from __future__ import annotations
 
 import math
-import os
 import pickle
-import signal
 import time
 from dataclasses import dataclass
 
@@ -37,6 +36,7 @@ from .diagnostics import (density_fields, energy_ratio_curve,
                           make_radial_field, make_rotational_field,
                           monotonicity_scan, plateau_value, pohozaev_residual,
                           radius_ladder)
+from .forked import Forked
 from .geometry import build_domain
 from .potential import DoubleWell, compute_h0, heteroclinic_jet
 from .solver import (Field, Solution, epsilon_sweep, orthogonal_arc,
@@ -78,69 +78,23 @@ _SCALARS = ("lam", "residual_norm", "iterations", "factorizations",
             "constraint", "converged", "energy")
 
 
-class _Worker:
-    """solve(dom) run in one forked process; only transport.
+def _solution_bytes(sol):
+    """The disk worker's payload: the nodal values as raw float64 bytes,
+    then the pickled epsilon and Solution scalars."""
+    return (sol.field.values.astype(np.float64).tobytes()
+            + pickle.dumps((sol.field.epsilon,
+                            {k: getattr(sol, k) for k in _SCALARS})))
 
-    The child sends the nodal values as raw float64 bytes, then the pickled
-    epsilon and Solution scalars, and ends with os._exit, so it prints
-    nothing and flushes none of the parent's buffers.  result() rebuilds the
-    Solution on the parent's dom, or returns None where the worker did not
-    deliver one: no fork, a nonzero exit or a short payload.
-    """
 
-    def __init__(self, solve, dom):
-        self.dom = dom
-        self.pid = self.fd = None
-        if not hasattr(os, "fork"):
-            return
-        rfd, wfd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(rfd)
-            os.close(wfd)
-            return
-        if pid == 0:
-            code = 1
-            try:
-                os.close(rfd)
-                sol = solve(dom)
-                with open(wfd, "wb") as fh:
-                    fh.write(sol.field.values.astype(np.float64).tobytes())
-                    fh.write(pickle.dumps(
-                        (sol.field.epsilon,
-                         {k: getattr(sol, k) for k in _SCALARS})))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(wfd)
-        self.pid, self.fd = pid, rfd
-
-    def result(self):
-        """Wait for the worker; its Solution, or None if it delivered none."""
-        if self.pid is None:
-            return None
-        fd, self.fd = self.fd, None
-        with open(fd, "rb") as fh:
-            data = fh.read()
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = None
-        n = self.dom.n_nodes
-        if status != 0 or len(data) <= 8 * n:
-            return None
-        eps, scalars = pickle.loads(data[8 * n:])
-        values = np.frombuffer(data, dtype=np.float64, count=n).copy()
-        return Solution(field=Field(self.dom, eps, values), **scalars)
-
-    def close(self):
-        """Kill and reap the worker if result() has not reaped it."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
+def _solution_from_bytes(data, dom):
+    """The Solution on dom that _solution_bytes encoded, or None for no
+    payload or one no longer than dom's nodal values."""
+    n = dom.n_nodes
+    if data is None or len(data) <= 8 * n:
+        return None
+    eps, scalars = pickle.loads(data[8 * n:])
+    values = np.frombuffer(data, dtype=np.float64, count=n).copy()
+    return Solution(field=Field(dom, eps, values), **scalars)
 
 
 def _disk_domain():
@@ -160,12 +114,14 @@ class AcceptanceContext:
 
     def fork_disk_solve(self):
         """Start the disk solve in one forked worker; disk_sol waits for it."""
-        self._worker = _Worker(self._solve_disk, _disk_domain())
+        dom = _disk_domain()
+        self._worker = dom, Forked(
+            lambda: _solution_bytes(self._solve_disk(dom)))
 
     def close(self):
         """Reap the worker, killing it first if its result was never used."""
         if self._worker is not None:
-            self._worker.close()
+            self._worker[1].close()
             self._worker = None
 
     def _solve_disk(self, dom):
@@ -197,8 +153,9 @@ class AcceptanceContext:
         def build():
             if self._worker is None:
                 return self._solve_disk(_disk_domain())
-            sol = self._worker.result()
-            return self._solve_disk(self._worker.dom) if sol is None else sol
+            dom, worker = self._worker
+            sol = _solution_from_bytes(worker.result(), dom)
+            return self._solve_disk(dom) if sol is None else sol
         return self._get("disk_sol", build)
 
     @property

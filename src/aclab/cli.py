@@ -4,8 +4,14 @@ CSV report emission.
 Subcommands: solve, diagnose, check, example-config.  solve is a thin
 wrapper over solver.epsilon_sweep that writes its solutions.  Every table
 goes through _emit, which records it on the RunReport and writes its CSV;
-the boundary-normal test field is kept on the domain.  Exit codes: 0
-success, 1 acceptance failure, 2 config error, 3 solver error.
+the boundary-normal test field is kept on the domain.  When the checks
+include varifold, diagnose writes the varifold atom files from one forked
+writer (forked.Forked) while the rest of the suite runs, and reaps it
+before it returns, so every file is complete then; where fork is
+unavailable or the writer fails, the same writer runs in-process.  solve
+and diagnose create the output directory only once the domain, the sweep's
+gates and the solution files have been accepted.  Exit codes: 0 success,
+1 acceptance failure, 2 config error, 3 solver error.
 """
 from __future__ import annotations
 
@@ -28,6 +34,7 @@ from .diagnostics import (almost_monotonicity_fit, boundary_energy,
                           xi_integral_bound_fit)
 from .errors import (AcLabError, ConfigError, DomainMismatch,
                      InvalidShapeParams, UnresolvedInterface)
+from .forked import Forked
 from .geometry import Domain, build_domain, kept, signed_distance
 from .potential import compute_h0
 from .solver import Field, Solution, epsilon_sweep
@@ -192,8 +199,6 @@ def cmd_solve(cfg: RunConfig, out_dir=None, verbose=False) -> RunReport:
     Solver failures on one epsilon are recorded and do not abort the sweep;
     solution_KK.txt keeps the index KK of its epsilon in the config.
     """
-    out = Path(out_dir or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dom = build_domain(cfg.shape, cfg.params, cfg.cells)
     report = RunReport()
     try:
@@ -204,6 +209,8 @@ def cmd_solve(cfg: RunConfig, out_dir=None, verbose=False) -> RunReport:
     except UnresolvedInterface as exc:
         # only the sweep's up-front gates raise it: errors collects the rest
         raise ConfigError(f"sweep.epsilons: {exc}") from exc
+    out = Path(out_dir or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for sol in sols:
         e = sol.field.epsilon
@@ -316,13 +323,23 @@ def _diag_boundary_energy(report, out, sols, well):
     _emit(report, out, "boundary_energy", ("epsilon", "value"), rows)
 
 
+def _write_atoms(out, sols, well, h0):
+    """Write varifold_atoms_KK.csv for each solution in turn, up to the
+    first whose varifold build raises; _diag_varifold reports that one."""
+    for k, sol in enumerate(sols):
+        try:
+            V = build_varifold(sol, well, h0)
+        except AcLabError:
+            return
+        export_atoms(V, out / f"varifold_atoms_{k:02d}.csv")
+
+
 def _diag_varifold(report, out, sols, well, cfg, rng, h0):
     mass_rows, fb_rows, integ_rows, iface_rows = [], [], [], []
-    for k, sol in enumerate(sols):
+    for sol in sols:
         dom = sol.field.dom
         eps = sol.field.epsilon
         V = build_varifold(sol, well, h0)
-        export_atoms(V, out / f"varifold_atoms_{k:02d}.csv")
         mass_rows.append((eps, V.mass, V.total_measure,
                           V.total_measure - V.mass))
         if dom.dim == 2 and sol.field.values.min() < 0 < sol.field.values.max():
@@ -369,12 +386,18 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0):
 
 def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
                  verbose=False) -> RunReport:
-    """Run the configured diagnostics over stored solutions."""
-    out = Path(out_dir or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Run the configured diagnostics over stored solutions.
+
+    With varifold among the checks, one forked writer writes the atom files
+    while the checks run; it is reaped before this returns, and killed
+    first when a check raises anything but an AcLabError.  Where it does not
+    deliver, the same writer runs here.
+    """
     dom = build_domain(cfg.shape, cfg.params, cfg.cells)
     well = cfg.well
     sols = [load_solution(p, dom) for p in solution_paths]
+    out = Path(out_dir or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     report = RunReport()
     if not sols:
         return report
@@ -393,16 +416,24 @@ def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
         "varifold": lambda: _diag_varifold(report, out, sols, well, cfg, rng,
                                            h0),
     }
-    for name in cfg.checks:
-        if name not in runners:
-            continue
-        try:
-            runners[name]()
-        except AcLabError as exc:
-            report.errors.append((name, str(exc)))
-            print(f"diagnostic {name} failed: {exc}", file=sys.stderr)
-    _emit(report, out, "fitted_constants", ("name", "value"),
-          sorted(report.fitted_constants.items()))
+    writer = (Forked(lambda: _write_atoms(out, sols, well, h0))
+              if "varifold" in cfg.checks else None)
+    try:
+        for name in cfg.checks:
+            if name not in runners:
+                continue
+            try:
+                runners[name]()
+            except AcLabError as exc:
+                report.errors.append((name, str(exc)))
+                print(f"diagnostic {name} failed: {exc}", file=sys.stderr)
+        _emit(report, out, "fitted_constants", ("name", "value"),
+              sorted(report.fitted_constants.items()))
+        if writer is not None and writer.result() is None:
+            _write_atoms(out, sols, well, h0)
+    finally:
+        if writer is not None:
+            writer.close()
     if verbose:
         for name, rows in report.tables.items():
             print(f"{name}: {len(rows)} rows")

@@ -3,8 +3,8 @@
 Sections: [domain], [potential], [solver], [init], [sweep], [diagnostics],
 [output].  All defaults are documented in the generated example config.
 Every value is read through _numbers or _word, whose ConfigError starts
-with section.key; the shape parameters are checked and the potential is
-built here as well.
+with section.key; the shape parameters and cell counts are checked by the
+code build_domain uses, and the potential is built here as well.
 Keys the parser does not read are ignored, so older configs that still set
 the retired pre-flow keys (init.pre_steps, solver.max_steps,
 solver.dt_factor) keep parsing.
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidPotential, InvalidShapeParams
-from .geometry import SHAPES_1D, SHAPES_2D, check_params
+from .geometry import SHAPES_1D, SHAPES_2D, check_cells, check_params
 from .potential import KINDS, DoubleWell
 from .solver import RECIPES
 
@@ -142,9 +142,13 @@ def parse_config(text: str) -> RunConfig:
     kw = dict(shape=shape, params=_numbers(dom, "params"),
               cells=_numbers(dom, "cells", integer=True))
     try:
-        check_params(shape, kw["params"])
+        params = check_params(shape, kw["params"])
     except InvalidShapeParams as exc:
         raise ConfigError(f"domain.params: {exc}") from exc
+    try:
+        check_cells(shape, params, kw["cells"])
+    except InvalidShapeParams as exc:
+        raise ConfigError(f"domain.cells: {exc}") from exc
 
     if cp.has_section("potential"):
         pot = cp["potential"]

@@ -372,7 +372,11 @@ def _grid_box(shape, params):
     return np.array([-R, 0.0]), np.array([R, R])
 
 
-def _normalize_cells(shape, n_cells, lo, hi):
+def check_cells(shape, params, n_cells):
+    """The cell count per axis and the spacing h that n_cells gives on the
+    grid box of checked params; InvalidShapeParams unless that is a uniform
+    grid of at least 16 cells per axis."""
+    lo, hi = _grid_box(shape, params)
     extent = hi - lo
     cells = (int(n_cells),) if np.isscalar(n_cells) \
         else tuple(int(c) for c in np.atleast_1d(n_cells))
@@ -388,7 +392,8 @@ def _normalize_cells(shape, n_cells, lo, hi):
     hs = extent / np.asarray(cells)
     if np.ptp(hs) > 1e-12 * hs[0]:
         raise InvalidShapeParams(
-            f"cell counts {cells} give non-uniform spacing {tuple(hs)}")
+            f"cell counts {cells} give non-uniform spacing "
+            f"{tuple(hs.tolist())}")
     return cells, float(hs[0])
 
 
@@ -452,7 +457,7 @@ def build_domain(shape: str, params, n_cells) -> Domain:
     params = check_params(shape, params)
     dim = 1 if shape in SHAPES_1D else 2
     lo, hi = _grid_box(shape, params)
-    cells, h = _normalize_cells(shape, n_cells, lo, hi)
+    cells, h = check_cells(shape, params, n_cells)
 
     axes = _grid_axes(lo, hi, cells, h)
     if dim == 1:

@@ -14,6 +14,7 @@ import pytest
 
 import aclab.acceptance as acc
 from aclab.errors import AcLabError, NoConvergence
+from aclab.forked import Forked
 from aclab.geometry import build_domain
 from aclab.potential import DoubleWell
 from aclab.solver import solve_single
@@ -131,7 +132,8 @@ def test_check_command_reports_structural_failures(capsys):
     assert "strictly decreasing" in out
 
 
-# -- the forked disk worker: only transport, same bits, no child left -----
+# -- the forked disk worker (forked.Forked): only transport, same bits, no
+# child left
 
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
@@ -171,14 +173,14 @@ def test_worker_disk_solution_is_bitwise_the_in_process_one(monkeypatch):
 
 def test_run_acceptance_measures_what_a_plain_context_does(ctx, monkeypatch):
     delivered = []
-    result = acc._Worker.result
+    decode = acc._solution_from_bytes
 
-    def recorded(self):
-        sol = result(self)
+    def recorded(data, dom):
+        sol = decode(data, dom)
         delivered.append(sol is not None)
         return sol
 
-    monkeypatch.setattr(acc._Worker, "result", recorded)
+    monkeypatch.setattr(acc, "_solution_from_bytes", recorded)
     forked = acc.run_acceptance(seed=7, verbose=False)
     _assert_no_child()
     assert delivered == [True]
@@ -217,15 +219,16 @@ def test_worker_delivers_or_returns_none():
     # factorization, so a second solve on it is not bitwise the first
     want = _small_disk_solve(build_domain("disk", (1.0,), 64))
     dom = build_domain("disk", (1.0,), 64)
-    worker = acc._Worker(_small_disk_solve, dom)
-    got = worker.result()
+    worker = Forked(lambda: acc._solution_bytes(_small_disk_solve(dom)))
+    got = acc._solution_from_bytes(worker.result(), dom)
     worker.close()
     assert got.field.dom is dom
     _assert_same_solution(got, want)
 
     # a payload shorter than the domain's nodal values is not a result
-    worker = acc._Worker(lambda d: want, build_domain("disk", (1.0,), 128))
-    assert worker.result() is None
+    worker = Forked(lambda: acc._solution_bytes(want))
+    assert acc._solution_from_bytes(
+        worker.result(), build_domain("disk", (1.0,), 128)) is None
     _assert_no_child()
 
 
@@ -234,8 +237,12 @@ def test_worker_without_fork_returns_none(monkeypatch):
         raise OSError("forced")
 
     dom = build_domain("disk", (1.0,), 64)
+
+    def task():
+        return acc._solution_bytes(_small_disk_solve(dom))
+
     monkeypatch.setattr(os, "fork", refuse)
-    assert acc._Worker(_small_disk_solve, dom).result() is None
+    assert acc._solution_from_bytes(Forked(task).result(), dom) is None
     monkeypatch.delattr(os, "fork")
-    assert acc._Worker(_small_disk_solve, dom).result() is None
+    assert acc._solution_from_bytes(Forked(task).result(), dom) is None
     _assert_no_child()

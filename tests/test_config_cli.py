@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -11,7 +12,7 @@ from aclab import cli, solver, varifold
 from aclab.config import example_config, load_config, parse_config
 from aclab.errors import ConfigError, DomainMismatch, NoConvergence
 from aclab.geometry import build_domain
-from aclab.potential import DoubleWell
+from aclab.potential import DoubleWell, compute_h0
 from aclab.solver import Field, Solution, solve_single
 
 SMALL = """\
@@ -420,12 +421,18 @@ class TestCli:
         ("init.center", dict(DISK_LINES, center="0.5", radius="0.5")),
         ("sweep.epsilons", dict(DISK_LINES, epsilons="0.05")),
         ("domain.params", dict(DISK_LINES, shape="annulus",
-                               params="1.0 0.4"))],
+                               params="1.0 0.4")),
+        ("domain.cells", dict(DISK_LINES, cells="8")),
+        ("domain.cells", dict(DISK_LINES, cells="64 64 64")),
+        ("domain.cells", dict(shape="rectangle", params="1.0 1.0",
+                              cells="32 48"))],
         ids=["cells", "epsilons", "coefficients", "nan-coefficient",
              "nan-params", "inf-params", "overflow-params", "center",
-             "unresolvable-epsilon", "annulus-radii"])
+             "unresolvable-epsilon", "annulus-radii", "too-few-cells",
+             "cell-arity", "non-uniform-cells"])
     def test_hostile_config_names_its_key(self, tmp_path, capsys, where,
                                           lines):
+        # a rejected run leaves no output directory behind
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(example_with(**lines))
         assert cli.main(["solve", "--config", str(cfg),
@@ -434,6 +441,7 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"config error: {where}")
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_disk_mean_within_rounding_of_zero(self, tmp_path):
         # (1 - 1e-17) / 2 rounds to 1/2, a lens fraction the orthogonal arc
@@ -596,6 +604,154 @@ class TestWriters:
         assert body == "".join("%.17g\n" % v for v in u.tolist()).encode()
         back = cli.load_solution(tmp_path / "s.txt", dom).field.values
         assert np.array_equal(back, u)
+
+
+def _solved(tmp_path, shape, checks="varifold"):
+    """A solved run with these diagnose checks, on the 64-cell disk or on
+    the SMALL interval: its config and its solution files."""
+    if shape == "disk":
+        cfg = tiny_disk_cfg(tmp_path, checks)
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(SMALL.format(out=tmp_path / "out").replace(
+            "checks = equipartition varifold", f"checks = {checks}"))
+        cfg = load_config(path)
+    cli.cmd_solve(cfg)
+    return cfg, sorted((tmp_path / "out").glob("solution_*.txt"))
+
+
+def _atom_bytes(out):
+    return {p.name: p.read_bytes()
+            for p in sorted(out.glob("varifold_atoms_*.csv"))}
+
+
+def _in_process_atoms(cfg, paths, out):
+    """The atom files of an in-process export of the stored solutions."""
+    dom = build_domain(cfg.shape, cfg.params, cfg.cells)
+    h0 = compute_h0(cfg.well).h0
+    out.mkdir()
+    for k, path in enumerate(paths):
+        V = varifold.build_varifold(cli.load_solution(path, dom), cfg.well,
+                                    h0)
+        varifold.export_atoms(V, out / f"varifold_atoms_{k:02d}.csv")
+    return _atom_bytes(out)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestAtomWriter:
+    """diagnose writes the varifold atoms from one forked writer, or
+    in-process where the writer does not deliver, with the same bytes."""
+
+    @staticmethod
+    def parent_calls(monkeypatch, in_child=None):
+        """Record each _write_atoms call the parent makes; in_child, when
+        given, replaces the call in a forked child."""
+        parent, calls = os.getpid(), []
+        real = cli._write_atoms
+
+        def recording(*args):
+            if os.getpid() != parent:
+                return (in_child or real)(*args)
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_write_atoms", recording)
+        return calls
+
+    @pytest.mark.parametrize("shape", ["disk", "interval"])
+    def test_forked_atoms_are_the_in_process_bytes(self, tmp_path,
+                                                   monkeypatch, shape):
+        cfg, paths = _solved(tmp_path, shape)
+        calls = self.parent_calls(monkeypatch)
+        cli.cmd_diagnose(cfg, paths, out_dir=tmp_path / "d")
+        _assert_no_child()
+        assert calls == []  # the forked writer delivered
+        want = _in_process_atoms(cfg, paths, tmp_path / "ref")
+        assert len(want) == len(paths)
+        assert _atom_bytes(tmp_path / "d") == want
+
+    @pytest.mark.parametrize("how", ["refused", "deleted", "nonzero-exit"])
+    def test_undelivered_writer_writes_in_process(self, tmp_path,
+                                                  monkeypatch, how):
+        def refuse():
+            raise OSError("forced")
+
+        def partial_then_fail(out, *args):
+            (out / "varifold_atoms_00.csv").write_text("partial")
+            os._exit(1)
+
+        cfg, paths = _solved(tmp_path, "disk")
+        calls = self.parent_calls(monkeypatch, partial_then_fail)
+        if how == "refused":
+            monkeypatch.setattr(os, "fork", refuse)
+        elif how == "deleted":
+            monkeypatch.delattr(os, "fork")
+        cli.cmd_diagnose(cfg, paths, out_dir=tmp_path / "d")
+        _assert_no_child()
+        assert calls == [tmp_path / "d"]
+        assert _atom_bytes(tmp_path / "d") == _in_process_atoms(
+            cfg, paths, tmp_path / "ref")
+
+    def test_unwritable_atom_path_raises_as_in_process(self, tmp_path):
+        cfg, paths = _solved(tmp_path, "disk")
+        (tmp_path / "d" / "varifold_atoms_00.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            cli.cmd_diagnose(cfg, paths, out_dir=tmp_path / "d")
+        _assert_no_child()
+
+    def test_varifold_build_error_reported_as_before(self, tmp_path,
+                                                     monkeypatch):
+        # the second solution's varifold cannot be built: its atoms and the
+        # varifold tables are missing, and the error is the check's
+        cfg, paths = _solved(tmp_path, "disk")
+        real = cli.build_varifold
+
+        def failing(sol, well, h0):
+            if sol.field.epsilon == 0.1:
+                raise NoConvergence("forced")
+            return real(sol, well, h0)
+
+        monkeypatch.setattr(cli, "build_varifold", failing)
+        report = cli.cmd_diagnose(cfg, paths)
+        _assert_no_child()
+        assert report.errors == [("varifold", "forced")]
+        assert list(_atom_bytes(tmp_path / "out")) == [
+            "varifold_atoms_00.csv"]
+
+    def test_checks_without_varifold_fork_nothing(self, tmp_path,
+                                                  monkeypatch):
+        forks = []
+
+        def counting():
+            forks.append(1)
+            raise OSError("forced")
+
+        cfg, paths = _solved(tmp_path, "disk", "equipartition pohozaev")
+        monkeypatch.setattr(os, "fork", counting)
+        report = cli.cmd_diagnose(cfg, paths)
+        assert report.tables["pohozaev"]
+        assert forks == []
+        assert _atom_bytes(tmp_path / "out") == {}
+
+    def test_writer_killed_when_a_check_raises(self, tmp_path, monkeypatch):
+        import time
+
+        def boom(*args):
+            raise RuntimeError("forced")
+
+        cfg, paths = _solved(tmp_path, "disk", ALL_CHECKS)
+        # a writer still running when a check raises is killed, not awaited
+        self.parent_calls(monkeypatch, lambda *args: time.sleep(60))
+        monkeypatch.setattr(cli, "_diag_pohozaev", boom)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="forced"):
+            cli.cmd_diagnose(cfg, paths)
+        assert time.monotonic() - t0 < 30
+        _assert_no_child()
 
 
 class TestLifetime:
@@ -839,6 +995,7 @@ class TestMoreCli:
         assert cli.main(["diagnose", "--config", str(small_cfg),
                          str(missing)]) == 2
         assert "cannot read solution file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_diagnose_extracts_once_per_solution(self, tmp_path, monkeypatch):
         cfg = tiny_disk_cfg(tmp_path)
