@@ -13,14 +13,18 @@ at eps = 0.025.  The criteria are implemented exactly as stated and left
 red rather than loosened.
 
 The disk solution of criteria 7 and 8 is the largest single cost.
-run_acceptance solves it in one forked worker process (forked.Forked, the
-fork transport diagnose's atom writer uses too) while criteria 1-6 run, and
-the first use of disk_sol takes the worker's result, bit for bit what the
-same call gives in-process.  Where fork is unavailable, where the
-worker does not deliver, and on a context used without run_acceptance, the
-disk is solved in-process by that same call.  Python 3.12 and later emit a
-DeprecationWarning when a process that runs other threads (a multi-threaded
-BLAS, say) forks; it is left visible.
+run_acceptance forks one worker process (forked.Forked, the fork transport
+diagnose's atom writer uses too) before anything else.  The worker builds
+the disk domain, solves it and takes the disk's values for criteria 7, 8
+and 10 (measure_disk), while the parent runs the criteria that do not read the
+disk (1-6 and 9); then 7, 8 and 10 run.  Results are returned and printed in
+index order.  The first use of disk_sol or disk_measured takes the worker's
+result, bit for bit what the same calls give in-process.  Where fork is
+unavailable, where the worker does not deliver, and on a context used
+without run_acceptance, the disk is solved and measured in-process by those
+same calls.  Python 3.12 and later emit a DeprecationWarning when a process
+that runs other threads (a multi-threaded BLAS, say) forks; it is left
+visible.
 """
 from __future__ import annotations
 
@@ -73,28 +77,63 @@ class CriterionResult:
         return all(s.passed for s in self.subs) and self.runtime <= self.budget
 
 
+@dataclass(frozen=True)
+class DiskMeasurements:
+    """The disk's values for criteria 7, 8 and 10: fitted_c1 of the
+    monotonicity scan at three boundary-centred points, (deficit, c1_norm)
+    of the free-boundary test for five rotational fields, and the mass of
+    its varifold."""
+
+    fitted_c1: tuple
+    free_boundary: tuple
+    varifold_mass: float
+
+
+def measure_disk(sol, well, h0, seed):
+    """The DiskMeasurements of the disk solution sol: the worker and the
+    in-process fallback both take them here."""
+    dom, eps = sol.field.dom, sol.field.epsilon
+    fitted = []
+    for ang in (0.3, 1.0, 2.2):
+        x = dom.nearest_boundary_point(np.array([math.cos(ang),
+                                                 math.sin(ang)]))
+        c = energy_ratio_curve(sol.field, well, x,
+                               radius_ladder(dom, eps, x), lam=sol.lam)
+        fitted.append(monotonicity_scan(c, dom).fitted_c1)
+    varifold = build_varifold(sol, well, h0)
+    curve = extract_interface(sol)
+    rng = np.random.default_rng(seed + 1)
+    tests = []
+    for _ in range(5):
+        X = make_rotational_field(dom, rng)
+        _, _, deficit = free_boundary_test(varifold, sol, h0, X, curve=curve)
+        tests.append((deficit, X.c1_norm))
+    return DiskMeasurements(tuple(fitted), tuple(tests), varifold.mass)
+
+
 # Solution fields the disk worker sends back beside the nodal values
 _SCALARS = ("lam", "residual_norm", "iterations", "factorizations",
             "constraint", "converged", "energy")
 
 
-def _solution_bytes(sol):
+def _solution_bytes(sol, measured):
     """The disk worker's payload: the nodal values as raw float64 bytes,
-    then the pickled epsilon and Solution scalars."""
+    then the pickled epsilon, Solution scalars and measured."""
     return (sol.field.values.astype(np.float64).tobytes()
             + pickle.dumps((sol.field.epsilon,
-                            {k: getattr(sol, k) for k in _SCALARS})))
+                            {k: getattr(sol, k) for k in _SCALARS},
+                            measured)))
 
 
 def _solution_from_bytes(data, dom):
-    """The Solution on dom that _solution_bytes encoded, or None for no
-    payload or one no longer than dom's nodal values."""
+    """The Solution on dom and the measured that _solution_bytes encoded,
+    or None for no payload or one no longer than dom's nodal values."""
     n = dom.n_nodes
     if data is None or len(data) <= 8 * n:
         return None
-    eps, scalars = pickle.loads(data[8 * n:])
+    eps, scalars, measured = pickle.loads(data[8 * n:])
     values = np.frombuffer(data, dtype=np.float64, count=n).copy()
-    return Solution(field=Field(dom, eps, values), **scalars)
+    return Solution(field=Field(dom, eps, values), **scalars), measured
 
 
 def _disk_domain():
@@ -113,20 +152,22 @@ class AcceptanceContext:
         self._worker = None
 
     def fork_disk_solve(self):
-        """Start the disk solve in one forked worker; disk_sol waits for it."""
-        dom = _disk_domain()
-        self._worker = dom, Forked(
-            lambda: _solution_bytes(self._solve_disk(dom)))
+        """Start the disk solve and measurements in one forked worker, which
+        builds its own domain; disk_sol and disk_measured wait for it."""
+        self._worker = Forked(
+            lambda: _solution_bytes(*self._solve_disk(_disk_domain())))
 
     def close(self):
         """Reap the worker, killing it first if its result was never used."""
         if self._worker is not None:
-            self._worker[1].close()
+            self._worker.close()
             self._worker = None
 
     def _solve_disk(self, dom):
-        return solve_single(dom, self.well, 0.02, constraint=0.3,
-                            recipe="radial")
+        """The disk solution on dom and its DiskMeasurements."""
+        sol = solve_single(dom, self.well, 0.02, constraint=0.3,
+                           recipe="radial")
+        return sol, measure_disk(sol, self.well, self.h0, self.seed)
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -150,12 +191,21 @@ class AcceptanceContext:
 
     @property
     def disk_sol(self):
+        return self._disk[0]
+
+    @property
+    def disk_measured(self):
+        return self._disk[1]
+
+    @property
+    def _disk(self):
         def build():
-            if self._worker is None:
-                return self._solve_disk(_disk_domain())
-            dom, worker = self._worker
-            sol = _solution_from_bytes(worker.result(), dom)
-            return self._solve_disk(dom) if sol is None else sol
+            # the decoding copy of the domain is built while the worker runs
+            dom = _disk_domain()
+            got = None
+            if self._worker is not None:
+                got = _solution_from_bytes(self._worker.result(), dom)
+            return self._solve_disk(dom) if got is None else got
         return self._get("disk_sol", build)
 
     @property
@@ -174,17 +224,6 @@ class AcceptanceContext:
         return self._get("rect_varifold",
                          lambda: build_varifold(self.rect_sol, self.well,
                                                 self.h0))
-
-    @property
-    def disk_varifold(self):
-        return self._get("disk_varifold",
-                         lambda: build_varifold(self.disk_sol, self.well,
-                                                self.h0))
-
-    @property
-    def disk_curve(self):
-        return self._get("disk_curve",
-                         lambda: extract_interface(self.disk_sol))
 
 
 def _fmt(x):
@@ -320,15 +359,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     rr = radius_ladder(dom, sol.field.epsilon, contact)
     theta = density_estimate(ctx.rect_varifold, contact, rr).plateau()
 
-    disk = ctx.disk_sol
-    fitted = []
-    for ang in (0.3, 1.0, 2.2):
-        x = disk.field.dom.nearest_boundary_point(
-            np.array([math.cos(ang), math.sin(ang)]))
-        rr = radius_ladder(disk.field.dom, disk.field.epsilon, x)
-        c = energy_ratio_curve(disk.field, ctx.well, x, rr, lam=disk.lam)
-        rep = monotonicity_scan(c, disk.field.dom)
-        fitted.append(rep.fitted_c1)
+    fitted = ctx.disk_measured.fitted_c1
     subs = [
         SubCheck("interior I(r) plateaus in [0.9, 1.1] h0", ok_plateau,
                  f"[{_fmt(min(plateaus))}, {_fmt(max(plateaus))}]",
@@ -348,15 +379,9 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
     sol = ctx.disk_sol
     h0 = ctx.h0
-    rng = np.random.default_rng(ctx.seed + 1)
-    deficits_ok = []
-    measured = []
-    for _ in range(5):
-        X = make_rotational_field(sol.field.dom, rng)
-        lhs, rhs, deficit = free_boundary_test(ctx.disk_varifold, sol, h0, X,
-                                               curve=ctx.disk_curve)
-        deficits_ok.append(deficit <= 0.1 * X.c1_norm)
-        measured.append(deficit / X.c1_norm)
+    tests = ctx.disk_measured.free_boundary
+    deficits_ok = [deficit <= 0.1 * c1_norm for deficit, c1_norm in tests]
+    measured = [deficit / c1_norm for deficit, c1_norm in tests]
     r_arc, _, _ = orthogonal_arc(1.0, 0.3)
     lam_oracle = h0 / (2.0 * r_arc)
     lam_ok = abs(abs(sol.lam) - lam_oracle) <= 0.15 * lam_oracle
@@ -408,7 +433,8 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
         c0_ok.append((sol.max_abs - 1.0) / eps <= 10.0)
     mass_ok = [
         ctx.rect_varifold.mass <= ctx.rect_sol.energy / ctx.h0 + 0.01,
-        ctx.disk_varifold.mass <= ctx.disk_sol.energy / ctx.h0 + 0.01,
+        ctx.disk_measured.varifold_mass
+        <= ctx.disk_sol.energy / ctx.h0 + 0.01,
         build_varifold(ctx.sweep_1d[-1], ctx.well, ctx.h0).mass
         <= ctx.sweep_1d[-1].energy / ctx.h0 + 0.01,
     ]
@@ -426,26 +452,39 @@ def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
 CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
 
+# positions in CRITERIA of the criteria that read the disk (7, 8 and 10):
+# they run after every other one, so that the rest overlaps the worker
+_DISK_POSITIONS = (6, 7, 9)
+
 
 def run_acceptance(seed: int = 7, verbose: bool = True):
-    """Run every criterion; returns the list of CriterionResult."""
+    """Run every criterion, those that read the disk last; returns the list
+    of CriterionResult in index order, and prints each one in that order as
+    soon as every one before it has run."""
     ctx = AcceptanceContext(seed=seed, verbose=verbose)
     ctx.fork_disk_solve()
-    results = []
+    results = [None] * len(CRITERIA)
+    printed = 0
     try:
-        for crit in CRITERIA:
-            res = crit(ctx)
-            results.append(res)
-            if verbose:
-                print(format_result_line(res))
-                for s in res.subs:
-                    mark = "ok" if s.passed else "FAIL"
-                    extra = f"  [{s.note}]" if s.note else ""
-                    print(f"      {mark:4s} {s.label}: {s.measured} "
-                          f"(want {s.threshold}){extra}")
+        for k in sorted(range(len(CRITERIA)),
+                        key=lambda k: k in _DISK_POSITIONS):
+            results[k] = CRITERIA[k](ctx)
+            while (verbose and printed < len(results)
+                   and results[printed] is not None):
+                _print_result(results[printed])
+                printed += 1
     finally:
         ctx.close()
     return results
+
+
+def _print_result(res: CriterionResult):
+    print(format_result_line(res))
+    for s in res.subs:
+        mark = "ok" if s.passed else "FAIL"
+        extra = f"  [{s.note}]" if s.note else ""
+        print(f"      {mark:4s} {s.label}: {s.measured} "
+              f"(want {s.threshold}){extra}")
 
 
 def format_result_line(res: CriterionResult) -> str:

@@ -558,6 +558,30 @@ def mirror_maps(dom: Domain) -> tuple:
 
 
 @kept
+def line_maps(dom: Domain) -> tuple:
+    """Per axis of a 2D domain, the active index of the first node of every
+    node's grid line along that axis, or None when translation along it is
+    not an exact symmetry of the discretization: some line is not fully
+    active, or cut_cell_weights vary along one.  A 1D domain, whose one line
+    is the whole domain, has none."""
+    if dom.dim < 2:
+        return (None,)
+    coords = np.unravel_index(dom.grid_index, dom.n_cells)
+    w = dom.cut_cell_weights
+    maps = []
+    for a, n in enumerate(dom.n_cells):
+        first = list(coords)
+        first[a] = np.zeros_like(coords[a])
+        line = dom.active_of_grid[np.ravel_multi_index(first, dom.n_cells)]
+        if not (np.all(line >= 0)
+                and np.all(np.bincount(line)[line] == n)
+                and np.array_equal(w[line], w)):
+            line = None
+        maps.append(line)
+    return tuple(maps)
+
+
+@kept
 def grid_axes(dom: Domain) -> tuple:
     """Per axis, the grid coordinates; node coordinates are among them."""
     lo, hi = _grid_box(dom.shape, dom.params)

@@ -13,12 +13,16 @@ kernels of geometry (row_distance here), and the time loop of the flow is
 sequential.  Solutions are immutable once returned.
 Newton factors only the black Schur complement of a red-black split, in the
 minimum-degree order of the first LU on its domain and fold, and holds one
-LU at a time.  When the domain is exactly mirror-symmetric along an axis
-(an even cell count, and the active set and cut-cell weights map exactly
-onto themselves) and Newton's start is bitwise mirror-symmetric along it,
-the system is folded onto the low half along every such axis, which is
-exact because the Newton map commutes with the reflection; any other start
-runs unfolded, with unchanged arithmetic.
+LU at a time.  The system is folded along every exact symmetry that
+Newton's start has bitwise.  When translation along an axis is exact (every
+grid line along it fully active with equal cut-cell weights: the rectangle)
+and the start is constant along it (step-x, step-y), each line collapses
+onto one node, so a 2D solve factors a 1D-sized system.  Otherwise, when
+the domain is exactly mirror-symmetric along an axis (an even cell count,
+and the active set and cut-cell weights map exactly onto themselves) and
+the start is mirror-symmetric along it, the system is folded onto the low
+half.  Both are exact because the Newton map commutes with the symmetry;
+any other start runs unfolded, with unchanged arithmetic.
 """
 from __future__ import annotations
 
@@ -31,7 +35,8 @@ from scipy.sparse.linalg import cg, splu
 
 from .errors import (AcLabError, Blowup, NoConvergence, SingularJacobian,
                      UnresolvedInterface)
-from .geometry import Domain, kept, mirror_maps, read_only, row_distance
+from .geometry import (Domain, kept, line_maps, mirror_maps, read_only,
+                       row_distance)
 from .potential import SQRT2, DoubleWell
 
 RECIPES = ("constant", "step-x", "step-y", "two-layer", "radial", "file")
@@ -121,15 +126,17 @@ def _stiffness(dom: Domain) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class _Fold:
-    """The Newton system folded along mirror axes and split red-black.
+    """The Newton system folded along its symmetries and split red-black.
 
-    The folded unknowns are the nodes in low, those on the low side of each
-    folded axis; every node takes the value of its image among them, at
-    position rep in low.  The folded stiffness restricts A to low and adds
-    each column to that of its image; a face that crosses a folded axis
-    couples a node to its own image, so its coupling lands on the diagonal:
-    the Neumann condition on the symmetry line.  With no axes, low holds
-    every node and the fold is A itself.
+    The folded unknowns are the nodes in low: those on the low side of each
+    mirror axis and first on their line along each collapsed axis; every
+    node takes the value of its image among them, at position rep in low.
+    The folded stiffness restricts A to low and adds each column to that of
+    its image.  A face that crosses a mirror axis couples a node to its own
+    image, so its coupling lands on the diagonal: the Neumann condition on
+    the symmetry line.  A face along a collapsed line joins two nodes of one
+    image, so it drops out.  With no axes, low holds every node and the fold
+    is A itself.
 
     The folded nodes are split by the parity of their grid indices: on the
     5-point stencil no two nodes of one colour are neighbours, so the
@@ -162,17 +169,34 @@ def _fold_matrix(M: sp.csr_matrix, low: np.ndarray,
     return F
 
 
+def _symmetries(dom: Domain, u: np.ndarray) -> tuple:
+    """The axes of fold that u is bitwise invariant under: each axis a
+    along which u is mirror-symmetric but not constant, then dim + a for
+    each axis a along whose lines u is constant."""
+    lines = [a for a, line in enumerate(line_maps(dom))
+             if line is not None and np.array_equal(u[line], u)]
+    return tuple(a for a, image in enumerate(mirror_maps(dom))
+                 if a not in lines and image is not None
+                 and np.array_equal(u[image], u)) \
+        + tuple(dom.dim + a for a in lines)
+
+
 @kept
 def fold(dom: Domain, axes: tuple) -> _Fold:
-    """The fold of the Newton system along axes, each of which must have a
-    mirror map (geometry.mirror_maps)."""
+    """The fold of the Newton system along axes, which index the maps
+    mirror_maps(dom) + line_maps(dom) and must each name one: a < dim folds
+    onto the low half along axis a, dim + a collapses every grid line along
+    axis a onto its first node."""
     n = dom.n_nodes
     coords = np.unravel_index(dom.grid_index, dom.n_cells)
-    maps = mirror_maps(dom)
+    maps = mirror_maps(dom) + line_maps(dom)
     image = np.arange(n)
-    for a in axes:
-        high = coords[a] >= dom.n_cells[a] // 2
-        image[high] = maps[a][image[high]]
+    for k in axes:
+        if k < dom.dim:
+            high = coords[k] >= dom.n_cells[k] // 2
+            image[high] = maps[k][image[high]]
+        else:
+            image = maps[k][image]
     low = np.flatnonzero(image == np.arange(n))
     rep = np.empty(n, dtype=np.int64)
     rep[low] = np.arange(low.size)
@@ -239,7 +263,7 @@ def _minus_from_diagonal(P: sp.csr_matrix, c: np.ndarray) -> sp.csr_matrix:
 def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray, axes: tuple):
     """Factor the Newton Jacobian J = eps A + diag(d), folded along axes;
     return its solve, which reads f on the folded nodes only and returns a
-    solution symmetric along axes.  d must be symmetric along axes.
+    solution invariant under axes.  d must be invariant under axes.
 
     On the folded nodes split red-black (fold), the red block of J is the
     diagonal p_r = eps diag(A)_r + d_r, so the red unknowns are eliminated
@@ -379,12 +403,13 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     iterate within the iteration.  At most one LU is alive at a time.
 
     The Newton map commutes with every exact symmetry of the discrete
-    problem.  So when the domain has a mirror map along an axis (an even
-    cell count, with the active set and the cut-cell weights mapping
-    exactly onto themselves) and the start u is bitwise mirror-symmetric
-    along it, every iterate stays so, and each LU factors the Jacobian
-    folded onto the low half along every such axis (fold).  A start that is
-    not exactly symmetric runs unfolded, with unchanged arithmetic.
+    problem.  So when the start u is bitwise invariant under one, every
+    iterate stays so, and each LU factors the Jacobian folded along it
+    (fold): a line map (geometry.line_maps) along which u is constant
+    collapses each grid line onto one node, and a mirror map
+    (geometry.mirror_maps) along which u is symmetric folds onto the low
+    half.  A start that is not exactly invariant runs unfolded, with
+    unchanged arithmetic.
     Raises SingularJacobian if the linearization cannot be factorized,
     NoConvergence (carrying the best iterate) if the budget runs out.
     """
@@ -396,8 +421,7 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     u = sol.field.values.copy()
     lam = sol.lam
     factorizations = 0
-    axes = tuple(a for a, image in enumerate(mirror_maps(dom))
-                 if image is not None and np.array_equal(u[image], u))
+    axes = _symmetries(dom, u)
 
     def solution(u, lam, rn, it, converged=True):
         f = Field(dom, eps, u)

@@ -160,14 +160,20 @@ def test_worker_disk_solution_is_bitwise_the_in_process_one(monkeypatch):
     want = solve_single(build_domain("disk", (1.0,), 256), DoubleWell(), 0.02,
                         constraint=0.3, recipe="radial")
     fresh = acc.AcceptanceContext(seed=7)
+    want_measured = acc.measure_disk(want, fresh.well, fresh.h0, 7)
     fresh.fork_disk_solve()
     try:
-        # the worker forked with the real solver; the parent may not solve
+        # the worker forked with the real solver and measurements; the
+        # parent may do neither
         monkeypatch.setattr(acc, "solve_single", _parent_may_not_solve)
+        monkeypatch.setattr(acc, "measure_disk", _parent_may_not_solve)
         got = fresh.disk_sol
+        measured = fresh.disk_measured
     finally:
         fresh.close()
     _assert_same_solution(got, want)
+    assert measured == want_measured
+    assert len(measured.fitted_c1) == 3 and len(measured.free_boundary) == 5
     _assert_no_child()
 
 
@@ -219,30 +225,78 @@ def test_worker_delivers_or_returns_none():
     # factorization, so a second solve on it is not bitwise the first
     want = _small_disk_solve(build_domain("disk", (1.0,), 64))
     dom = build_domain("disk", (1.0,), 64)
-    worker = Forked(lambda: acc._solution_bytes(_small_disk_solve(dom)))
-    got = acc._solution_from_bytes(worker.result(), dom)
+    sent = acc.DiskMeasurements((1.5, 2.5, 0.1), ((0.25, 3.0),), 2.0)
+    worker = Forked(lambda: acc._solution_bytes(_small_disk_solve(dom),
+                                                sent))
+    got, measured = acc._solution_from_bytes(worker.result(), dom)
     worker.close()
     assert got.field.dom is dom
     _assert_same_solution(got, want)
+    assert measured == sent
 
     # a payload shorter than the domain's nodal values is not a result
-    worker = Forked(lambda: acc._solution_bytes(want))
+    worker = Forked(lambda: acc._solution_bytes(want, sent))
     assert acc._solution_from_bytes(
         worker.result(), build_domain("disk", (1.0,), 128)) is None
     _assert_no_child()
 
 
-def test_worker_without_fork_returns_none(monkeypatch):
-    def refuse():
-        raise OSError("forced")
+def _refuse_fork():
+    raise OSError("forced")
 
+
+def test_worker_without_fork_returns_none(monkeypatch):
     dom = build_domain("disk", (1.0,), 64)
 
     def task():
-        return acc._solution_bytes(_small_disk_solve(dom))
+        return acc._solution_bytes(_small_disk_solve(dom), None)
 
-    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     assert acc._solution_from_bytes(Forked(task).result(), dom) is None
     monkeypatch.delattr(os, "fork")
     assert acc._solution_from_bytes(Forked(task).result(), dom) is None
     _assert_no_child()
+
+
+def test_in_process_disk_measures_what_the_worker_does(ctx, monkeypatch):
+    # with fork refused, run_acceptance solves and measures the disk
+    # in-process through the same calls the worker makes
+    solved = []
+    solve = acc.AcceptanceContext._solve_disk
+
+    def recorded(self, dom):
+        solved.append(os.getpid())
+        return solve(self, dom)
+
+    monkeypatch.setattr(acc.AcceptanceContext, "_solve_disk", recorded)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    in_process = acc.run_acceptance(seed=7, verbose=False)
+    assert solved == [os.getpid()]
+    plain = [crit(ctx) for crit in acc.CRITERIA]
+    assert ([[s.measured for s in r.subs] for r in in_process]
+            == [[s.measured for s in r.subs] for r in plain])
+    _assert_no_child()
+
+
+def test_disk_criteria_run_last_by_position(monkeypatch, capsys):
+    # positional stand-ins, as a benchmark's counting wrappers are: the
+    # criteria at positions 7, 8 and 10 run after the rest, and results and
+    # verbose lines still come out in index order
+    ran = []
+
+    def stand_in(index):
+        def run(ctx):
+            ran.append(index)
+            return acc.CriterionResult(index, f"stand-in {index}", 0.0, 1.0,
+                                       [acc.SubCheck("ran", True, "1", "1")])
+        return run
+
+    monkeypatch.setattr(acc, "CRITERIA",
+                        tuple(stand_in(k) for k in range(1, 11)))
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    results = acc.run_acceptance(seed=7, verbose=True)
+    assert ran == [1, 2, 3, 4, 5, 6, 9, 7, 8, 10]
+    assert [r.index for r in results] == list(range(1, 11))
+    lines = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("[PASS]")]
+    assert lines == [acc.format_result_line(r) for r in results]

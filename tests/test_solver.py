@@ -12,7 +12,7 @@ from scipy.sparse.linalg import splu
 
 from aclab import solver
 from aclab.errors import Blowup, NoConvergence, UnresolvedInterface
-from aclab.geometry import build_domain, mirror_maps
+from aclab.geometry import build_domain, line_maps, mirror_maps
 from aclab.potential import SQRT2, DoubleWell
 from aclab.solver import (LU_OPTIONS, Field, Solution, assemble_energy,
                           epsilon_sweep, gradient_flow, newton_refine,
@@ -693,16 +693,22 @@ class TestFold:
         whole = solver.fold(dom, ()).black.size
         assert abs(4 * fd.black.size - whole) <= 0.01 * whole
 
-    @pytest.mark.parametrize("cells,nudge", [(97, False), (128, True)])
+    @pytest.mark.parametrize("shape,params,recipe,cells,nudge", [
+        pytest.param("disk", (1.0,), "radial", 97, False, id="97-False"),
+        pytest.param("disk", (1.0,), "radial", 128, True, id="128-True"),
+        pytest.param("rectangle", (1.0, 0.5), "step-x", (64, 32), True,
+                     id="rectangle-step-x")])
     def test_asymmetric_start_runs_unfolded(self, quartic, monkeypatch,
-                                            cells, nudge):
+                                            shape, params, recipe, cells,
+                                            nudge):
         # an odd cell count has no mirror map, and a start one ulp off
-        # symmetric folds nothing: both take the unfolded path, the same
-        # arithmetic as a domain without mirror maps
+        # symmetric (on the rectangle, also off constant along y) folds
+        # nothing: both take the unfolded path, the same arithmetic as a
+        # domain without mirror or line maps
         def refine():
-            dom = build_domain("disk", (1.0,), cells)
+            dom = build_domain(shape, params, cells)
             start = solver._newton_start(
-                seed_field(dom, 0.1, "radial", 0.3), quartic, 0.3)
+                seed_field(dom, 0.1, recipe, 0.3), quartic, 0.3)
             u = start.field.values.copy()
             if nudge:
                 k = int(np.argmax(dom.points[:, 1] > 0.3))
@@ -723,11 +729,86 @@ class TestFold:
         monkeypatch.setattr(solver, "_factor_jacobian", recording)
         sol = refine()
         assert seen and set(seen) == {()}
-        monkeypatch.setattr(solver, "mirror_maps",
-                            lambda dom: (None,) * dom.dim)
+        for maps in ("mirror_maps", "line_maps"):
+            monkeypatch.setattr(solver, maps, lambda dom: (None,) * dom.dim)
         plain = refine()
         assert np.array_equal(sol.field.values, plain.field.values)
         assert (sol.lam, sol.iterations) == (plain.lam, plain.iterations)
+
+
+class TestCollapse:
+    """A start constant along the grid lines of an axis collapses each line
+    onto one node when translation along it is exact (the rectangle)."""
+
+    @staticmethod
+    def recorded_sweep(monkeypatch, dom, quartic, seen):
+        factor = solver._factor_jacobian
+
+        def recording(dom, eps, d, axes):
+            seen.append(axes)
+            return factor(dom, eps, d, axes)
+
+        monkeypatch.setattr(solver, "_factor_jacobian", recording)
+        return epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
+                             constraint=0.3, recipe="step-x")
+
+    def test_step_x_sweep_collapses_y_lines(self, quartic, monkeypatch):
+        # the 1 x 0.5 rectangle: every y-line is one node of the fold, and
+        # every solution is exactly constant along y
+        dom = build_domain("rectangle", (1.0, 0.5), (128, 64))
+        lines = line_maps(dom)
+        assert lines[0] is not None and lines[1] is not None
+        seen = []
+        sweep = self.recorded_sweep(monkeypatch, dom, quartic, seen)
+        assert len(sweep) == 3 and set(seen) == {(dom.dim + 1,)}
+        assert solver.fold(dom, (dom.dim + 1,)).low.size == dom.n_cells[0]
+        for sol in sweep:
+            u = sol.field.values
+            assert np.array_equal(u[lines[1]], u)
+            assert sol.residual_norm <= 1e-10
+
+    def test_collapsed_sweep_matches_uncollapsed(self, quartic, monkeypatch):
+        # without line maps the same start folds along the y mirror only;
+        # both give the same solutions and counts
+        def sweep():
+            seen = []
+            dom = build_domain("rectangle", (1.0, 0.5), (128, 64))
+            return self.recorded_sweep(monkeypatch, dom, quartic, seen), seen
+
+        collapsed, seen = sweep()
+        assert set(seen) == {(3,)}
+        monkeypatch.setattr(solver, "line_maps",
+                            lambda dom: (None,) * dom.dim)
+        folded, seen = sweep()
+        assert set(seen) == {(1,)}
+        assert len(collapsed) == len(folded) == 3
+        for a, b in zip(collapsed, folded):
+            assert abs(a.energy - b.energy) <= 1e-12
+            assert abs(a.lam - b.lam) <= 1e-12
+            assert np.abs(a.field.values - b.field.values).max() <= 1e-12
+            assert (a.iterations, a.factorizations) == (b.iterations,
+                                                        b.factorizations)
+
+    @pytest.mark.parametrize("shape,params", [
+        s for s in SHAPES if s[0] != "rectangle"])
+    def test_curved_shapes_and_interval_have_no_line_maps(self, shape,
+                                                          params):
+        dom = build_domain(shape, params, 64)
+        assert line_maps(dom) == (None,) * dom.dim
+
+    def test_constant_start_collapses_to_one_node(self, quartic):
+        # constant along both axes: the fold is one red node, the black
+        # Schur complement empty, and the solve that of diag(d)
+        dom = build_domain("rectangle", (1.0, 0.5), (32, 16))
+        eps = 0.1
+        d = dom.cut_cell_weights * quartic.wpp(np.full(dom.n_nodes, 0.3)) \
+            / eps
+        fd = solver.fold(dom, (2, 3))
+        assert (fd.low.size, fd.red.size, fd.black.size) == (1, 1, 0)
+        b = dom.cut_cell_weights * 2.0
+        x = solver._factor_jacobian(dom, eps, d, (2, 3))(b)
+        J = eps * stiffness_matrix(dom) + sp.diags(d)
+        assert np.abs(J @ x - b).max() <= 1e-12 * np.abs(b).max()
 
 
 class TestSweep:
