@@ -12,17 +12,15 @@ exponentially small; no fixed 2048-cell grid can show a monotone approach
 at eps = 0.025.  The criteria are implemented exactly as stated and left
 red rather than loosened.
 
-The disk solution of criteria 7 and 8 is the largest single cost.
-run_acceptance forks one worker process (forked.Forked, the fork transport
-diagnose's atom writer uses too) before anything else.  The worker builds
-the disk domain, solves it and takes the disk's values for criteria 7, 8
-and 10 (measure_disk), while the parent runs the criteria that do not read the
-disk (1-6 and 9); then 7, 8 and 10 run.  Results are returned and printed in
-index order.  The first use of disk_sol or disk_measured takes the worker's
-result, bit for bit what the same calls give in-process.  Where fork is
-unavailable, where the worker does not deliver, and on a context used
-without run_acceptance, the disk is solved and measured in-process by those
-same calls.  Python 3.12 and later emit a DeprecationWarning when a process
+The disk case of criteria 7, 8 and 10 is the largest single cost.
+run_acceptance forks one worker process (forked.Forked, as diagnose's atom
+writer does) before anything else.  It builds and solves the disk and sends
+back, pickled, only the DiskMeasurements those criteria read
+(_measure_disk), never the solution, while the parent runs criteria 1-6
+and 9; then 7, 8 and 10 run.  Results are returned and printed in index
+order.  Where fork is unavailable, where the worker does not deliver, and
+on a context used without run_acceptance, the same _measure_disk runs
+in-process.  Python 3.12 and later emit a DeprecationWarning when a process
 that runs other threads (a multi-threaded BLAS, say) forks; it is left
 visible.
 """
@@ -43,8 +41,7 @@ from .diagnostics import (density_fields, energy_ratio_curve,
 from .forked import Forked
 from .geometry import build_domain
 from .potential import DoubleWell, compute_h0, heteroclinic_jet
-from .solver import (Field, Solution, epsilon_sweep, orthogonal_arc,
-                     solve_single)
+from .solver import epsilon_sweep, orthogonal_arc, solve_single
 from .varifold import (build_varifold, density_estimate, extract_interface,
                        free_boundary_test, integrality_check,
                        sample_interface_nodes)
@@ -79,65 +76,23 @@ class CriterionResult:
 
 @dataclass(frozen=True)
 class DiskMeasurements:
-    """The disk's values for criteria 7, 8 and 10: fitted_c1 of the
-    monotonicity scan at three boundary-centred points, (deficit, c1_norm)
-    of the free-boundary test for five rotational fields, and the mass of
-    its varifold."""
+    """Every value criteria 7, 8 and 10 read of the disk solution: the
+    monotonicity fitted_c1 at three boundary points, (deficit, c1_norm) of
+    five free-boundary tests, the varifold mass, lam, energy and _slack."""
 
     fitted_c1: tuple
     free_boundary: tuple
     varifold_mass: float
+    lam: float
+    energy: float
+    slack: tuple
 
 
-def measure_disk(sol, well, h0, seed):
-    """The DiskMeasurements of the disk solution sol: the worker and the
-    in-process fallback both take them here."""
-    dom, eps = sol.field.dom, sol.field.epsilon
-    fitted = []
-    for ang in (0.3, 1.0, 2.2):
-        x = dom.nearest_boundary_point(np.array([math.cos(ang),
-                                                 math.sin(ang)]))
-        c = energy_ratio_curve(sol.field, well, x,
-                               radius_ladder(dom, eps, x), lam=sol.lam)
-        fitted.append(monotonicity_scan(c, dom).fitted_c1)
-    varifold = build_varifold(sol, well, h0)
-    curve = extract_interface(sol)
-    rng = np.random.default_rng(seed + 1)
-    tests = []
-    for _ in range(5):
-        X = make_rotational_field(dom, rng)
-        _, _, deficit = free_boundary_test(varifold, sol, h0, X, curve=curve)
-        tests.append((deficit, X.c1_norm))
-    return DiskMeasurements(tuple(fitted), tuple(tests), varifold.mass)
-
-
-# Solution fields the disk worker sends back beside the nodal values
-_SCALARS = ("lam", "residual_norm", "iterations", "factorizations",
-            "constraint", "converged", "energy")
-
-
-def _solution_bytes(sol, measured):
-    """The disk worker's payload: the nodal values as raw float64 bytes,
-    then the pickled epsilon, Solution scalars and measured."""
-    return (sol.field.values.astype(np.float64).tobytes()
-            + pickle.dumps((sol.field.epsilon,
-                            {k: getattr(sol, k) for k in _SCALARS},
-                            measured)))
-
-
-def _solution_from_bytes(data, dom):
-    """The Solution on dom and the measured that _solution_bytes encoded,
-    or None for no payload or one no longer than dom's nodal values."""
-    n = dom.n_nodes
-    if data is None or len(data) <= 8 * n:
-        return None
-    eps, scalars, measured = pickle.loads(data[8 * n:])
-    values = np.frombuffer(data, dtype=np.float64, count=n).copy()
-    return Solution(field=Field(dom, eps, values), **scalars), measured
-
-
-def _disk_domain():
-    return build_domain("disk", (1.0,), 256)
+def _slack(sol, well):
+    """Whether sol keeps criterion 10's two bounds on xi and on max|u|."""
+    eps = sol.field.epsilon
+    xi = float(density_fields(sol.field, well).xi.max())
+    return xi <= eps ** (-0.8), (sol.max_abs - 1.0) / eps <= 10.0
 
 
 class AcceptanceContext:
@@ -152,10 +107,8 @@ class AcceptanceContext:
         self._worker = None
 
     def fork_disk_solve(self):
-        """Start the disk solve and measurements in one forked worker, which
-        builds its own domain; disk_sol and disk_measured wait for it."""
-        self._worker = Forked(
-            lambda: _solution_bytes(*self._solve_disk(_disk_domain())))
+        """Start _measure_disk in one forked worker; disk waits for it."""
+        self._worker = Forked(lambda: pickle.dumps(self._measure_disk()))
 
     def close(self):
         """Reap the worker, killing it first if its result was never used."""
@@ -163,11 +116,28 @@ class AcceptanceContext:
             self._worker.close()
             self._worker = None
 
-    def _solve_disk(self, dom):
-        """The disk solution on dom and its DiskMeasurements."""
-        sol = solve_single(dom, self.well, 0.02, constraint=0.3,
-                           recipe="radial")
-        return sol, measure_disk(sol, self.well, self.h0, self.seed)
+    def _measure_disk(self):
+        """Solve the disk case and take its DiskMeasurements."""
+        dom, eps, well = build_domain("disk", (1.0,), 256), 0.02, self.well
+        sol = solve_single(dom, well, eps, constraint=0.3, recipe="radial")
+        fitted = []
+        for ang in (0.3, 1.0, 2.2):
+            x = dom.nearest_boundary_point(np.array([math.cos(ang),
+                                                     math.sin(ang)]))
+            c = energy_ratio_curve(sol.field, well, x,
+                                   radius_ladder(dom, eps, x), lam=sol.lam)
+            fitted.append(monotonicity_scan(c, dom).fitted_c1)
+        varifold = build_varifold(sol, well, self.h0)
+        curve = extract_interface(sol)
+        rng = np.random.default_rng(self.seed + 1)
+        tests = []
+        for _ in range(5):
+            X = make_rotational_field(dom, rng)
+            _, _, deficit = free_boundary_test(varifold, sol, self.h0, X,
+                                               curve=curve)
+            tests.append((deficit, X.c1_norm))
+        return DiskMeasurements(tuple(fitted), tuple(tests), varifold.mass,
+                                sol.lam, sol.energy, _slack(sol, well))
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -190,23 +160,11 @@ class AcceptanceContext:
             0.02, constraint=0.0, recipe="step-x"))
 
     @property
-    def disk_sol(self):
-        return self._disk[0]
-
-    @property
-    def disk_measured(self):
-        return self._disk[1]
-
-    @property
-    def _disk(self):
+    def disk(self):
         def build():
-            # the decoding copy of the domain is built while the worker runs
-            dom = _disk_domain()
-            got = None
-            if self._worker is not None:
-                got = _solution_from_bytes(self._worker.result(), dom)
-            return self._solve_disk(dom) if got is None else got
-        return self._get("disk_sol", build)
+            data = None if self._worker is None else self._worker.result()
+            return self._measure_disk() if data is None else pickle.loads(data)
+        return self._get("disk", build)
 
     @property
     def pohozaev_sols(self):
@@ -359,7 +317,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     rr = radius_ladder(dom, sol.field.epsilon, contact)
     theta = density_estimate(ctx.rect_varifold, contact, rr).plateau()
 
-    fitted = ctx.disk_measured.fitted_c1
+    fitted = ctx.disk.fitted_c1
     subs = [
         SubCheck("interior I(r) plateaus in [0.9, 1.1] h0", ok_plateau,
                  f"[{_fmt(min(plateaus))}, {_fmt(max(plateaus))}]",
@@ -377,20 +335,19 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    sol = ctx.disk_sol
-    h0 = ctx.h0
-    tests = ctx.disk_measured.free_boundary
+    disk, h0 = ctx.disk, ctx.h0
+    tests = disk.free_boundary
     deficits_ok = [deficit <= 0.1 * c1_norm for deficit, c1_norm in tests]
     measured = [deficit / c1_norm for deficit, c1_norm in tests]
     r_arc, _, _ = orthogonal_arc(1.0, 0.3)
     lam_oracle = h0 / (2.0 * r_arc)
-    lam_ok = abs(abs(sol.lam) - lam_oracle) <= 0.15 * lam_oracle
+    lam_ok = abs(abs(disk.lam) - lam_oracle) <= 0.15 * lam_oracle
     subs = [
         SubCheck("first-variation deficit <= 0.1 c1_norm (5 fields)",
                  all(deficits_ok),
                  "max deficit/c1_norm " + _fmt(max(measured)), "<= 0.1"),
         SubCheck("lambda within 15% of h0 * curvature / 2", lam_ok,
-                 _fmt(abs(sol.lam)), f"{_fmt(lam_oracle)} +- 15%"),
+                 _fmt(abs(disk.lam)), f"{_fmt(lam_oracle)} +- 15%"),
     ]
     return CriterionResult(8, "free-boundary first variation",
                            time.time() - t0, 300.0, subs)
@@ -423,18 +380,12 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    sols = list(ctx.sweep_1d) + [ctx.rect_sol, ctx.disk_sol] \
-        + list(ctx.pohozaev_sols)
-    xi_ok, c0_ok = [], []
-    for sol in sols:
-        eps = sol.field.epsilon
-        d = density_fields(sol.field, ctx.well)
-        xi_ok.append(float(d.xi.max()) <= eps ** (-0.8))
-        c0_ok.append((sol.max_abs - 1.0) / eps <= 10.0)
+    sols = list(ctx.sweep_1d) + [ctx.rect_sol] + list(ctx.pohozaev_sols)
+    disk = ctx.disk
+    xi_ok, c0_ok = zip(*[_slack(sol, ctx.well) for sol in sols], disk.slack)
     mass_ok = [
         ctx.rect_varifold.mass <= ctx.rect_sol.energy / ctx.h0 + 0.01,
-        ctx.disk_measured.varifold_mass
-        <= ctx.disk_sol.energy / ctx.h0 + 0.01,
+        disk.varifold_mass <= disk.energy / ctx.h0 + 0.01,
         build_varifold(ctx.sweep_1d[-1], ctx.well, ctx.h0).mass
         <= ctx.sweep_1d[-1].energy / ctx.h0 + 0.01,
     ]

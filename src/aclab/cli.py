@@ -114,15 +114,32 @@ def save_solution(path, sol: Solution):
         write_rows(fh, "%.17g\n", [sol.field.values.tolist()])
 
 
+def _checked(ok, what):
+    """A solution-header reader: v where ok(v) holds, else a ValueError."""
+    def read(v):
+        if not ok(v):
+            raise ValueError(f"{v!r} is not {what}")
+        return v
+    return read
+
+
+_count = _checked(lambda v: type(v) is int and v >= 0,
+                  "a non-negative integer")
+_flag = _checked(lambda v: type(v) is bool, "true or false")
+_mean = _checked(lambda v: v is None or type(v) in (int, float)
+                 and math.isfinite(v), "null or a finite number")
+
+
 def load_solution(path, dom: Domain) -> Solution:
     """Read a stored solution on dom.
 
-    A missing file, an unparsable header or value line, a header that is
-    not a JSON object, lacks a required key or holds an unconvertible value,
-    a stored domain other than dom, non-finite nodal values, a non-finite
-    epsilon or lambda and an epsilon that is not positive raise
-    DomainMismatch; the energy may be NaN (its default).  Files written
-    before the factorization count was stored read it as 0.
+    A missing file, an unparsable line, a header that is not a JSON object,
+    lacks a required key or holds a bad value (named by its key; a count
+    must be a non-negative integer, converged a JSON bool, the constraint
+    null or finite), a stored domain other than dom, non-finite nodal
+    values, a non-finite epsilon or lambda and an epsilon that is not
+    positive raise DomainMismatch.  The energy may be NaN (its default);
+    files written before the factorization count was stored read it as 0.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -141,18 +158,19 @@ def load_solution(path, dom: Domain) -> Solution:
         raise DomainMismatch(f"{path}: solution header is not a JSON object")
     if head.get("schema") != SOLUTION_SCHEMA:
         raise DomainMismatch(f"{path}: unknown solution schema")
-    try:
-        stored = head["domain"]
-        eps, lam = float(head["epsilon"]), float(head["lambda"])
-        residual = float(head["residual_norm"])
-        iterations = int(head["iterations"])
-        factorizations = int(head.get("factorizations", 0))
-        energy = float(head.get("energy", math.nan))
-    except KeyError as exc:
-        raise DomainMismatch(f"{path}: solution header lacks {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainMismatch(f"{path}: bad solution header value: {exc}") \
-            from exc
+
+    def value(key, read=float, *default):
+        """head[key] through read; default, if given, where it is absent."""
+        if key not in head and not default:
+            raise DomainMismatch(f"{path}: solution header lacks '{key}'")
+        try:
+            return read(head.get(key, *default))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainMismatch(
+                f"{path}: bad solution header value {key}: {exc}") from exc
+
+    stored = value("domain", lambda v: v)
+    eps, lam = value("epsilon"), value("lambda")
     if stored != dom.to_descriptor():
         raise DomainMismatch(
             f"{path}: stored domain {stored} does not match configured "
@@ -168,11 +186,12 @@ def load_solution(path, dom: Domain) -> Solution:
     if not eps > 0.0:
         raise DomainMismatch(f"{path}: epsilon {eps} is not positive")
     return Solution(field=Field(dom, eps, values), lam=lam,
-                    residual_norm=residual, iterations=iterations,
-                    factorizations=factorizations,
-                    constraint=head.get("constraint"),
-                    converged=bool(head.get("converged", True)),
-                    energy=energy)
+                    residual_norm=value("residual_norm"),
+                    iterations=value("iterations", _count),
+                    factorizations=value("factorizations", _count, 0),
+                    constraint=value("constraint", _mean, None),
+                    converged=value("converged", _flag, True),
+                    energy=value("energy", float, math.nan))
 
 
 def _recipe_params(cfg: RunConfig, dom: Domain) -> dict:

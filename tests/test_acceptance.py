@@ -15,9 +15,6 @@ import pytest
 import aclab.acceptance as acc
 from aclab.errors import AcLabError, NoConvergence
 from aclab.forked import Forked
-from aclab.geometry import build_domain
-from aclab.potential import DoubleWell
-from aclab.solver import solve_single
 
 
 @pytest.fixture(scope="module")
@@ -140,59 +137,82 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _assert_same_solution(got, want):
-    assert got.field.values.tobytes() == want.field.values.tobytes()
-    assert repr(got.field.epsilon) == repr(want.field.epsilon)
-    for name in acc._SCALARS:
-        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
-
-
-def _small_disk_solve(dom):
-    return solve_single(dom, DoubleWell(), 0.1, constraint=0.3,
-                        recipe="radial")
-
-
 def _parent_may_not_solve(*args, **kwargs):
     raise AssertionError("the parent solved the disk itself")
 
 
+def _refuse_fork():
+    raise OSError("forced")
+
+
+def _recording_forked(delivered):
+    """A Forked that appends to delivered whether its child delivered."""
+    class Recorded(Forked):
+        def result(self):
+            data = super().result()
+            delivered.append(data is not None)
+            return data
+    return Recorded
+
+
 def test_worker_disk_solution_is_bitwise_the_in_process_one(monkeypatch):
-    want = solve_single(build_domain("disk", (1.0,), 256), DoubleWell(), 0.02,
-                        constraint=0.3, recipe="radial")
+    # the worker's measurements of its disk solution are bit for bit the
+    # in-process ones
+    want = acc.AcceptanceContext(seed=7)._measure_disk()
     fresh = acc.AcceptanceContext(seed=7)
-    want_measured = acc.measure_disk(want, fresh.well, fresh.h0, 7)
     fresh.fork_disk_solve()
     try:
         # the worker forked with the real solver and measurements; the
         # parent may do neither
         monkeypatch.setattr(acc, "solve_single", _parent_may_not_solve)
-        monkeypatch.setattr(acc, "measure_disk", _parent_may_not_solve)
-        got = fresh.disk_sol
-        measured = fresh.disk_measured
+        monkeypatch.setattr(acc.AcceptanceContext, "_measure_disk",
+                            _parent_may_not_solve)
+        got = fresh.disk
     finally:
         fresh.close()
-    _assert_same_solution(got, want)
-    assert measured == want_measured
-    assert len(measured.fitted_c1) == 3 and len(measured.free_boundary) == 5
+    assert repr(got) == repr(want)
+    assert len(got.fitted_c1) == 3 and len(got.free_boundary) == 5
+    assert len(got.slack) == 2
     _assert_no_child()
 
 
 def test_run_acceptance_measures_what_a_plain_context_does(ctx, monkeypatch):
     delivered = []
-    decode = acc._solution_from_bytes
-
-    def recorded(data, dom):
-        sol = decode(data, dom)
-        delivered.append(sol is not None)
-        return sol
-
-    monkeypatch.setattr(acc, "_solution_from_bytes", recorded)
+    monkeypatch.setattr(acc, "Forked", _recording_forked(delivered))
     forked = acc.run_acceptance(seed=7, verbose=False)
     _assert_no_child()
     assert delivered == [True]
     plain = [crit(ctx) for crit in acc.CRITERIA]
     assert ([[s.measured for s in r.subs] for r in forked]
             == [[s.measured for s in r.subs] for r in plain])
+
+
+def test_parent_builds_no_disk_domain_while_the_worker_delivers(monkeypatch):
+    # the worker sends the disk's measurements, not its solution: the parent
+    # builds no disk domain and takes the density fields of no disk field
+    parent = os.getpid()
+    built, densities, delivered = [], [], []
+    build, density = acc.build_domain, acc.density_fields
+
+    def record_build(shape, *args, **kwargs):
+        built.append((os.getpid(), shape))
+        return build(shape, *args, **kwargs)
+
+    def record_density(field, *args, **kwargs):
+        densities.append((os.getpid(), field.dom.shape))
+        return density(field, *args, **kwargs)
+
+    monkeypatch.setattr(acc, "build_domain", record_build)
+    monkeypatch.setattr(acc, "density_fields", record_density)
+    monkeypatch.setattr(acc, "Forked", _recording_forked(delivered))
+    acc.run_acceptance(seed=7, verbose=False)
+    _assert_no_child()
+    assert delivered == [True]
+    # the recorders saw the parent's other domains and fields
+    assert (parent, "rectangle") in built and (parent, "interval") in built
+    assert (parent, "rectangle") in densities
+    assert (parent, "disk") not in built
+    assert (parent, "disk") not in densities
 
 
 def test_failing_disk_solve_raises_as_in_process(monkeypatch):
@@ -202,7 +222,7 @@ def test_failing_disk_solve_raises_as_in_process(monkeypatch):
     monkeypatch.setattr(acc, "solve_single", fail)
     monkeypatch.setattr(acc, "CRITERIA", (acc.criterion_8,))
     with pytest.raises(AcLabError) as in_process:
-        acc.AcceptanceContext(seed=7).disk_sol
+        acc.AcceptanceContext(seed=7).disk
     with pytest.raises(AcLabError) as forked:
         acc.run_acceptance(seed=7, verbose=False)
     assert type(forked.value) is type(in_process.value) is NoConvergence
@@ -220,58 +240,20 @@ def test_worker_killed_when_an_earlier_criterion_raises(monkeypatch):
     _assert_no_child()
 
 
-def test_worker_delivers_or_returns_none():
-    # each solve on a fresh domain: a domain keeps the LU order of its first
-    # factorization, so a second solve on it is not bitwise the first
-    want = _small_disk_solve(build_domain("disk", (1.0,), 64))
-    dom = build_domain("disk", (1.0,), 64)
-    sent = acc.DiskMeasurements((1.5, 2.5, 0.1), ((0.25, 3.0),), 2.0)
-    worker = Forked(lambda: acc._solution_bytes(_small_disk_solve(dom),
-                                                sent))
-    got, measured = acc._solution_from_bytes(worker.result(), dom)
-    worker.close()
-    assert got.field.dom is dom
-    _assert_same_solution(got, want)
-    assert measured == sent
-
-    # a payload shorter than the domain's nodal values is not a result
-    worker = Forked(lambda: acc._solution_bytes(want, sent))
-    assert acc._solution_from_bytes(
-        worker.result(), build_domain("disk", (1.0,), 128)) is None
-    _assert_no_child()
-
-
-def _refuse_fork():
-    raise OSError("forced")
-
-
-def test_worker_without_fork_returns_none(monkeypatch):
-    dom = build_domain("disk", (1.0,), 64)
-
-    def task():
-        return acc._solution_bytes(_small_disk_solve(dom), None)
-
-    monkeypatch.setattr(os, "fork", _refuse_fork)
-    assert acc._solution_from_bytes(Forked(task).result(), dom) is None
-    monkeypatch.delattr(os, "fork")
-    assert acc._solution_from_bytes(Forked(task).result(), dom) is None
-    _assert_no_child()
-
-
 def test_in_process_disk_measures_what_the_worker_does(ctx, monkeypatch):
     # with fork refused, run_acceptance solves and measures the disk
-    # in-process through the same calls the worker makes
-    solved = []
-    solve = acc.AcceptanceContext._solve_disk
+    # in-process through the same call the worker makes
+    measured = []
+    measure = acc.AcceptanceContext._measure_disk
 
-    def recorded(self, dom):
-        solved.append(os.getpid())
-        return solve(self, dom)
+    def recorded(self):
+        measured.append(os.getpid())
+        return measure(self)
 
-    monkeypatch.setattr(acc.AcceptanceContext, "_solve_disk", recorded)
+    monkeypatch.setattr(acc.AcceptanceContext, "_measure_disk", recorded)
     monkeypatch.setattr(os, "fork", _refuse_fork)
     in_process = acc.run_acceptance(seed=7, verbose=False)
-    assert solved == [os.getpid()]
+    assert measured == [os.getpid()]
     plain = [crit(ctx) for crit in acc.CRITERIA]
     assert ([[s.measured for s in r.subs] for r in in_process]
             == [[s.measured for s in r.subs] for r in plain])

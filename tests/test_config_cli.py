@@ -337,12 +337,29 @@ class TestBadSolutionFiles:
 
     @pytest.mark.parametrize("key, bad", [("epsilon", "abc"),
                                           ("iterations", None),
-                                          ("iterations", float("inf"))])
+                                          ("iterations", float("inf")),
+                                          ("iterations", 2.7),
+                                          ("factorizations", -3),
+                                          ("converged", "no"),
+                                          ("constraint", "abc"),
+                                          pytest.param("constraint", [1, 2],
+                                                       id="constraint-list")])
     def test_unconvertible_header_value(self, saved, key, bad):
         path, dom = saved
         self.rewrite_header(path, lambda head: dict(head, **{key: bad}))
-        with pytest.raises(DomainMismatch, match="bad solution header"):
+        with pytest.raises(DomainMismatch,
+                           match=f"bad solution header value {key}: "):
             cli.load_solution(path, dom)
+
+    @pytest.mark.parametrize("key, good", [("converged", False),
+                                           ("constraint", None),
+                                           ("constraint", -1),
+                                           ("factorizations", 0)])
+    def test_legal_header_value_loads(self, saved, key, good):
+        path, dom = saved
+        self.rewrite_header(path, lambda head: dict(head, **{key: good}))
+        got = getattr(cli.load_solution(path, dom), key)
+        assert got == good and type(got) is type(good)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1])
     def test_non_positive_epsilon(self, saved, bad):
