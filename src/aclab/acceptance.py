@@ -23,6 +23,13 @@ on a context used without run_acceptance, the same _measure_disk runs
 in-process.  Python 3.12 and later emit a DeprecationWarning when a process
 that runs other threads (a multi-threaded BLAS, say) forks; it is left
 visible.
+
+AcceptanceContext builds what the criteria share on first use and keeps
+it until the context goes: the 1D sweep, one 256^2 unit square, rect_sol
+on it and rect_sol's varifold, and the DiskMeasurements.  The Pohozaev
+ladder solves on 64^2, 128^2 and that same square, and keeps of each
+solution only its PohozaevRung (criterion 6's two residuals and criterion
+10's _slack pair); each solution is dropped once it is measured.
 """
 from __future__ import annotations
 
@@ -85,6 +92,17 @@ class DiskMeasurements:
     varifold_mass: float
     lam: float
     energy: float
+    slack: tuple
+
+
+@dataclass(frozen=True)
+class PohozaevRung:
+    """Every value criteria 6 and 10 read of one solve of the Pohozaev
+    ladder: the residuals of the interior and the boundary-crossing field,
+    and _slack."""
+
+    interior: float
+    boundary: float
     slack: tuple
 
 
@@ -154,10 +172,16 @@ class AcceptanceContext:
             [0.1, 0.05, 0.025], constraint=0.0))
 
     @property
+    def square(self):
+        """The 256^2 unit square of rect_sol and of the finest Pohozaev
+        solve."""
+        return self._get("square", lambda: build_domain(
+            "rectangle", (1.0, 1.0), (256, 256)))
+
+    @property
     def rect_sol(self):
         return self._get("rect_sol", lambda: solve_single(
-            build_domain("rectangle", (1.0, 1.0), (256, 256)), self.well,
-            0.02, constraint=0.0, recipe="step-x"))
+            self.square, self.well, 0.02, constraint=0.0, recipe="step-x"))
 
     @property
     def disk(self):
@@ -167,15 +191,24 @@ class AcceptanceContext:
         return self._get("disk", build)
 
     @property
-    def pohozaev_sols(self):
+    def pohozaev(self):
+        """The PohozaevRung of the unit square at 64, 128 and 256 cells a
+        side, eps 0.04; each solution is dropped once it is measured."""
         def build():
-            sols = []
+            rungs = []
             for n in (64, 128, 256):
-                dom = build_domain("rectangle", (1.0, 1.0), (n, n))
-                sols.append(solve_single(dom, self.well, 0.04, constraint=0.0,
-                                         recipe="step-x"))
-            return sols
-        return self._get("pohozaev_sols", build)
+                dom = (self.square if n == 256 else
+                       build_domain("rectangle", (1.0, 1.0), (n, n)))
+                sol = solve_single(dom, self.well, 0.04, constraint=0.0,
+                                   recipe="step-x")
+                Xi = make_radial_field(dom, np.array([0.45, 0.55]), 0.35)
+                Xb = make_boundary_normal_field(dom, 0.08)
+                rungs.append(PohozaevRung(
+                    pohozaev_residual(sol, self.well, Xi),
+                    pohozaev_residual(sol, self.well, Xb),
+                    _slack(sol, self.well)))
+            return tuple(rungs)
+        return self._get("pohozaev", build)
 
     @property
     def rect_varifold(self):
@@ -277,13 +310,8 @@ def criterion_5(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_6(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    res_int, res_bnd = [], []
-    for sol in ctx.pohozaev_sols:
-        dom = sol.field.dom
-        Xi = make_radial_field(dom, np.array([0.45, 0.55]), 0.35)
-        Xb = make_boundary_normal_field(dom, 0.08)
-        res_int.append(pohozaev_residual(sol, ctx.well, Xi))
-        res_bnd.append(pohozaev_residual(sol, ctx.well, Xb))
+    res_int = [r.interior for r in ctx.pohozaev]
+    res_bnd = [r.boundary for r in ctx.pohozaev]
     oi = min(math.log2(a / b) for a, b in zip(res_int, res_int[1:]))
     ob = min(math.log2(a / b) for a, b in zip(res_bnd, res_bnd[1:]))
     subs = [
@@ -380,9 +408,10 @@ def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
 
 def criterion_10(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    sols = list(ctx.sweep_1d) + [ctx.rect_sol] + list(ctx.pohozaev_sols)
+    sols = list(ctx.sweep_1d) + [ctx.rect_sol]
     disk = ctx.disk
-    xi_ok, c0_ok = zip(*[_slack(sol, ctx.well) for sol in sols], disk.slack)
+    xi_ok, c0_ok = zip(*[_slack(sol, ctx.well) for sol in sols],
+                       *[r.slack for r in ctx.pohozaev], disk.slack)
     mass_ok = [
         ctx.rect_varifold.mass <= ctx.rect_sol.energy / ctx.h0 + 0.01,
         disk.varifold_mass <= disk.energy / ctx.h0 + 0.01,

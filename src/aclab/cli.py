@@ -128,6 +128,12 @@ _count = _checked(lambda v: type(v) is int and v >= 0,
 _flag = _checked(lambda v: type(v) is bool, "true or false")
 _mean = _checked(lambda v: v is None or type(v) in (int, float)
                  and math.isfinite(v), "null or a finite number")
+_number = _checked(lambda v: type(v) in (int, float), "a number")
+
+
+def _real(v):
+    """A header number (NaN and the infinities included) as a float."""
+    return float(_number(v))
 
 
 def load_solution(path, dom: Domain) -> Solution:
@@ -136,10 +142,12 @@ def load_solution(path, dom: Domain) -> Solution:
     A missing file, an unparsable line, a header that is not a JSON object,
     lacks a required key or holds a bad value (named by its key; a count
     must be a non-negative integer, converged a JSON bool, the constraint
-    null or finite), a stored domain other than dom, non-finite nodal
-    values, a non-finite epsilon or lambda and an epsilon that is not
-    positive raise DomainMismatch.  The energy may be NaN (its default);
-    files written before the factorization count was stored read it as 0.
+    null or finite, epsilon, lambda, residual_norm and energy each a JSON
+    number, not a string or a bool), a stored domain other than dom,
+    non-finite nodal values, a non-finite epsilon or lambda and an epsilon
+    that is not positive raise DomainMismatch.  The energy may be NaN (its
+    default); files written before the factorization count was stored read
+    it as 0.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -159,7 +167,7 @@ def load_solution(path, dom: Domain) -> Solution:
     if head.get("schema") != SOLUTION_SCHEMA:
         raise DomainMismatch(f"{path}: unknown solution schema")
 
-    def value(key, read=float, *default):
+    def value(key, read=_real, *default):
         """head[key] through read; default, if given, where it is absent."""
         if key not in head and not default:
             raise DomainMismatch(f"{path}: solution header lacks '{key}'")
@@ -191,7 +199,7 @@ def load_solution(path, dom: Domain) -> Solution:
                     factorizations=value("factorizations", _count, 0),
                     constraint=value("constraint", _mean, None),
                     converged=value("converged", _flag, True),
-                    energy=value("energy", float, math.nan))
+                    energy=value("energy", _real, math.nan))
 
 
 def _recipe_params(cfg: RunConfig, dom: Domain) -> dict:

@@ -101,21 +101,43 @@ def stiffness_matrix(dom: Domain) -> sp.csr_matrix:
 
     Face weight is min of the adjacent cut-cell volumes, divided by h^2;
     the quadratic form u.A.u equals twice the kinetic energy sum over faces.
+
+    The CSR is built straight from the neighbor table, canonical and with
+    exact-size arrays.  Row k holds its columns in ascending active index,
+    -x, -y, k, +y, +x (in 1D -x, k, +x), missing neighbors dropped; an
+    off-diagonal entry is minus the weight of that face.  The diagonal sums
+    the weights of k's faces from the left in the order +x, -x, +y, -y:
+    the order in which summing the duplicates of the face-by-face COO
+    assembly adds them, so A has that assembly's bits.
     """
     h = dom.cell_size
     w = dom.cut_cell_weights
-    rows, cols, vals = [], [], []
-    for a in range(dom.dim):
-        i = np.flatnonzero(dom.neighbors[:, a, 1] >= 0)
-        j = dom.neighbors[i, a, 1]
-        aw = np.minimum(w[i], w[j]) / h**2
-        rows += [i, j, i, j]
-        cols += [i, j, j, i]
-        vals += [aw, aw, -aw, -aw]
-    n = dom.n_nodes
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
+    n, dim = dom.n_nodes, dom.dim
+    nbr = dom.neighbors
+    # slots of row k: -a for a = 0..dim-1, then k, then +a for a = dim-1..0
+    cols = np.empty((n, 2 * dim + 1), dtype=np.int32)
+    vals = np.empty((n, 2 * dim + 1))
+    cols[:, dim] = np.arange(n)
+    diag = vals[:, dim]
+    diag[:] = 0.0
+    for a in range(dim):
+        minus, plus = a, 2 * dim - a
+        # up[k]: the weight of the face from k to its +a neighbor, 0 where
+        # there is none; the trailing 0 is up[-1], read for a missing -a one
+        i = np.flatnonzero(nbr[:, a, 1] >= 0)
+        up = np.zeros(n + 1)
+        up[i] = np.minimum(w[i], w[nbr[i, a, 1]]) / h**2
+        down = up[nbr[:, a, 0]]
+        up = up[:n]
+        cols[:, minus], cols[:, plus] = nbr[:, a, 0], nbr[:, a, 1]
+        np.negative(down, out=vals[:, minus])
+        np.negative(up, out=vals[:, plus])
+        diag += up
+        diag += down
+    keep = cols >= 0
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
 
 @kept

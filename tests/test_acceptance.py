@@ -15,6 +15,7 @@ import pytest
 import aclab.acceptance as acc
 from aclab.errors import AcLabError, NoConvergence
 from aclab.forked import Forked
+from aclab.solver import Solution
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,39 @@ def test_parent_builds_no_disk_domain_while_the_worker_delivers(monkeypatch):
     assert (parent, "rectangle") in densities
     assert (parent, "disk") not in built
     assert (parent, "disk") not in densities
+
+
+def test_parent_builds_the_square_once_and_keeps_no_pohozaev_solution(
+        monkeypatch):
+    # rect_sol and the finest Pohozaev solve share one 256^2 square; the
+    # Pohozaev ladder keeps its measurements, not its solutions
+    parent = os.getpid()
+    built, contexts = [], []
+    build = acc.build_domain
+
+    def record_build(shape, params, cells):
+        if os.getpid() == parent:
+            built.append((shape, cells))
+        return build(shape, params, cells)
+
+    class Recorded(acc.AcceptanceContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(self)
+
+    monkeypatch.setattr(acc, "build_domain", record_build)
+    monkeypatch.setattr(acc, "AcceptanceContext", Recorded)
+    acc.run_acceptance(seed=7, verbose=False)
+    _assert_no_child()
+    assert built.count(("rectangle", (256, 256))) == 1
+    assert ("rectangle", (64, 64)) in built
+    (ctx,) = contexts
+    kept = []
+    for value in ctx._cache.values():
+        kept += value if isinstance(value, (list, tuple)) else [value]
+    sols = [v for v in kept if isinstance(v, Solution)]
+    assert sols and all(s.field.epsilon != 0.04 for s in sols)
+    assert len(ctx.pohozaev) == 3
 
 
 def test_failing_disk_solve_raises_as_in_process(monkeypatch):

@@ -336,6 +336,10 @@ class TestBadSolutionFiles:
             cli.load_solution(path, dom)
 
     @pytest.mark.parametrize("key, bad", [("epsilon", "abc"),
+                                          ("epsilon", "0.1"),
+                                          ("lambda", True),
+                                          ("residual_norm", "1e-12"),
+                                          ("energy", "nan"),
                                           ("iterations", None),
                                           ("iterations", float("inf")),
                                           ("iterations", 2.7),
@@ -354,12 +358,14 @@ class TestBadSolutionFiles:
     @pytest.mark.parametrize("key, good", [("converged", False),
                                            ("constraint", None),
                                            ("constraint", -1),
-                                           ("factorizations", 0)])
+                                           ("factorizations", 0),
+                                           ("energy", float("nan"))])
     def test_legal_header_value_loads(self, saved, key, good):
         path, dom = saved
         self.rewrite_header(path, lambda head: dict(head, **{key: good}))
         got = getattr(cli.load_solution(path, dom), key)
-        assert got == good and type(got) is type(good)
+        # repr, so that the NaN energy compares equal to itself
+        assert repr(got) == repr(good) and type(got) is type(good)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1])
     def test_non_positive_epsilon(self, saved, bad):

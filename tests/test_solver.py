@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,57 @@ class TestAssembleEnergy:
         ref = kinetic + float(np.sum(w * quartic.w(u)) / 0.1)
         assert assemble_energy(Field(dom, 0.1, u), quartic) == pytest.approx(
             ref, rel=1e-13, abs=0.0)
+
+
+def coo_stiffness(dom):
+    """The face-by-face COO assembly of the stiffness, each face's four
+    entries summed by scipy: the reference stiffness_matrix reproduces."""
+    h, w = dom.cell_size, dom.cut_cell_weights
+    rows, cols, vals = [], [], []
+    for a in range(dom.dim):
+        i = np.flatnonzero(dom.neighbors[:, a, 1] >= 0)
+        j = dom.neighbors[i, a, 1]
+        aw = np.minimum(w[i], w[j]) / h**2
+        rows += [i, j, i, j]
+        cols += [i, j, j, i]
+        vals += [aw, aw, -aw, -aw]
+    n = dom.n_nodes
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n))
+
+
+class TestStiffness:
+    CASES = [("interval", (1.0,), 2048), ("rectangle", (1.0, 1.0), 256),
+             ("rectangle", (1.0, 0.5), 256), ("disk", (1.0,), 256),
+             ("annulus", (0.4, 1.0), 128), ("half-disk", (1.0,), 128)]
+
+    @pytest.mark.parametrize("shape,params,cells", CASES)
+    def test_bitwise_the_coo_assembly(self, shape, params, cells):
+        dom = build_domain(shape, params, cells)
+        A, want = stiffness_matrix(dom), coo_stiffness(dom)
+        assert np.array_equal(A.indptr, want.indptr)
+        assert np.array_equal(A.indices, want.indices)
+        assert A.data.tobytes() == want.data.tobytes()
+        # canonical: each row's columns strictly ascending, so sorted and
+        # free of duplicates
+        rows = np.repeat(np.arange(dom.n_nodes), np.diff(A.indptr))
+        same_row = rows[1:] == rows[:-1]
+        assert np.all(np.diff(A.indices)[same_row] > 0)
+        assert A.indices.size == A.data.size == A.indptr[-1]
+
+    def test_peak_memory_within_three_results(self):
+        # the face-by-face COO assembly peaks near 6.5 times its result
+        dom = build_domain("rectangle", (1.0, 1.0), 256)
+        stiffness_matrix(dom)
+        tracemalloc.start()
+        try:
+            A = stiffness_matrix(dom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (A.data.nbytes + A.indices.nbytes
+                            + A.indptr.nbytes)
 
 
 class TestEnergyGradient:
