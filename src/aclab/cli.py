@@ -258,6 +258,12 @@ def cmd_solve(cfg: RunConfig, out_dir=None, verbose=False) -> RunReport:
     return report
 
 
+def _eps_error(report, eps, msg):
+    """Record msg as a diagnostic error at eps and print it."""
+    report.errors.append((eps, msg))
+    print(f"diagnostic error at eps={eps:g}: {msg}", file=sys.stderr)
+
+
 def _diag_equipartition(report, out, sols, well):
     rep = equipartition_report(sols, well)
     rows = [(r.epsilon, r.kinetic, r.potential, r.ratio, r.xi_l1)
@@ -341,7 +347,7 @@ def _diag_pohozaev(report, out, sols, well, radial):
                                    _boundary_normal_field(sol.field.dom))
             rows.append((eps, "boundary-normal", rb))
         except AcLabError as exc:
-            report.errors.append((eps, f"pohozaev boundary field: {exc}"))
+            _eps_error(report, eps, f"pohozaev boundary field: {exc}")
     _emit(report, out, "pohozaev", ("epsilon", "field", "residual"), rows)
 
 
@@ -387,7 +393,7 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0):
                          V, sol, h0, _boundary_normal_field(dom),
                          curve=curve))
             except AcLabError as exc:
-                report.errors.append((eps, f"varifold: {exc}"))
+                _eps_error(report, eps, f"varifold: {exc}")
         try:
             pts = sample_interface_nodes(sol, cfg.samples, rng,
                                          interior_margin=_interior_margin(dom))
@@ -396,7 +402,7 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0):
                 integ_rows.append((eps, *r.point, r.plateau,
                                    r.nearest_integer, r.deviation))
         except AcLabError as exc:
-            report.errors.append((eps, f"integrality: {exc}"))
+            _eps_error(report, eps, f"integrality: {exc}")
     dim = sols[0].field.dom.dim
     pc = ("x", "y")[:dim]
     _emit(report, out, "varifold_mass",

@@ -2,7 +2,8 @@
 almost-monotonicity scans, Pohozaev residuals and boundary energy.
 
 Everything here is read-only over Solution and Domain; both fitted
-monotonicity constants come from one bisection.  Per-node vector rows reduce through the row kernels of geometry, which give the bits of the
+monotonicity constants come from one bisection.  Per-node vector rows
+reduce through the row kernels of geometry, which give the bits of the
 numpy reductions they stand for; other reductions are order-insensitive up
 to floating-point reassociation, so tests compare with tolerances.
 """

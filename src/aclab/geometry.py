@@ -177,7 +177,7 @@ class Domain:
     kappa0: float
     u_lo: np.ndarray              # padding box U
     u_hi: np.ndarray
-    # the values of kept builders (the solver keeps its LU orders in its fold)
+    # the values of kept builders
     cache: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 

@@ -11,18 +11,19 @@ Everything runs in one thread: stencils and reductions are whole-array
 numpy operations over the nodes, per-node vector rows go through the row
 kernels of geometry (row_distance here), and the time loop of the flow is
 sequential.  Solutions are immutable once returned.
-Newton factors only the black Schur complement of a red-black split, in the
-minimum-degree order of the first LU on its domain and fold, and holds one
-LU at a time.  The system is folded along every exact symmetry that
-Newton's start has bitwise.  When translation along an axis is exact (every
-grid line along it fully active with equal cut-cell weights: the rectangle)
-and the start is constant along it (step-x, step-y), each line collapses
-onto one node, so a 2D solve factors a 1D-sized system.  Otherwise, when
-the domain is exactly mirror-symmetric along an axis (an even cell count,
-and the active set and cut-cell weights map exactly onto themselves) and
-the start is mirror-symmetric along it, the system is folded onto the low
-half.  Both are exact because the Newton map commutes with the symmetry;
-any other start runs unfolded, with unchanged arithmetic.
+Newton factors only the black Schur complement of a red-black split, each
+LU in the minimum-degree order of its own matrix, and holds one LU at a
+time, so a solve's bits depend only on its inputs.  The system is folded
+along every exact symmetry that Newton's start has bitwise.  When
+translation along an axis is exact (every grid line along it fully active
+with equal cut-cell weights: the rectangle) and the start is constant along
+it (step-x, step-y), each line collapses onto one node, so a 2D solve
+factors a 1D-sized system.  Otherwise, when the domain is exactly
+mirror-symmetric along an axis (an even cell count, and the active set and
+cut-cell weights map exactly onto themselves) and the start is
+mirror-symmetric along it, the system is folded onto the low half.  Both
+are exact because the Newton map commutes with the symmetry; any other
+start runs unfolded, with unchanged arithmetic.
 """
 from __future__ import annotations
 
@@ -35,8 +36,7 @@ from scipy.sparse.linalg import cg, splu
 
 from .errors import (AcLabError, Blowup, NoConvergence, SingularJacobian,
                      UnresolvedInterface)
-from .geometry import (Domain, kept, line_maps, mirror_maps, read_only,
-                       row_distance)
+from .geometry import Domain, kept, line_maps, mirror_maps, row_distance
 from .potential import SQRT2, DoubleWell
 
 RECIPES = ("constant", "step-x", "step-y", "two-layer", "radial", "file")
@@ -165,8 +165,7 @@ class _Fold:
     red-red and black-black blocks are diagonal.  red and black are
     positions in low, a_red and a_black the folded diag(A) on each colour,
     off_red the largest off-diagonal |A| in each red row, A_br the
-    black-red block and A_rb its transpose.  orders holds the LU orders
-    _ordered_lu keeps for this fold.
+    black-red block and A_rb its transpose.
     """
 
     low: np.ndarray
@@ -178,7 +177,6 @@ class _Fold:
     off_red: np.ndarray
     A_br: sp.csr_matrix
     A_rb: sp.csr_matrix
-    orders: dict = field(default_factory=dict)
 
 
 def _fold_matrix(M: sp.csr_matrix, low: np.ndarray,
@@ -234,37 +232,16 @@ def fold(dom: Domain, axes: tuple) -> _Fold:
                  A_br, A_br.T.tocsr())
 
 
-def _ordered_lu(orders: dict, key: str, M: sp.csr_matrix):
-    """Factor M with LU_OPTIONS; return its solve.  The first matrix under
-    key in orders is ordered by minimum degree on M + M^T and that order p
-    is kept read-only in orders[key] (the order depends on M, so no kept
-    builder makes it); every later one is factored as M[p][:, p] in the
-    natural order, with the same fill."""
-    p = orders.get(key)
+def _lu(M: sp.spmatrix):
+    """Factor M with LU_OPTIONS in the minimum-degree order on M + M^T;
+    return its solve."""
     # rebinding M frees the caller's matrix before splu runs
-    if p is not None:
-        # M[p][:, p] by one row gather and a renumbering of the columns
-        # through the inverse order; tocsc sorts the rows of each column
-        M = M.tocsr()[p]
-        inv = np.empty(p.size, dtype=M.indices.dtype)
-        inv[p] = np.arange(p.size, dtype=inv.dtype)
-        M = sp.csr_matrix((M.data, inv[M.indices], M.indptr), shape=M.shape)
     M = M.tocsc()
     try:
-        lu = splu(M, permc_spec="MMD_AT_PLUS_A" if p is None else "NATURAL",
-                  **LU_OPTIONS)
+        lu = splu(M, permc_spec="MMD_AT_PLUS_A", **LU_OPTIONS)
     except RuntimeError as exc:
         raise SingularJacobian(str(exc)) from exc
-    if p is None:
-        orders[key] = read_only(np.argsort(lu.perm_c))
-        return lu.solve
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[p] = lu.solve(b[p])
-        return x
-
-    return solve
+    return lu.solve
 
 
 def _minus_from_diagonal(P: sp.csr_matrix, c: np.ndarray) -> sp.csr_matrix:
@@ -296,18 +273,18 @@ def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray, axes: tuple):
     goes to the LU (Saad, Iterative Methods for Sparse Linear Systems,
     2003, sec. 3.3).  A red pivot is weak when |p_r| < 0.1 max_j |J_rj|, the
     diagonal pivot threshold of LU_OPTIONS; then the folded J is factored
-    whole.  S and J each keep their own order on the fold.
+    whole.
     """
     fd = fold(dom, axes)
     d_low = d[fd.low]
     p_r = eps * fd.a_red + d_low[fd.red]
     if not np.all(np.abs(p_r) >= 0.1 * eps * fd.off_red):
-        solve_j = _ordered_lu(fd.orders, "jacobian", _fold_matrix(
+        solve_j = _lu(_fold_matrix(
             eps * _stiffness(dom) + sp.diags(d), fd.low, fd.rep))
         return lambda f: solve_j(f[fd.low])[fd.rep]
     M = fd.A_br.copy()
     M.data *= (eps * eps / p_r)[M.indices]
-    solve_s = _ordered_lu(fd.orders, "schur", _minus_from_diagonal(
+    solve_s = _lu(_minus_from_diagonal(
         M @ fd.A_rb, eps * fd.a_black + d_low[fd.black]))
 
     def solve(f):

@@ -338,19 +338,38 @@ class TestSlackBounds:
                           np.array([0.0, 5.0, 0.0]))
 
 
+def quarter_turn(dom):
+    """The node map of a quarter-turn of a square grid about its centre:
+    the node at grid index (i, j) goes to (n - 1 - j, i)."""
+    i, j = np.unravel_index(dom.grid_index, dom.n_cells)
+    return dom.active_of_grid[np.ravel_multi_index(
+        (dom.n_cells[1] - 1 - j, i), dom.n_cells)]
+
+
 class TestMirrorInvariance:
-    @given(shape=st.sampled_from([("rectangle", (1.0, 0.5)),
-                                  ("disk", (1.0,))]),
-           quarter=st.integers(8, 20), axis=st.sampled_from([0, 1]),
-           seed=st.integers(0, 2**32 - 1), eps=st.floats(0.08, 0.3))
+    @given(symmetry=st.sampled_from([
+               (("rectangle", (1.0, 0.5)), 0), (("rectangle", (1.0, 0.5)), 1),
+               (("disk", (1.0,)), 0), (("disk", (1.0,)), 1),
+               (("rectangle", (1.0, 1.0)), "quarter-turn")]),
+           quarter=st.integers(8, 20), seed=st.integers(0, 2**32 - 1),
+           eps=st.floats(0.08, 0.3))
     @settings(max_examples=30, deadline=None)
-    def test_mirror_keeps_energy_discrepancy_and_mass(self, shape, quarter,
-                                                      axis, seed, eps):
-        # reflecting a field across a mirror axis of the domain (u o sigma)
-        # leaves its energy, L1 discrepancy and varifold mass unchanged
+    def test_mirror_keeps_energy_discrepancy_and_mass(self, symmetry, quarter,
+                                                      seed, eps):
+        # mapping a field by a symmetry of the domain (u o sigma) leaves its
+        # energy, L1 discrepancy and varifold mass unchanged: the reflection
+        # across a mirror axis, or the quarter-turn of the unit square, which
+        # mirror_maps does not cover
         well = DoubleWell()
+        shape, axis = symmetry
         dom = build_domain(*shape, 4 * quarter)
-        image = mirror_maps(dom)[axis]
+        if axis == "quarter-turn":
+            image = quarter_turn(dom)
+            assert dom.n_nodes == 16 * quarter**2
+            assert np.array_equal(dom.cut_cell_weights[image],
+                                  dom.cut_cell_weights)
+        else:
+            image = mirror_maps(dom)[axis]
         assert image is not None
         rng = np.random.default_rng(seed)
         normal = rng.standard_normal(2)

@@ -385,64 +385,70 @@ class TestFactorizations:
 
     @pytest.fixture
     def recorded_splu(self, monkeypatch):
-        # (permc_spec, L+U fill) of every LU the solver makes
+        # (permc_spec, L+U fill, size) of every LU the solver makes
         calls = []
 
         def recording(M, permc_spec, **kw):
             lu = splu(M, permc_spec=permc_spec, **kw)
-            calls.append((permc_spec, lu.L.nnz + lu.U.nnz))
+            calls.append((permc_spec, lu.L.nnz + lu.U.nnz, M.shape[0]))
             return lu
 
         monkeypatch.setattr(solver, "splu", recording)
         return calls
 
-    def test_reordered_natural_factor_keeps_fill(self, disk_jacobian,
-                                                 recorded_splu):
-        # the first LU under a key orders by MMD and keeps p; the later
-        # one factors J[p][:, p] in the natural order with the same fill
-        _, _, _, J = disk_jacobian
-        b = np.random.default_rng(3).standard_normal(J.shape[0])
-        orders = {}
-        for _ in range(2):
-            x = solver._ordered_lu(orders, "test", J.tocsr())(b)
-            assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
-        (first, fill0), (later, fill1) = recorded_splu
-        assert (first, later) == ("MMD_AT_PLUS_A", "NATURAL")
-        assert fill0 == fill1
-        mmd = splu(J, permc_spec="MMD_AT_PLUS_A", **LU_OPTIONS)
-        assert np.array_equal(orders["test"], np.argsort(mmd.perm_c))
+    @pytest.mark.parametrize("shape,params,cells,recipe,axes", [
+        pytest.param("disk", (1.0,), 64, "radial", (1,),
+                     id="folded-disk-arc"),
+        pytest.param("disk", (1.0,), 63, "radial", (), id="unfolded"),
+        pytest.param("rectangle", (1.0, 0.5), (64, 32), "step-x", (3,),
+                     id="collapsed-rectangle"),
+        pytest.param("disk", (1.0,), 64, None, (), id="weak-pivot-whole-J")])
+    def test_second_solve_on_one_domain_is_bitwise_the_first(
+            self, quartic, monkeypatch, shape, params, cells, recipe, axes):
+        # a solve's bits depend only on its inputs: two solves on one domain
+        # give the energy, multiplier and values of a solve on a fresh one.
+        # No solve reaches the whole-J path of a weak red pivot, so there
+        # two factorizations (at d, then at d / 2) stand in for two solves
+        seen, sizes = [], []
+        factor = solver._factor_jacobian
 
-    def test_domain_keeps_one_order(self, disk_jacobian):
-        # the second factorization on a domain runs through the kept order
-        dom, eps, d, J = disk_jacobian
-        b = np.random.default_rng(4).standard_normal(J.shape[0])
-        kept = None
-        orders = solver.fold(dom, ()).orders
-        for scale in (1.0, 0.5):
-            solve = solver._factor_jacobian(dom, eps, scale * d, ())
-            Js = J + sp.diags((scale - 1.0) * d)
-            if kept is None:
-                kept = orders["schur"]
-            assert orders["schur"] is kept
-            x = solve(b)
-            assert np.linalg.norm(Js @ x - b) <= 1e-12 * np.linalg.norm(b)
+        def recording(dom, eps, d, axes):
+            seen.append(axes)
+            return factor(dom, eps, d, axes)
 
-    @pytest.mark.xfail(strict=True,
-                       reason="ROADMAP item 12: a solve's bits depend on its "
-                              "Domain's history; a second solve factors in "
-                              "the LU order the first one kept")
-    def test_second_solve_on_one_domain_is_bitwise_the_first(self, quartic):
-        # disk-64, eps 0.1, m 0.3: energies 1.7847673237315491 on a fresh
-        # domain and for the first solve, ...493 for the second
+        def recording_splu(M, **kw):
+            sizes.append(M.shape[0])
+            return splu(M, **kw)
+
+        monkeypatch.setattr(solver, "_factor_jacobian", recording)
+        monkeypatch.setattr(solver, "splu", recording_splu)
+
         def solve(dom):
-            return solve_single(dom, quartic, 0.1, constraint=0.3,
-                                recipe="radial")
+            if recipe is not None:
+                sol = solve_single(dom, quartic, 0.1, constraint=0.3,
+                                   recipe=recipe)
+                return (repr(sol.energy), repr(sol.lam),
+                        sol.field.values.tobytes())
+            eps = 0.1
+            u = seed_field(dom, eps, "radial", 0.3).values
+            d = dom.cut_cell_weights * quartic.wpp(u) / eps
+            fd = solver.fold(dom, ())
+            r = fd.low[fd.red[0]]
+            d[r] = -eps * fd.a_red[0]
+            later = 0.5 * d
+            later[r] = d[r]  # keeps the weak pivot exactly zero
+            b = np.random.default_rng(9).standard_normal(dom.n_nodes)
+            return tuple(solver._factor_jacobian(dom, eps, dd, ())(b).tobytes()
+                         for dd in (d, later))
 
-        dom = build_domain("disk", (1.0,), 64)
+        dom = build_domain(shape, params, cells)
         first, second = solve(dom), solve(dom)
-        fresh = solve(build_domain("disk", (1.0,), 64))
-        assert repr(first.energy) == repr(fresh.energy)
-        assert repr(second.energy) == repr(first.energy)
+        fresh = solve(build_domain(shape, params, cells))
+        assert first == fresh
+        assert second == fresh
+        assert set(seen) == {axes}
+        if recipe is None:
+            assert sizes == [dom.n_nodes] * 6
 
     @pytest.mark.parametrize("shape,params", SHAPES)
     @given(half_cells=st.integers(16, 64))
@@ -477,18 +483,13 @@ class TestFactorizations:
         # near-null translation mode of the step seeds alone puts the
         # residual of either factorization near 1e-11
         b = J @ np.random.default_rng(5).standard_normal(dom.n_nodes)
-        # the MMD factors, then the natural ones under the kept orders
-        orders = {}
-        for _ in range(2):
-            whole = solver._ordered_lu(orders, "jacobian", J)(b)
-            x = solver._factor_jacobian(dom, eps, d, ())(b)
-            assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
-            assert np.linalg.norm(x - whole) <= 1e-10 * np.linalg.norm(whole)
-        fd = solver.fold(dom, ())
-        assert len(fd.orders["schur"]) == len(fd.black)
-        assert len(orders["jacobian"]) == dom.n_nodes
+        whole = solver._lu(J)(b)
+        x = solver._factor_jacobian(dom, eps, d, ())(b)
+        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.linalg.norm(x - whole) <= 1e-10 * np.linalg.norm(whole)
 
-    def test_weak_red_pivot_factors_whole(self, disk_jacobian):
+    def test_weak_red_pivot_factors_whole(self, disk_jacobian,
+                                          recorded_splu):
         _, eps, d, _ = disk_jacobian
         dom = build_domain("disk", (1.0,), 128)
         fd = solver.fold(dom, ())
@@ -499,49 +500,9 @@ class TestFactorizations:
         J = (eps * stiffness_matrix(dom) + sp.diags(d)).tocsr()
         assert J[r, r] == 0.0
         b = np.random.default_rng(6).standard_normal(dom.n_nodes)
-        for _ in range(2):  # MMD, then the kept order of J
-            x = solver._factor_jacobian(dom, eps, d, ())(b)
-            assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
-        assert list(fd.orders) == ["jacobian"]
-
-    @pytest.mark.parametrize("weak", [False, True])
-    def test_later_lu_factors_the_permuted_matrix(self, disk_jacobian,
-                                                  monkeypatch, weak):
-        # under a kept order p, splu gets M[p][:, p].tocsc() array for
-        # array, on the Schur path and on the weak-pivot whole-J path
-        _, eps, d, _ = disk_jacobian
-        dom = build_domain("disk", (1.0,), 128)
-        fd = solver.fold(dom, ())
-        i = len(fd.red) // 2
-        r = fd.low[fd.red[i]]
-        d = d.copy()
-        if weak:
-            d[r] = -eps * fd.a_red[i]
-        given, handed = [], []
-        real_lu = solver._ordered_lu
-
-        def recording_lu(orders, key, M):
-            given.append(M.copy())
-            return real_lu(orders, key, M)
-
-        def recording_splu(M, **kw):
-            handed.append(M.copy())
-            return splu(M, **kw)
-
-        monkeypatch.setattr(solver, "_ordered_lu", recording_lu)
-        monkeypatch.setattr(solver, "splu", recording_splu)
-        later = 0.5 * d
-        later[r] = d[r]  # keeps the weak pivot exactly zero
-        for dd in (d, later):
-            solver._factor_jacobian(dom, eps, dd, ())
-        p = fd.orders["jacobian" if weak else "schur"]
-        assert list(fd.orders) == ["jacobian" if weak else "schur"]
-        want = given[1][p][:, p].tocsc()
-        got = handed[1]
-        assert got.format == "csc" and got.shape == want.shape
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        x = solver._factor_jacobian(dom, eps, d, ())(b)
+        assert np.linalg.norm(J @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert [n for _, _, n in recorded_splu] == [dom.n_nodes]
 
     def test_schur_fill_below_whole(self, disk_jacobian, recorded_splu):
         _, eps, d, _ = disk_jacobian
@@ -549,12 +510,12 @@ class TestFactorizations:
         weak = d.copy()
         fd = solver.fold(dom, ())
         weak[fd.low[fd.red[0]]] = -eps * fd.a_red[0]
-        # Schur, whole J, Schur, whole J: each keeps its own order
+        # Schur, whole J, Schur, whole J: each ordered by minimum degree
         for dd in (d, weak, d, weak):
             solver._factor_jacobian(dom, eps, dd, ())
-        specs = [spec for spec, _ in recorded_splu]
-        fill = [f for _, f in recorded_splu]
-        assert specs == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * 2
+        specs = [spec for spec, _, _ in recorded_splu]
+        fill = [f for _, f, _ in recorded_splu]
+        assert specs == ["MMD_AT_PLUS_A"] * 4
         assert fill[0] == fill[2] < fill[1] == fill[3]
 
     def test_stiffness_built_once_per_domain(self, quartic, monkeypatch):
@@ -713,7 +674,7 @@ class TestFold:
         assert np.array_equal(sol.field.values[image], sol.field.values)
 
     @pytest.mark.parametrize("weak", [False, True])
-    def test_folded_solve_matches_whole(self, quartic, weak):
+    def test_folded_solve_matches_whole(self, quartic, monkeypatch, weak):
         # on a right-hand side symmetric in y, the folded solve (Schur, or
         # whole on a weak red pivot) matches the whole folded J and the
         # unfolded J
@@ -731,8 +692,15 @@ class TestFold:
         J = (eps * stiffness_matrix(dom) + sp.diags(d)).tocsr()
         b = J @ np.random.default_rng(8).standard_normal(dom.n_nodes)
         b = b + b[image]
+        sizes = []
+
+        def recording(M, **kw):
+            sizes.append(M.shape[0])
+            return splu(M, **kw)
+
+        monkeypatch.setattr(solver, "splu", recording)
         x = solver._factor_jacobian(dom, eps, d, (1,))(b)
-        assert list(fd.orders) == ["jacobian" if weak else "schur"]
+        assert sizes == [fd.low.size if weak else fd.black.size]
         assert np.array_equal(x[image], x)
         J_fold = solver._fold_matrix(J, fd.low, fd.rep).tocsc()
         whole = splu(J_fold, permc_spec="MMD_AT_PLUS_A",
