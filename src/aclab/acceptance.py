@@ -120,7 +120,7 @@ class AcceptanceContext:
         self.seed = seed
         self.verbose = verbose
         self.well = DoubleWell()
-        self.h0 = compute_h0(self.well).h0
+        self.h0 = compute_h0(self.well)
         self._cache = {}
         self._worker = None
 
@@ -223,10 +223,10 @@ def _fmt(x):
 
 def criterion_1(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
-    ec = compute_h0(ctx.well)
-    err = abs(ec.h0 - 0.9428090416)
+    h0 = compute_h0(ctx.well)
+    err = abs(h0 - 0.9428090416)
     subs = [SubCheck("h0 equals 2*sqrt(2)/3", err <= 1e-8,
-                     _fmt(ec.h0), "0.9428090416 +- 1e-8")]
+                     _fmt(h0), "0.9428090416 +- 1e-8")]
     return CriterionResult(1, "h0 oracle", time.time() - t0, 1.0, subs)
 
 
@@ -330,7 +330,7 @@ def criterion_7(ctx: AcceptanceContext) -> CriterionResult:
     h0 = ctx.h0
     dom = sol.field.dom
     rng = np.random.default_rng(ctx.seed)
-    pts = sample_interface_nodes(sol, 10, rng, interior_margin=0.15)
+    pts = sample_interface_nodes(sol, 10, rng)
     plateaus = []
     worst_viol = 0.0
     for p in pts:
@@ -384,7 +384,7 @@ def criterion_8(ctx: AcceptanceContext) -> CriterionResult:
 def criterion_9(ctx: AcceptanceContext) -> CriterionResult:
     t0 = time.time()
     rng = np.random.default_rng(ctx.seed + 2)
-    pts = sample_interface_nodes(ctx.rect_sol, 20, rng, interior_margin=0.15)
+    pts = sample_interface_nodes(ctx.rect_sol, 20, rng)
     rep = integrality_check(ctx.rect_varifold, pts)
     ints_ok = all(r.nearest_integer == 1 for r in rep.rows)
 

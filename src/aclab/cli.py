@@ -272,11 +272,6 @@ def _diag_equipartition(report, out, sols, well):
           ("epsilon", "kinetic", "potential", "ratio", "xi_l1"), rows)
 
 
-def _interior_margin(dom):
-    return min(0.15 * dom.extent,
-               0.5 * float(signed_distance(dom).max()))
-
-
 @kept
 def _boundary_normal_field(dom):
     """The boundary-normal test field, cut off at a fifth of the largest
@@ -299,8 +294,7 @@ def _diag_ratios(report, out, sols, well, cfg, rng):
         dom = sol.field.dom
         eps = sol.field.epsilon
         try:
-            pts = sample_interface_nodes(sol, cfg.samples, rng,
-                                         interior_margin=_interior_margin(dom))
+            pts = sample_interface_nodes(sol, cfg.samples, rng)
         except AcLabError:
             continue
         for p in pts:
@@ -395,8 +389,7 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0):
             except AcLabError as exc:
                 _eps_error(report, eps, f"varifold: {exc}")
         try:
-            pts = sample_interface_nodes(sol, cfg.samples, rng,
-                                         interior_margin=_interior_margin(dom))
+            pts = sample_interface_nodes(sol, cfg.samples, rng)
             rep = integrality_check(V, pts)
             for r in rep.rows:
                 integ_rows.append((eps, *r.point, r.plateau,
@@ -435,7 +428,7 @@ def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
     if not sols:
         return report
     rng = np.random.default_rng(cfg.seed)
-    h0 = compute_h0(well).h0
+    h0 = compute_h0(well)
     # one ratio scan serves ratios and monotonicity; it runs where ratios
     # stands in checks, or where monotonicity does when ratios is absent
     scan_at = "ratios" if "ratios" in cfg.checks else "monotonicity"

@@ -83,7 +83,7 @@ class RunConfig:
     cells: tuple
     well: DoubleWell = DoubleWell()
     tol: float = 1e-10
-    constraint_mean: float | None = 0.0
+    constraint_mean: float | None = None
     recipe: str = "step-x"
     recipe_params: dict = field(default_factory=dict)
     epsilons: tuple = (0.1, 0.05, 0.025)
@@ -166,10 +166,10 @@ def parse_config(text: str) -> RunConfig:
         if "tol" in sv:
             kw["tol"] = _numbers(sv, "tol", count=1, ok=lambda v: v > 0.0,
                                  want="be positive")[0]
-        kw["constraint_mean"] = (
-            _numbers(sv, "constraint_mean", count=1,
-                     ok=lambda v: -1.0 < v < 1.0, want="lie in (-1, 1)")[0]
-            if "constraint_mean" in sv else None)
+        if "constraint_mean" in sv:
+            kw["constraint_mean"] = _numbers(
+                sv, "constraint_mean", count=1, ok=lambda v: -1.0 < v < 1.0,
+                want="lie in (-1, 1)")[0]
 
     if cp.has_section("init"):
         init = cp["init"]

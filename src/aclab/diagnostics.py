@@ -82,12 +82,11 @@ def node_jacobian(dom: Domain, vec_values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityFields:
-    """Energy density e, discrepancy xi and its positive/negative parts."""
+    """Energy density e, discrepancy xi and its positive part."""
 
     e: np.ndarray
     xi: np.ndarray
     xi_plus: np.ndarray
-    xi_minus: np.ndarray
 
 
 @kept
@@ -98,8 +97,7 @@ def density_fields(f: Field, well: DoubleWell) -> DensityFields:
     pot = well.w(f.values) / f.epsilon
     e = kin + pot
     xi = kin - pot
-    return DensityFields(e=e, xi=xi, xi_plus=np.maximum(xi, 0.0),
-                         xi_minus=np.maximum(-xi, 0.0))
+    return DensityFields(e=e, xi=xi, xi_plus=np.maximum(xi, 0.0))
 
 
 def tilted_densities(f: Field, d: DensityFields, lam: float):

@@ -30,11 +30,8 @@ class InvalidCutoffScale(AcLabError):
 
 
 class NoConvergence(AcLabError):
-    """Iteration budget exhausted before the tolerance was met."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Iteration budget exhausted before the tolerance was met; the message
+    names the smallest residual reached."""
 
 
 class Blowup(AcLabError):

@@ -214,7 +214,6 @@ class BallRestriction:
     """Quadrature weights over B_r(center) intersected with the domain."""
 
     center: np.ndarray
-    radius: float
     node_index: np.ndarray
     node_weights: np.ndarray
     boundary_flag: bool
@@ -629,7 +628,7 @@ def ball_restrictions(dom: Domain, x, radii):
         frac = np.clip(0.5 + (r - s[idx]) / h, 0.0, 1.0)
         w = frac * dom.cut_cell_weights[idx]
         keep = w > 0.0
-        yield BallRestriction(center=x, radius=float(r), node_index=idx[keep],
+        yield BallRestriction(center=x, node_index=idx[keep],
                               node_weights=w[keep],
                               boundary_flag=boundary_flag)
 

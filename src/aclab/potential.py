@@ -87,22 +87,6 @@ class DoubleWell:
         return np.polynomial.polynomial.polyval(np.asarray(s, dtype=float), c)
 
 
-@dataclass(frozen=True)
-class EnergyConstant:
-    """The per-layer energy h0 = int_{-1}^{1} sqrt(2 W) together with the
-    quadrature error estimate of the computation."""
-
-    h0: float
-    quadrature_error: float
-
-    def __post_init__(self):
-        if not self.h0 > 0.0:
-            raise QuadratureFailure("h0 must be positive")
-        if not self.quadrature_error < 1e-10:
-            raise QuadratureFailure(
-                f"quadrature error {self.quadrature_error:.3e} exceeds 1e-10")
-
-
 def _validate_axioms(well: DoubleWell):
     """Reject potentials violating the double-well axioms.
 
@@ -168,20 +152,24 @@ def _adaptive_simpson(f, a, b, tol):
     return val, err
 
 
-def compute_h0(well: DoubleWell) -> EnergyConstant:
+def compute_h0(well: DoubleWell) -> float:
     """Layer-energy constant h0 = int_{-1}^{1} sqrt(2 W(s)) ds.
 
     Uses adaptive Simpson quadrature (interval halving, max depth 40); the
     sqrt vanishing at the wells is mild enough for adaptivity to resolve.
-    Raises QuadratureFailure (from EnergyConstant) if the error estimate
-    exceeds 1e-10.
+    Raises QuadratureFailure unless h0 is positive and the error estimate
+    is below 1e-10.
     """
 
     def integrand(s):
         return math.sqrt(max(2.0 * float(well.w(s)), 0.0))
 
-    val, err = _adaptive_simpson(integrand, -1.0, 1.0, tol=1e-12)
-    return EnergyConstant(h0=val, quadrature_error=err)
+    h0, err = _adaptive_simpson(integrand, -1.0, 1.0, tol=1e-12)
+    if not h0 > 0.0:
+        raise QuadratureFailure("h0 must be positive")
+    if not err < 1e-10:
+        raise QuadratureFailure(f"quadrature error {err:.3e} exceeds 1e-10")
+    return h0
 
 
 def heteroclinic_jet(t, epsilon: float):

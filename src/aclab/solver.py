@@ -244,21 +244,6 @@ def _lu(M: sp.spmatrix):
     return lu.solve
 
 
-def _minus_from_diagonal(P: sp.csr_matrix, c: np.ndarray) -> sp.csr_matrix:
-    """diag(c) - P with the floats and pattern of sp.diags(c) - P; when P
-    holds every diagonal entry, c is added in place on P's own pattern."""
-    P.data *= -1.0
-    rows = np.repeat(np.arange(c.size, dtype=P.indices.dtype),
-                     np.diff(P.indptr))
-    at = np.flatnonzero(P.indices == rows)
-    if at.size < c.size:
-        return P + sp.diags(c)
-    P.data[at] += c
-    if not np.all(P.data[at]):
-        P.eliminate_zeros()
-    return P
-
-
 def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray, axes: tuple):
     """Factor the Newton Jacobian J = eps A + diag(d), folded along axes;
     return its solve, which reads f on the folded nodes only and returns a
@@ -284,8 +269,7 @@ def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray, axes: tuple):
         return lambda f: solve_j(f[fd.low])[fd.rep]
     M = fd.A_br.copy()
     M.data *= (eps * eps / p_r)[M.indices]
-    solve_s = _lu(_minus_from_diagonal(
-        M @ fd.A_rb, eps * fd.a_black + d_low[fd.black]))
+    solve_s = _lu(sp.diags(eps * fd.a_black + d_low[fd.black]) - M @ fd.A_rb)
 
     def solve(f):
         f = f[fd.low]
@@ -410,7 +394,8 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     half.  A start that is not exactly invariant runs unfolded, with
     unchanged arithmetic.
     Raises SingularJacobian if the linearization cannot be factorized,
-    NoConvergence (carrying the best iterate) if the budget runs out.
+    NoConvergence, naming the smallest residual reached, if the budget runs
+    out.
     """
     dom = sol.field.dom
     eps = sol.field.epsilon
@@ -421,22 +406,16 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     lam = sol.lam
     factorizations = 0
     axes = _symmetries(dom, u)
-
-    def solution(u, lam, rn, it, converged=True):
-        f = Field(dom, eps, u)
-        return Solution(field=f, lam=lam, residual_norm=rn, iterations=it,
-                        constraint=m, converged=converged,
-                        energy=assemble_energy(f, well),
-                        factorizations=factorizations)
-
     F = _residual(dom, eps, well, u, lam)
-    rn = _norm(dom, F)
-    best = (rn, u.copy(), lam, 0)
+    rn = rn_best = _norm(dom, F)
     solve, rn_last = None, math.inf
     for it in range(max_iter + 1):
         # the one acceptance test, of iterates 0 to max_iter
         if rn <= tol and (m is None or abs(w @ u / wsum - m) <= 1e-13):
-            return solution(u, lam, rn, it)
+            f = Field(dom, eps, u)
+            return Solution(field=f, lam=lam, residual_norm=rn, iterations=it,
+                            constraint=m, energy=assemble_energy(f, well),
+                            factorizations=factorizations)
         if it == max_iter:
             break
         refactor = solve is None or rn > CHORD_CONTRACTION * rn_last
@@ -453,10 +432,7 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                     wq = float(w @ q)
                     if abs(wq) < 1e-300:
                         raise SingularJacobian("degenerate constraint border")
-            try:
-                p = solve(F)
-            except RuntimeError as exc:
-                raise SingularJacobian(str(exc)) from exc
+            p = solve(F)
             if not np.all(np.isfinite(p)):
                 raise SingularJacobian("non-finite Newton direction")
             if m is not None:
@@ -483,12 +459,9 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
             refactor = True
         u, lam, F = u_try, lam_try, F_try
         rn_last, rn = rn, rn_try
-        if rn < best[0]:
-            best = (rn, u.copy(), lam, it + 1)
-    rn, u, lam, it = best
-    raise NoConvergence(
-        f"Newton stalled at residual {rn:.3e} after {max_iter} iterations",
-        best=solution(u, lam, rn, it, converged=False))
+        rn_best = min(rn_best, rn)
+    raise NoConvergence(f"Newton stalled at residual {rn_best:.3e} "
+                        f"after {max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------

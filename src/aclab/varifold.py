@@ -40,7 +40,6 @@ class DiscreteVarifold:
     normals: np.ndarray     # (K, dim); zero rows where flagged
     zero_flag: np.ndarray   # (K,) bool
     epsilon: float
-    h0: float
 
     @property
     def mass(self):
@@ -88,7 +87,7 @@ def build_varifold(sol: Solution, well: DoubleWell, h0: float) -> DiscreteVarifo
     normals[~zero] = g[~zero] / gn[~zero, None]
     return DiscreteVarifold(dom=dom, points=dom.points[idx], node_index=idx,
                             weights=w, normals=normals, zero_flag=zero,
-                            epsilon=f.epsilon, h0=h0)
+                            epsilon=f.epsilon)
 
 
 def export_atoms(V: DiscreteVarifold, path):
@@ -291,7 +290,6 @@ def first_variation_bound_constant(V: DiscreteVarifold, sol: Solution,
 
 @dataclass(frozen=True)
 class DensityCurve:
-    center: np.ndarray
     radii: np.ndarray
     theta: np.ndarray
 
@@ -315,7 +313,7 @@ def density_estimate(V: DiscreteVarifold, x, radii) -> DensityCurve:
     w = V.weights[live]
     theta = np.array([float(w[dist < r].sum()) / (om * r ** (n - 1))
                       for r in radii])
-    return DensityCurve(center=x, radii=radii, theta=theta)
+    return DensityCurve(radii=radii, theta=theta)
 
 
 @dataclass(frozen=True)
@@ -333,14 +331,14 @@ class IntegralityReport:
 
 
 def sample_interface_nodes(sol: Solution, count: int,
-                           rng: np.random.Generator,
-                           interior_margin: float) -> np.ndarray:
-    """Interior nodes with |u| <= 0.5, at least interior_margin from the
-    boundary; returns their positions."""
+                           rng: np.random.Generator) -> np.ndarray:
+    """Interior nodes with |u| <= 0.5, farther from the boundary than the
+    interior margin min(0.15 extent, half the largest distance to the
+    boundary); returns their positions."""
     dom = sol.field.dom
     d = signed_distance(dom)
-    cand = np.flatnonzero((np.abs(sol.field.values) <= 0.5)
-                          & (d > interior_margin))
+    margin = min(0.15 * dom.extent, 0.5 * float(d.max()))
+    cand = np.flatnonzero((np.abs(sol.field.values) <= 0.5) & (d > margin))
     if cand.size == 0:
         raise NoInterface("no interface nodes found (|u| <= 0.5)")
     pick = rng.choice(cand, size=min(count, cand.size), replace=False)

@@ -89,6 +89,20 @@ class TestConfig:
         assert cfg.epsilons == (0.1, 0.05, 0.025)
         assert cfg.constraint_mean == 0.0
 
+    def test_absent_constraint_mean_is_unconstrained(self, tmp_path):
+        # a config with no [solver] section is unconstrained, as is one
+        # whose [solver] section lacks constraint_mean, and its solution
+        # header holds a null constraint
+        cfg = parse_config(
+            SMALL.format(out=tmp_path / "out")
+            .replace("[solver]\ntol = 1e-10\nconstraint_mean = 0.0\n", "")
+            .replace("epsilons = 0.1 0.05 0.025", "epsilons = 0.1"))
+        assert cfg.constraint_mean is None
+        cli.cmd_solve(cfg)
+        head = json.loads((tmp_path / "out" / "solution_00.txt")
+                          .read_text().split("\n", 1)[0])
+        assert head["constraint"] is None
+
     def test_ascending_epsilons_rejected(self):
         text = example_config().replace("epsilons = 0.1 0.05 0.025",
                                         "epsilons = 0.025 0.05 0.1")
@@ -677,7 +691,7 @@ def _atom_bytes(out):
 def _in_process_atoms(cfg, paths, out):
     """The atom files of an in-process export of the stored solutions."""
     dom = build_domain(cfg.shape, cfg.params, cfg.cells)
-    h0 = compute_h0(cfg.well).h0
+    h0 = compute_h0(cfg.well)
     out.mkdir()
     for k, path in enumerate(paths):
         V = varifold.build_varifold(cli.load_solution(path, dom), cfg.well,
@@ -946,11 +960,8 @@ class TestSeededFaults:
 
     def test_perturbed_h0_fails_criterion(self, monkeypatch):
         import aclab.acceptance as acc
-        from aclab.potential import EnergyConstant
 
-        monkeypatch.setattr(
-            acc, "compute_h0",
-            lambda well: EnergyConstant(h0=0.95, quadrature_error=1e-12))
+        monkeypatch.setattr(acc, "compute_h0", lambda well: 0.95)
         ctx = acc.AcceptanceContext(seed=1)
         res = acc.criterion_1(ctx)
         assert not res.passed

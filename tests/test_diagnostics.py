@@ -65,14 +65,13 @@ class TestDensityFields:
         d = density_fields(rect_sol.field, quartic)
         assert d.e.min() >= 0.0
         assert np.all(np.abs(d.xi) <= d.e + 1e-15)
-        assert np.allclose(d.xi, d.xi_plus - d.xi_minus)
-        assert np.all(d.xi_plus * d.xi_minus == 0.0)
+        assert np.array_equal(d.xi_plus, np.maximum(d.xi, 0.0))
 
     def test_kept_per_field_and_well(self, quartic, rect_sol):
         f = rect_sol.field
         d = density_fields(f, quartic)
         assert density_fields(f, quartic) is d
-        for a in (d.e, d.xi, d.xi_plus, d.xi_minus):
+        for a in (d.e, d.xi, d.xi_plus):
             with pytest.raises(ValueError):
                 a[0] = 0.0
         # an equal well shares the entry; a different well gets its own,

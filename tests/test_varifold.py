@@ -10,10 +10,11 @@ from aclab.diagnostics import (C0, density_fields, field_from_callable,
                                pohozaev_residual, radial_cutoff,
                                radius_ladder)
 from aclab.errors import NoInterface, NotTangential, RadiusTooSmall
-from aclab.geometry import ball_restrictions, build_domain, grid_axes
+from aclab.geometry import (ball_restrictions, build_domain, grid_axes,
+                            signed_distance)
 from aclab.potential import DoubleWell, compute_h0
 from aclab.solver import (Field, Solution, epsilon_sweep, orthogonal_arc,
-                          solve_single)
+                          seed_field, solve_single)
 from aclab.varifold import (_cell_segments, build_varifold, density_estimate,
                             extract_interface, first_variation,
                             first_variation_bound_constant,
@@ -87,7 +88,7 @@ def quartic():
 
 @pytest.fixture(scope="module")
 def h0(quartic):
-    return compute_h0(quartic).h0
+    return compute_h0(quartic)
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +391,7 @@ class TestDensity:
     def test_integrality_single_interface(self, band_sol, band_varifold,
                                           quartic):
         rng = np.random.default_rng(23)
-        pts = sample_interface_nodes(band_sol, 8, rng, interior_margin=0.15)
+        pts = sample_interface_nodes(band_sol, 8, rng)
         rep = integrality_check(band_varifold, pts)
         assert all(r.nearest_integer == 1 for r in rep.rows)
         assert rep.max_deviation <= 0.15
@@ -441,11 +442,33 @@ class TestDensity:
         assert lines[0] == "x,y,weight,nx,ny,zero_flag"
         assert len(lines) == band_varifold.weights.size + 1
 
+    @pytest.mark.parametrize("shape,params,recipe", [
+        ("disk", (1.0,), "radial"), ("rectangle", (1.0, 1.0), "step-x"),
+        ("annulus", (0.4, 1.0), "step-x")])
+    def test_sampling_keeps_the_interior_margin(self, shape, params, recipe):
+        # every interface node farther from the boundary than min(0.15
+        # extent, half the largest distance to it) is a candidate, and no
+        # node within that margin: 0.3 on the unit disk, 0.15 on the unit
+        # square, half the largest distance on the thin annulus
+        dom = build_domain(shape, params, 64)
+        f = seed_field(dom, 0.08, recipe, 0.3)
+        sol = Solution(field=f, lam=0.0, residual_norm=0.0, iterations=0)
+        d = signed_distance(dom)
+        margin = {"disk": 0.3, "rectangle": 0.15,
+                  "annulus": 0.5 * float(d.max())}[shape]
+        assert margin == min(0.15 * dom.extent, 0.5 * float(d.max()))
+        band = np.abs(f.values) <= 0.5
+        assert np.any(band & (d > 0.0) & (d <= margin))
+        pts = sample_interface_nodes(sol, dom.n_nodes,
+                                     np.random.default_rng(5))
+        want = dom.points[band & (d > margin)]
+        assert len(pts) == len(want) > 0
+        assert np.array_equal(np.unique(pts, axis=0), np.unique(want, axis=0))
+
     def test_sampling_excludes_pure_phase(self, band_sol):
         rng = np.random.default_rng(2)
         dom = band_sol.field.dom
-        pts = sample_interface_nodes(band_sol, 20, rng,
-                                     interior_margin=4 * dom.cell_size)
+        pts = sample_interface_nodes(band_sol, 20, rng)
         u = band_sol.field.values
         for p in pts:
             k = np.argmin(np.linalg.norm(dom.points - p, axis=1))
@@ -552,8 +575,7 @@ class TestRowKernelCallSites:
         sol, V = disk64
         dom = sol.field.dom
         h = dom.cell_size
-        x = sample_interface_nodes(sol, 1, np.random.default_rng(13),
-                                   interior_margin=4 * h)[0]
+        x = sample_interface_nodes(sol, 1, np.random.default_rng(13))[0]
         radii = radius_ladder(dom, sol.field.epsilon, x)
         assert radii.size >= 2
         live = ~V.zero_flag
