@@ -608,8 +608,8 @@ def ball_restrictions(dom: Domain, x, radii):
     Centers within h/2 of the boundary are snapped to the nearest boundary
     point and flagged (the monotonicity formulas only cover balls that are
     fully interior or exactly boundary-centered).  The center is snapped and
-    the node distances are computed once, so a ladder of radii costs one
-    distance pass.
+    the node distances are computed once and cut to the nodes the largest
+    ball can reach, so a ladder of radii costs one distance pass.
     """
     h = dom.cell_size
     x = np.asarray(x, dtype=float)
@@ -618,14 +618,17 @@ def ball_restrictions(dom: Domain, x, radii):
     if boundary_flag:
         x = dom.nearest_boundary_point(x)
     s = row_distance(dom.points, x)
+    near = np.flatnonzero(s < max(radii, default=0.0) + h)
+    s = s[near]
     for r in radii:
         if r <= 2.0 * h:
             raise RadiusTooSmall(f"radius {r} must exceed 2h = {2 * h}")
         require_ball_in_u(dom, x, r)
-        idx = np.flatnonzero(s < r + h)
+        inside = s < r + h
+        idx = near[inside]
         # clipped-linear fraction of each cell inside the sphere: smooth and
         # monotone in r, which the monotonicity scans difference in rho
-        frac = np.clip(0.5 + (r - s[idx]) / h, 0.0, 1.0)
+        frac = np.clip(0.5 + (r - s[inside]) / h, 0.0, 1.0)
         w = frac * dom.cut_cell_weights[idx]
         keep = w > 0.0
         yield BallRestriction(center=x, node_index=idx[keep],

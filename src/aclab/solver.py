@@ -41,8 +41,9 @@ from .potential import SQRT2, DoubleWell
 
 RECIPES = ("constant", "step-x", "step-y", "two-layer", "radial", "file")
 
-# Newton keeps its LU (a chord step) while each step cuts the residual norm
-# at least by this factor, and refactors at the current iterate otherwise
+# Newton takes a step along its kept LU (a chord step) only if the step cuts
+# the residual norm below this factor times its value, and refactors at the
+# same iterate otherwise
 CHORD_CONTRACTION = 0.5
 # J is symmetric: SuperLU's symmetric mode with diagonal pivots preferred
 LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
@@ -379,11 +380,13 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                   max_iter: int = 40) -> Solution:
     """Damped Newton on the residual, bordered with the mean constraint.
 
-    A step reuses the last LU and border solve (a chord step) while the
-    residual norm falls by CHORD_CONTRACTION per step, and refactors
-    otherwise; max_iter counts both kinds.  A chord direction along which
-    30 halvings lower nothing is not taken: Newton refactors at the same
-    iterate within the iteration.  At most one LU is alive at a time.
+    Each iteration first tries the kept LU and border solve (a chord step)
+    at step 1, 1/2 and 1/4, and takes the first trial whose residual norm
+    is below CHORD_CONTRACTION times the current one.  Otherwise, and at
+    the first iteration, it refactors at the same iterate and halves the
+    fresh direction up to 30 times until the residual norm falls; near the
+    rounding floor (below 10 tol) the full fresh step is taken.  max_iter
+    counts iterations of both kinds.  At most one LU is alive at a time.
 
     The Newton map commutes with every exact symmetry of the discrete
     problem.  So when the start u is bitwise invariant under one, every
@@ -408,7 +411,7 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     axes = _symmetries(dom, u)
     F = _residual(dom, eps, well, u, lam)
     rn = rn_best = _norm(dom, F)
-    solve, rn_last = None, math.inf
+    solve = None
     for it in range(max_iter + 1):
         # the one acceptance test, of iterates 0 to max_iter
         if rn <= tol and (m is None or abs(w @ u / wsum - m) <= 1e-13):
@@ -418,12 +421,12 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                             factorizations=factorizations)
         if it == max_iter:
             break
-        refactor = solve is None or rn > CHORD_CONTRACTION * rn_last
+        stale = solve is not None
         while True:
-            if refactor:
-                # release the stale LU before SuperLU builds the next one,
-                # so that at most one is alive
-                solve = q = None
+            if not stale:
+                # release the stale LU and the failed trial before SuperLU
+                # builds the next LU, so that at most one is alive
+                solve = q = p = du = u_try = F_try = None
                 solve = _factor_jacobian(dom, eps, w * well.wpp(u) / eps,
                                          axes)
                 factorizations += 1
@@ -442,23 +445,25 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
             else:
                 dlam = 0.0
                 du = -p
+            # a step along the kept LU is taken only if it contracts; a
+            # fresh one if it lowers the residual or sits at its rounding
+            # floor
+            target = CHORD_CONTRACTION * rn if stale else rn
             step = 1.0
-            for _ in range(30):
+            for _ in range(3 if stale else 30):
                 u_try = u + step * du
                 lam_try = lam + step * dlam
                 F_try = _residual(dom, eps, well, u_try, lam_try)
                 rn_try = _norm(dom, F_try)
-                lowered = rn_try < rn or rn < 10.0 * tol
-                if lowered:
+                taken = rn_try < target or (not stale and rn < 10.0 * tol)
+                if taken:
                     break
                 step *= 0.5
-            if lowered or refactor:
+            if taken or not stale:
                 break
-            # no step along the stale LU's direction lowers the residual:
-            # refactor at this iterate instead of taking one
-            refactor = True
-        u, lam, F = u_try, lam_try, F_try
-        rn_last, rn = rn, rn_try
+            # no trial along the kept LU contracts: refactor at this iterate
+            stale = False
+        u, lam, F, rn = u_try, lam_try, F_try, rn_try
         rn_best = min(rn_best, rn)
     raise NoConvergence(f"Newton stalled at residual {rn_best:.3e} "
                         f"after {max_iter} iterations")

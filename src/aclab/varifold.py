@@ -311,6 +311,8 @@ def density_estimate(V: DiscreteVarifold, x, radii) -> DensityCurve:
     live = ~V.zero_flag
     dist = row_distance(V.points[live], x)
     w = V.weights[live]
+    near = dist < radii[-1]
+    dist, w = dist[near], w[near]
     theta = np.array([float(w[dist < r].sum()) / (om * r ** (n - 1))
                       for r in radii])
     return DensityCurve(radii=radii, theta=theta)
@@ -338,9 +340,12 @@ def sample_interface_nodes(sol: Solution, count: int,
     dom = sol.field.dom
     d = signed_distance(dom)
     margin = min(0.15 * dom.extent, 0.5 * float(d.max()))
-    cand = np.flatnonzero((np.abs(sol.field.values) <= 0.5) & (d > margin))
+    band = np.abs(sol.field.values) <= 0.5
+    cand = np.flatnonzero(band & (d > margin))
     if cand.size == 0:
-        raise NoInterface("no interface nodes found (|u| <= 0.5)")
+        raise NoInterface(f"no interface nodes (|u| <= 0.5) beyond the "
+                          f"interior margin {margin:.3g}: "
+                          f"{np.count_nonzero(band)} lie within it")
     pick = rng.choice(cand, size=min(count, cand.size), replace=False)
     return dom.points[pick]
 

@@ -12,6 +12,7 @@ from aclab.geometry import (ball_restrictions, boundary_integral,
                             build_domain, mirror_maps, row_distance, row_dot,
                             row_form, row_norm, row_sq_distance, row_trace,
                             signed_distance)
+from aclab.varifold import DiscreteVarifold, density_estimate
 
 
 class TestBuildDomain:
@@ -273,7 +274,8 @@ class TestBallRestriction:
         ("half-disk", (0.2, 0.0)),
     ])
     def test_ladder_matches_single_balls(self, shape, x):
-        # one distance pass for the ladder, the same balls bit for bit
+        # one distance pass for the ladder, cut to the largest ball: the
+        # same balls and density ratios bit for bit
         dom = build_domain(shape, (1.0,), 64)
         radii = (0.1, 0.15, 0.2, 0.3)
         ladder = list(ball_restrictions(dom, np.array(x), radii))
@@ -284,6 +286,18 @@ class TestBallRestriction:
             assert ball.boundary_flag == one.boundary_flag
             assert np.array_equal(ball.node_index, one.node_index)
             assert np.array_equal(ball.node_weights, one.node_weights)
+        # a varifold with an atom on every node, a tenth of them flagged
+        rng = np.random.default_rng(4)
+        n = dom.n_nodes
+        V = DiscreteVarifold(dom=dom, points=dom.points,
+                             node_index=np.arange(n), weights=rng.random(n),
+                             normals=np.zeros_like(dom.points),
+                             zero_flag=rng.random(n) < 0.1, epsilon=0.05)
+        theta = density_estimate(V, np.array(x), radii).theta
+        assert theta.size == len(radii)
+        for r, t in zip(radii, theta):
+            one = density_estimate(V, np.array(x), (r,)).theta
+            assert np.array_equal(one, [t])
 
     def test_ladder_checks_every_radius(self):
         dom = build_domain("disk", (1.0,), 64)

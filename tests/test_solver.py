@@ -328,28 +328,33 @@ class TestNewtonRefine:
         assert np.allclose(sol.field.values, quartic.gamma)
         assert sol.residual_norm <= 1e-12
 
-    def test_chord_direction_lowering_nothing_is_not_taken(self, quartic,
-                                                           monkeypatch):
-        # acceptance's disk solve meets a chord direction along which 30
-        # halvings lower nothing; Newton refactors at that iterate instead
-        # of taking the last trial, so every LU is built at the lowest
-        # residual norm evaluated so far
+    def test_kept_lu_step_contracts(self, quartic, monkeypatch):
+        # acceptance's disk solve: a step along an LU built at an earlier
+        # iterate is taken only if it cuts the residual norm below
+        # CHORD_CONTRACTION times its value, and the solve makes at most 20
+        # residual evaluations.  Each iterate's residual F is the right-hand
+        # side of the solve that gives the step taken from it
         dom = build_domain("disk", (1.0,), 256)
-        w = dom.cut_cell_weights
-        norms, lowest, lus = {}, [math.inf], []
+        norms, solves = [], []
+        norm_of = {}
 
-        def key(d):
-            return hashlib.sha1(d.tobytes()).digest()
+        def key(a):
+            return hashlib.sha1(a.tobytes()).digest()
 
         def recording_residual(dom, eps, well, u, lam):
             F = residual(dom, eps, well, u, lam)
-            norms[key(w * well.wpp(u) / eps)] = rn = solver._norm(dom, F)
-            lowest[0] = min(lowest[0], rn)
+            norms.append(solver._norm(dom, F))
+            norm_of[key(F)] = norms[-1]
             return F
 
         def recording_factor(dom, eps, d, axes):
-            lus.append((norms[key(d)], lowest[0]))
-            return factor(dom, eps, d, axes)
+            solve, lu = factor(dom, eps, d, axes), object()
+
+            def recording_solve(f):
+                solves.append((lu, key(f)))
+                return solve(f)
+
+            return recording_solve
 
         residual, factor = solver._residual, solver._factor_jacobian
         monkeypatch.setattr(solver, "_residual", recording_residual)
@@ -357,9 +362,20 @@ class TestNewtonRefine:
         sol = solve_single(dom, quartic, 0.02, constraint=0.3,
                            recipe="radial")
         assert sol.residual_norm <= 1e-10
-        assert len(lus) == sol.factorizations > 1
-        assert all(rn == low for rn, low in lus)
-
+        assert len(norms) <= 20
+        built_at, last_lu = {}, {}
+        for lu, k in solves:
+            if k in norm_of:
+                built_at.setdefault(lu, k)
+                last_lu[k] = lu
+        iterates = list(last_lu)
+        assert len(iterates) == sol.iterations
+        rns = [norm_of[k] for k in iterates] + [sol.residual_norm]
+        kept = [i for i, k in enumerate(iterates)
+                if built_at[last_lu[k]] != k]
+        assert len(kept) == sol.iterations - sol.factorizations > 0
+        for i in kept:
+            assert rns[i + 1] < solver.CHORD_CONTRACTION * rns[i]
 
     @given(st.floats(-0.5, 0.5))
     @settings(max_examples=25, deadline=None)

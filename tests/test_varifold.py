@@ -465,6 +465,25 @@ class TestDensity:
         assert len(pts) == len(want) > 0
         assert np.array_equal(np.unique(pts, axis=0), np.unique(want, axis=0))
 
+    def test_interface_within_the_margin_is_named(self):
+        # on the 1 x 0.5 half-disk the radial m = 0.3 interface hugs the
+        # flat side: every node with |u| <= 0.5 lies within the margin
+        # 0.246, and the error says so rather than that there is none
+        dom = build_domain("half-disk", (1.0,), (128, 64))
+        f = seed_field(dom, 0.04, "radial", 0.3)
+        sol = Solution(field=f, lam=0.0, residual_norm=0.0, iterations=0)
+        band = int(np.count_nonzero(np.abs(f.values) <= 0.5))
+        assert band == 650
+        with pytest.raises(NoInterface) as info:
+            sample_interface_nodes(sol, 10, np.random.default_rng(1))
+        assert str(info.value) == (
+            "no interface nodes (|u| <= 0.5) beyond the interior margin "
+            "0.246: 650 lie within it")
+        bare = Solution(field=Field(dom, 0.04, np.ones(dom.n_nodes)),
+                        lam=0.0, residual_norm=0.0, iterations=0)
+        with pytest.raises(NoInterface, match=r"0\.246: 0 lie within it$"):
+            sample_interface_nodes(bare, 10, np.random.default_rng(1))
+
     def test_sampling_excludes_pure_phase(self, band_sol):
         rng = np.random.default_rng(2)
         dom = band_sol.field.dom
