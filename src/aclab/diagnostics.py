@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidCutoffScale, NoPlateau
 from .geometry import (Domain, _shape_sdist, _shape_sdist_grad,
-                       ball_restrictions, boundary_integral, kept, read_only,
+                       ball_integrals, boundary_integral, kept, read_only,
                        require_ball_in_u, row_distance, row_dot, row_form,
                        row_norm, row_sq_distance, row_trace, signed_distance)
 from .potential import DoubleWell
@@ -100,12 +100,15 @@ def density_fields(f: Field, well: DoubleWell) -> DensityFields:
     return DensityFields(e=e, xi=xi, xi_plus=np.maximum(xi, 0.0))
 
 
-def tilted_densities(f: Field, d: DensityFields, lam: float):
-    """(e_tilde, xi_tilde) of f with W replaced by the shifted W-tilde, from
-    its density fields d."""
+@kept
+def tilted_integrands(f: Field, well: DoubleWell, lam: float):
+    """(e_tilde, -xi_tilde) of f with W replaced by the shifted W-tilde, the
+    tilted fields a ratio curve integrates, kept per field, well value and
+    lam."""
+    d = density_fields(f, well)
     lam0 = max(1.0, abs(lam))
     shift = -lam * f.values + lam0 * C0
-    return d.e + shift, d.xi - shift
+    return d.e + shift, -(d.xi - shift)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +125,9 @@ class RatioCurve:
     I_values: np.ndarray
     I_tilde_values: np.ndarray
     # ball integrals reused by the monotonicity scan and the xi+ bound fit
-    e_tilde_integrals: np.ndarray = field(default=None, repr=False)
-    neg_xi_tilde_integrals: np.ndarray = field(default=None, repr=False)
-    xi_plus_integrals: np.ndarray = field(default=None, repr=False)
+    e_tilde_integrals: np.ndarray = field(repr=False)
+    neg_xi_tilde_integrals: np.ndarray = field(repr=False)
+    xi_plus_integrals: np.ndarray = field(repr=False)
 
 
 def radius_ladder(dom: Domain, epsilon: float, x) -> np.ndarray:
@@ -152,32 +155,18 @@ def radius_ladder(dom: Domain, epsilon: float, x) -> np.ndarray:
 
 def energy_ratio_curve(f: Field, well: DoubleWell, x, radii,
                        lam: float) -> RatioCurve:
-    """I(r) = (omega_{n-1} r^{n-1})^{-1} * integral of e over B_r(x) in Omega."""
-    dom = f.dom
-    n = dom.dim
-    om = OMEGA[n - 1]
-    d = density_fields(f, well)
-    et, xt = tilted_densities(f, d, lam)
+    """I(r) = (omega_{n-1} r^{n-1})^{-1} * integral of e over B_r(x) in Omega,
+    for each of radii, sorted; RadiusTooSmall when radii is empty."""
+    n = f.dom.dim
     radii = np.sort(np.asarray(radii, dtype=float))
-    I = np.empty(radii.size)
-    I_t = np.empty(radii.size)
-    Et = np.empty(radii.size)
-    Dt = np.empty(radii.size)
-    Xp = np.empty(radii.size)
-    center = None
-    bflag = False
-    for k, (r, ball) in enumerate(zip(radii, ball_restrictions(dom, x, radii))):
-        center, bflag = ball.center, ball.boundary_flag
-        bw, bi = ball.node_weights, ball.node_index
-        norm = om * r ** (n - 1)
-        I[k] = float(np.sum(bw * d.e[bi])) / norm
-        Et[k] = float(np.sum(bw * et[bi]))
-        Dt[k] = float(np.sum(bw * (-xt[bi])))
-        Xp[k] = float(np.sum(bw * d.xi_plus[bi]))
-        I_t[k] = Et[k] / norm
+    d = density_fields(f, well)
+    (e, et, neg_xt, xp), center, bflag = ball_integrals(
+        f.dom, x, radii, (d.e, *tilted_integrands(f, well, lam), d.xi_plus))
+    norm = OMEGA[n - 1] * radii ** (n - 1)
     return RatioCurve(center=center, boundary_centered=bflag, radii=radii,
-                      I_values=I, I_tilde_values=I_t, e_tilde_integrals=Et,
-                      neg_xi_tilde_integrals=Dt, xi_plus_integrals=Xp)
+                      I_values=e / norm, I_tilde_values=et / norm,
+                      e_tilde_integrals=et, neg_xi_tilde_integrals=neg_xt,
+                      xi_plus_integrals=xp)
 
 
 @dataclass(frozen=True)
@@ -205,21 +194,29 @@ def _smallest_passing(ok, cap: float, steps: int) -> float:
     return hi
 
 
-def _monotonicity_deficits(curve: RatioCurve, kappa0: float, n: int, c1: float):
-    """Integrated-form deficits of the almost-monotonicity inequality.
+def _monotonicity_margins(curve: RatioCurve, kappa0: float, n: int):
+    """The integrated-form margins of the almost-monotonicity inequality,
+    as a function of c1.
 
     Between consecutive radii the differential inequality
     d/drho [e^{c1 rho} rho^{-(n-1)} int e~] >=
     e^{c1 rho} (1 + 3 kappa0 rho)^{-1} rho^{-n} int(-xi~) is integrated
     exactly on the left and by the trapezoid rule on the right; a negative
-    margin is a violation.
+    margin is a violation.  The factors free of c1 are computed once.
     """
     rho = curve.radii
-    F = np.exp(c1 * rho) * rho ** (1 - n) * curve.e_tilde_integrals
-    G = (np.exp(c1 * rho) / (1.0 + 3.0 * kappa0 * rho)
-         * rho ** (-n) * curve.neg_xi_tilde_integrals)
-    drho = np.diff(rho)
-    return np.diff(F) - 0.5 * drho * (G[:-1] + G[1:])
+    lift = rho ** (1 - n)
+    tilt = 1.0 + 3.0 * kappa0 * rho
+    scale = rho ** (-n)
+    half_step = 0.5 * (rho[1:] - rho[:-1])
+
+    def margins(c1):
+        grow = np.exp(c1 * rho)
+        F = grow * lift * curve.e_tilde_integrals
+        G = grow / tilt * scale * curve.neg_xi_tilde_integrals
+        return (F[1:] - F[:-1]) - half_step * (G[:-1] + G[1:])
+
+    return margins
 
 
 def monotonicity_scan(curve: RatioCurve, dom: Domain) -> MonotonicityReport:
@@ -227,15 +224,13 @@ def monotonicity_scan(curve: RatioCurve, dom: Domain) -> MonotonicityReport:
     c1 = 0 and fit the smallest c1 in [0, 200] that makes every interval
     pass."""
     kappa0 = dom.kappa0 if curve.boundary_centered else 0.0
-
-    def deficits(c):
-        return np.maximum(0.0, -_monotonicity_deficits(curve, kappa0, dom.dim,
-                                                        c))
+    margins = _monotonicity_margins(curve, kappa0, dom.dim)
+    d0 = np.maximum(0.0, -margins(0.0))
 
     def passes(c):
-        return bool(np.all(deficits(c) <= MONOTONICITY_TOLERANCE))
+        d = d0 if c == 0.0 else np.maximum(0.0, -margins(c))
+        return bool((d <= MONOTONICITY_TOLERANCE).all())
 
-    d0 = deficits(0.0)
     viol = [(float(curve.radii[j]), float(curve.radii[j + 1]), float(d0[j]))
             for j in np.flatnonzero(d0 > MONOTONICITY_TOLERANCE)]
     return MonotonicityReport(
@@ -248,13 +243,16 @@ def almost_monotonicity_fit(curve: RatioCurve) -> float:
     all pairs s<r."""
     r = curve.radii
     I = curve.I_values
+    # every pair s = r[i] < r[j] = r at once; r^{1/8} by the scalar power,
+    # whose bits the vector power need not give
+    j, i = np.tril_indices(r.size, -1)
+    gap = r[j] - r[i]
+    root = np.array([rj ** 0.125 for rj in r])[j]
+    I_s, I_r = I[i], I[j]
 
     def ok(c):
-        for j in range(len(r)):
-            lower = np.exp(-c * (r[j] - r[:j])) * I[:j] - c * r[j] ** 0.125
-            if np.any(I[j] < lower - 1e-12):
-                return False
-        return True
+        lower = np.exp(-c * gap) * I_s - c * root
+        return not (I_r < lower - 1e-12).any()
 
     return _smallest_passing(ok, 1e4, 60)
 

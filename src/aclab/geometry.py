@@ -209,16 +209,6 @@ class Domain:
                 "cells": list(self.n_cells)}
 
 
-@dataclass(frozen=True)
-class BallRestriction:
-    """Quadrature weights over B_r(center) intersected with the domain."""
-
-    center: np.ndarray
-    node_index: np.ndarray
-    node_weights: np.ndarray
-    boundary_flag: bool
-
-
 # ---------------------------------------------------------------------------
 # analytic shape geometry
 # ---------------------------------------------------------------------------
@@ -594,46 +584,65 @@ def grid_axis_text(dom: Domain):
                  for axis in grid_axes(dom))
 
 
-def require_ball_in_u(dom: Domain, x, r: float):
-    """Raise BallEscapesU unless B_r(x) lies inside the padding box U."""
-    if np.any(x - r < dom.u_lo) or np.any(x + r > dom.u_hi):
-        raise BallEscapesU(
-            f"ball of radius {r} at {x} leaves the padding box U")
+def require_ball_in_u(dom: Domain, x, radii):
+    """Raise BallEscapesU, naming the first radius r of radii (one radius
+    or several) whose ball B_r(x) leaves the padding box U."""
+    radii = np.atleast_1d(radii)
+    r = radii[:, None]
+    out = ((x - r < dom.u_lo) | (x + r > dom.u_hi)).any(axis=1)
+    if out.any():
+        raise BallEscapesU(f"ball of radius {radii[out.argmax()]} at {x} "
+                           "leaves the padding box U")
 
 
-def ball_restrictions(dom: Domain, x, radii):
-    """Yield the quadrature weights for integrals over B_r(x) intersected
-    with the domain, for each r in radii, in order.
+def ball_integrals(dom: Domain, x, radii, values):
+    """The integrals of the node fields values over B_r(x) intersected with
+    the domain, for each r of the ascending radii: (integrals, center,
+    boundary_flag), where integrals[i, k] integrates values[i] over the ball
+    of radii[k].
 
     Centers within h/2 of the boundary are snapped to the nearest boundary
     point and flagged (the monotonicity formulas only cover balls that are
-    fully interior or exactly boundary-centered).  The center is snapped and
-    the node distances are computed once and cut to the nodes the largest
-    ball can reach, so a ladder of radii costs one distance pass.
+    fully interior or exactly boundary-centered).  A node weighs its cut-cell
+    weight times the clipped-linear fraction of its cell inside the sphere,
+    smooth and monotone in r, which the monotonicity scans difference in
+    rho.  Each integral adds the products of the nodes of positive weight,
+    in node order, as np.sum does.  The ladder is checked once and costs one
+    distance pass and one gather of the fields, cut to the nodes the largest
+    ball can reach; each ball then costs its mask, its weights and one
+    reduction over the gathered fields.  Raises RadiusTooSmall for no radius
+    or one not above 2h, else BallEscapesU for the smallest radius whose
+    ball leaves U.
     """
     h = dom.cell_size
     x = np.asarray(x, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if radii.size == 0:
+        raise RadiusTooSmall(f"no ball radius at {x}: the ball floor exceeds "
+                             "the room to the boundary")
     dist_b = float(dom.distance_to_boundary(x[None, :])[0])
     boundary_flag = abs(dist_b) < 0.5 * h
     if boundary_flag:
         x = dom.nearest_boundary_point(x)
+    small = ~(radii > 2.0 * h)
+    if small.any():
+        raise RadiusTooSmall(f"radius {radii[small.argmax()]} must exceed "
+                             f"2h = {2 * h}")
+    require_ball_in_u(dom, x, radii)
     s = row_distance(dom.points, x)
-    near = np.flatnonzero(s < max(radii, default=0.0) + h)
-    s = s[near]
-    for r in radii:
-        if r <= 2.0 * h:
-            raise RadiusTooSmall(f"radius {r} must exceed 2h = {2 * h}")
-        require_ball_in_u(dom, x, r)
-        inside = s < r + h
-        idx = near[inside]
-        # clipped-linear fraction of each cell inside the sphere: smooth and
-        # monotone in r, which the monotonicity scans difference in rho
-        frac = np.clip(0.5 + (r - s[inside]) / h, 0.0, 1.0)
-        w = frac * dom.cut_cell_weights[idx]
+    near = np.flatnonzero(s < radii[-1] + h)
+    s, cw = s[near], dom.cut_cell_weights[near]
+    fields = np.array([v.take(near) for v in values])
+    sums = np.empty((len(values), radii.size))
+    for k, r in enumerate(radii.tolist()):
+        inside = (s < r + h).nonzero()[0]
+        w = np.clip(0.5 + (r - s[inside]) / h, 0.0, 1.0)
+        w *= cw[inside]
         keep = w > 0.0
-        yield BallRestriction(center=x, node_index=idx[keep],
-                              node_weights=w[keep],
-                              boundary_flag=boundary_flag)
+        terms = fields.take(inside[keep], axis=1)
+        terms *= w[keep]
+        sums[:, k] = np.add.reduce(terms, axis=1)
+    return sums, x, boundary_flag
 
 
 def boundary_integral(dom: Domain, f) -> float:

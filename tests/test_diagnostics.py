@@ -1,23 +1,27 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aclab.diagnostics import (almost_monotonicity_fit, boundary_energy,
-                               cutoff_derivatives, density_fields,
-                               energy_ratio_curve, equipartition_report,
+from aclab.diagnostics import (C0, MONOTONICITY_TOLERANCE, OMEGA, RatioCurve,
+                               _smallest_passing, almost_monotonicity_fit,
+                               boundary_energy, cutoff_derivatives,
+                               density_fields, energy_ratio_curve,
+                               equipartition_report,
                                make_boundary_normal_field, make_radial_field,
                                make_rotational_field, monotonicity_scan,
                                plateau_value, pohozaev_residual,
                                radius_ladder, scaled_cutoff_derivatives,
                                xi_integral_bound_fit)
-from aclab.errors import InvalidCutoffScale, NoPlateau
-from aclab.geometry import build_domain, mirror_maps
+from aclab.errors import (BallEscapesU, InvalidCutoffScale, NoPlateau,
+                          RadiusTooSmall)
+from aclab.geometry import build_domain, mirror_maps, row_distance
 from aclab.potential import SQRT2, DoubleWell
 from aclab.solver import (Field, Solution, assemble_energy, epsilon_sweep,
-                          solve_single)
+                          seed_field, solve_single)
 from aclab.varifold import build_varifold
 
 H0 = 2.0 * math.sqrt(2.0) / 3.0
@@ -38,6 +42,93 @@ def rect_sol(quartic):
 def line_sweep(quartic):
     dom = build_domain("interval", (1.0,), 1024)
     return epsilon_sweep(dom, quartic, [0.1, 0.05, 0.025], constraint=0.0)
+
+
+def loop_balls(dom, x, radii):
+    """Per radius, (center, node_index, node_weights, boundary_flag) of the
+    ball: the per-radius generator ratio curves used before a ladder was
+    integrated in one call, kept as the reference for
+    geometry.ball_integrals."""
+    h = dom.cell_size
+    x = np.asarray(x, dtype=float)
+    dist_b = float(dom.distance_to_boundary(x[None, :])[0])
+    boundary_flag = abs(dist_b) < 0.5 * h
+    if boundary_flag:
+        x = dom.nearest_boundary_point(x)
+    s = row_distance(dom.points, x)
+    near = np.flatnonzero(s < max(radii, default=0.0) + h)
+    s = s[near]
+    for r in radii:
+        if r <= 2.0 * h:
+            raise RadiusTooSmall(f"radius {r} must exceed 2h = {2 * h}")
+        if np.any(x - r < dom.u_lo) or np.any(x + r > dom.u_hi):
+            raise BallEscapesU(
+                f"ball of radius {r} at {x} leaves the padding box U")
+        inside = s < r + h
+        idx = near[inside]
+        frac = np.clip(0.5 + (r - s[inside]) / h, 0.0, 1.0)
+        w = frac * dom.cut_cell_weights[idx]
+        keep = w > 0.0
+        yield x, idx[keep], w[keep], boundary_flag
+
+
+def loop_ratio_curve(f, well, x, radii, lam):
+    """energy_ratio_curve as a loop over the balls with four np.sum calls
+    each: (center, boundary flag, rows I, I_tilde, e_tilde, -xi_tilde and
+    xi+ integrals)."""
+    d = density_fields(f, well)
+    shift = -lam * f.values + max(1.0, abs(lam)) * C0
+    et, xt = d.e + shift, d.xi - shift
+    n = f.dom.dim
+    radii = np.sort(np.asarray(radii, dtype=float))
+    rows = np.empty((5, radii.size))
+    center = flag = None
+    for k, (r, (center, bi, bw, flag)) in enumerate(
+            zip(radii, loop_balls(f.dom, x, radii))):
+        norm = OMEGA[n - 1] * r ** (n - 1)
+        rows[0, k] = float(np.sum(bw * d.e[bi])) / norm
+        rows[2, k] = float(np.sum(bw * et[bi]))
+        rows[3, k] = float(np.sum(bw * (-xt[bi])))
+        rows[4, k] = float(np.sum(bw * d.xi_plus[bi]))
+        rows[1, k] = rows[2, k] / norm
+    return center, flag, rows
+
+
+def loop_monotonicity_scan(curve, dom):
+    """monotonicity_scan's (violations, max_deficit, fitted_c1) as it was
+    written before its factors were hoisted: the loop reference."""
+    kappa0 = dom.kappa0 if curve.boundary_centered else 0.0
+    rho, n = curve.radii, dom.dim
+
+    def deficits(c1):
+        F = np.exp(c1 * rho) * rho ** (1 - n) * curve.e_tilde_integrals
+        G = (np.exp(c1 * rho) / (1.0 + 3.0 * kappa0 * rho)
+             * rho ** (-n) * curve.neg_xi_tilde_integrals)
+        margin = np.diff(F) - 0.5 * np.diff(rho) * (G[:-1] + G[1:])
+        return np.maximum(0.0, -margin)
+
+    def passes(c):
+        return bool(np.all(deficits(c) <= MONOTONICITY_TOLERANCE))
+
+    d0 = deficits(0.0)
+    viol = [(float(rho[j]), float(rho[j + 1]), float(d0[j]))
+            for j in np.flatnonzero(d0 > MONOTONICITY_TOLERANCE)]
+    return viol, float(d0.max(initial=0.0)), _smallest_passing(passes, 200.0,
+                                                               50)
+
+
+def loop_almost_monotonicity_fit(curve):
+    """almost_monotonicity_fit with one pass per radius r over the s < r."""
+    r, I = curve.radii, curve.I_values
+
+    def ok(c):
+        for j in range(len(r)):
+            lower = np.exp(-c * (r[j] - r[:j])) * I[:j] - c * r[j] ** 0.125
+            if np.any(I[j] < lower - 1e-12):
+                return False
+        return True
+
+    return _smallest_passing(ok, 1e4, 60)
 
 
 class TestDensityFields:
@@ -129,6 +220,65 @@ class TestRatioCurve:
         assert lo > 0.01 * H0
         assert hi < 10.0 * (rect_sol.energy + 1.0)
 
+    @pytest.mark.parametrize("shape, params, cells, x, flagged", [
+        ("interval", (1.0,), 256, (0.43,), False),
+        ("interval", (1.0,), 256, (0.0007,), True),
+        ("disk", (1.0,), 64, (0.31, -0.12), False),
+        ("disk", (1.0,), 64, (0.994 * math.cos(1.0), 0.994 * math.sin(1.0)),
+         True),
+        ("half-disk", (1.0,), (64, 32), (0.2, 0.004), True),
+        ("annulus", (0.4, 1.0), 64, (0.0, 0.72), False),
+    ])
+    def test_matches_loop_reference(self, quartic, shape, params, cells, x,
+                                    flagged):
+        # one call for the ladder gives the per-radius loop's center, flag
+        # and five arrays bit for bit, at two lam on each side of 1
+        dom = build_domain(shape, params, cells)
+        f0 = seed_field(dom, 0.08, "radial" if dom.dim == 2 else "step-x",
+                        constraint=0.3)
+        noise = np.random.default_rng(5).standard_normal(dom.n_nodes)
+        f = Field(dom, 0.08, f0.values + 0.01 * noise)
+        x = np.array(x)
+        radii = radius_ladder(dom, 0.08, x)
+        assert radii.size >= 3
+        for lam in (0.7, -1.3):
+            center, flag, rows = loop_ratio_curve(f, quartic, x, radii, lam)
+            c = energy_ratio_curve(f, quartic, x, radii[::-1], lam=lam)
+            assert flag == flagged == c.boundary_centered
+            assert np.array_equal(c.center, center)
+            assert np.array_equal(c.radii, radii)
+            for got, want in zip((c.I_values, c.I_tilde_values,
+                                  c.e_tilde_integrals,
+                                  c.neg_xi_tilde_integrals,
+                                  c.xi_plus_integrals), rows):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("x, radii", [
+        ((0.9, 0.0), (0.3, 1.2, 1.4)),
+        ((0.0, 0.0), (0.3, 1.0 / 32)),
+        ((0.9, 0.0), (1.4, 1.0 / 32)),
+        ((0.999, 0.01), (0.3, 0.2, 1.3)),
+    ])
+    def test_bad_radius_errors_match_loop(self, quartic, x, radii):
+        # the same error type and message as the per-radius loop: the
+        # smallest radius when it is too small, else the smallest whose
+        # ball leaves U
+        dom = build_domain("disk", (1.0,), 64)
+        f = seed_field(dom, 0.08, "radial", constraint=0.3)
+        with pytest.raises((RadiusTooSmall, BallEscapesU)) as want:
+            loop_ratio_curve(f, quartic, np.array(x), radii, 0.5)
+        with pytest.raises(want.type) as got:
+            energy_ratio_curve(f, quartic, np.array(x), radii, lam=0.5)
+        assert str(got.value) == str(want.value)
+
+    def test_no_radius_is_typed(self, quartic):
+        # an empty ladder raises, as density_estimate does, instead of
+        # returning a curve without a center
+        dom = build_domain("interval", (1.0,), 256)
+        f = seed_field(dom, 0.05, "step-x")
+        with pytest.raises(RadiusTooSmall, match="no ball radius at"):
+            energy_ratio_curve(f, quartic, np.array([0.5]), [], lam=0.0)
+
 
 class TestMonotonicityScan:
     def test_interior_flat_no_violations(self, quartic, rect_sol):
@@ -184,6 +334,47 @@ class TestMonotonicityScan:
                                lam=rect_sol.lam)
         C_fit = xi_integral_bound_fit(c)
         assert np.isfinite(C_fit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), size=st.integers(2, 10),
+           dim=st.sampled_from([1, 2]), boundary=st.booleans(),
+           kappa0=st.floats(0.0, 3.0))
+    @example(data=None, size=6, dim=2, boundary=True, kappa0=1.0)
+    def test_scans_match_loop_references(self, data, size, dim, boundary,
+                                         kappa0):
+        # fitted_c1, the violations and the almost-monotonicity constant of
+        # the loop references, on random increasing ladders; the example
+        # and many draws fail at c = 0, so both bisections run
+        if data is None:
+            rho = 0.05 * 2.0 ** (np.arange(size) / 4.0)
+            falling = np.linspace(2.0, 1.0, size)
+            I, et, nx = falling, falling * rho, 0.01 * falling
+        else:
+            def values(lo, hi):
+                return np.array(data.draw(st.lists(
+                    st.floats(lo, hi, allow_subnormal=False), min_size=size,
+                    max_size=size)))
+
+            steps = st.lists(st.floats(1.001, 1.3), min_size=size - 1,
+                             max_size=size - 1)
+            rho = data.draw(st.floats(0.005, 0.1)) * np.cumprod(
+                [1.0, *data.draw(steps)])
+            I, et, nx = values(-2.0, 3.0), values(0.0, 3.0), values(-2.0, 2.0)
+        curve = RatioCurve(center=np.zeros(dim), boundary_centered=boundary,
+                           radii=rho, I_values=I, I_tilde_values=I,
+                           e_tilde_integrals=et, neg_xi_tilde_integrals=nx,
+                           xi_plus_integrals=np.zeros(size))
+        dom = SimpleNamespace(dim=dim, kappa0=kappa0)
+        rep = monotonicity_scan(curve, dom)
+        viol, max_deficit, fitted = loop_monotonicity_scan(curve, dom)
+        assert rep.violations == viol
+        assert rep.max_deficit == max_deficit
+        assert rep.fitted_c1 == fitted
+        assert almost_monotonicity_fit(curve) == (
+            loop_almost_monotonicity_fit(curve))
+        if data is None:
+            assert 0.0 < fitted < math.inf
+            assert 0.0 < almost_monotonicity_fit(curve) < math.inf
 
 
 class TestPohozaev:

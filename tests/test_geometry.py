@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from aclab.errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
-from aclab.geometry import (ball_restrictions, boundary_integral,
+from aclab.geometry import (ball_integrals, boundary_integral,
                             build_domain, mirror_maps, row_distance, row_dot,
                             row_form, row_norm, row_sq_distance, row_trace,
                             signed_distance)
@@ -220,53 +220,64 @@ def _domain(shape, params, cells):
     return build_domain(shape, params, cells)
 
 
+def ball_volumes(dom, x, radii):
+    """ball_integrals of the field 1: (volumes, center, boundary_flag)."""
+    sums, center, flag = ball_integrals(dom, x, radii,
+                                        np.ones((1, dom.n_nodes)))
+    return sums[0], center, flag
+
+
 class TestBallRestriction:
     def test_half_ball_of_unit_disk(self):
         dom = build_domain("disk", (1.0,), 128)
-        ball = next(ball_restrictions(dom, np.zeros(2), (0.5,)))
-        area = ball.node_weights.sum()
+        (area,), _, flag = ball_volumes(dom, np.zeros(2), [0.5])
         assert abs(area - math.pi / 4) < 4 * dom.cell_size * math.pi
-        assert not ball.boundary_flag
+        assert not flag
 
     def test_flat_boundary_half_ball(self):
         dom = build_domain("half-disk", (1.0,), 128)
-        ball = next(ball_restrictions(dom, np.array([0.2, 0.0]), (0.3,)))
-        assert ball.boundary_flag
+        (area,), center, flag = ball_volumes(dom, np.array([0.2, 0.0]), [0.3])
+        assert flag
+        assert center[1] == 0.0
         half = 0.5 * math.pi * 0.3**2
-        area = ball.node_weights.sum()
         assert abs(area - half) < 4 * dom.cell_size * 2 * math.pi * 0.3
 
     def test_interval_boundary_ball(self):
         dom = build_domain("interval", (1.0,), 256)
-        ball = next(ball_restrictions(dom, np.array([0.0]), (0.25,)))
-        assert abs(ball.node_weights.sum() - 0.25) <= dom.cell_size
-        assert ball.boundary_flag
+        (length,), _, flag = ball_volumes(dom, np.array([0.0]), [0.25])
+        assert abs(length - 0.25) <= dom.cell_size
+        assert flag
 
     def test_radius_gate(self):
         dom = build_domain("interval", (1.0,), 64)
-        with pytest.raises(RadiusTooSmall):
-            next(ball_restrictions(dom, np.array([0.5]),
-                                   (1.5 * dom.cell_size,)))
+        h = dom.cell_size
+        with pytest.raises(RadiusTooSmall, match=f"radius {1.5 * h} must "):
+            ball_volumes(dom, np.array([0.5]), [1.5 * h, 0.2])
+        with pytest.raises(RadiusTooSmall, match="no ball radius"):
+            ball_volumes(dom, np.array([0.5]), [])
 
     def test_escapes_padding(self):
         dom = build_domain("disk", (1.0,), 64)
-        with pytest.raises(BallEscapesU):
-            next(ball_restrictions(dom, np.array([0.9, 0.0]), (1.4,)))
+        with pytest.raises(BallEscapesU, match="radius 1.4 "):
+            ball_volumes(dom, np.array([0.9, 0.0]), [1.4])
 
     def test_monotone_in_radius(self):
         dom = build_domain("disk", (1.0,), 64)
-        vols = [ball.node_weights.sum() for ball in ball_restrictions(
-            dom, np.array([0.3, 0.1]), (0.1, 0.15, 0.2, 0.3, 0.4))]
-        assert all(b >= a for a, b in zip(vols, vols[1:]))
+        vols, _, _ = ball_volumes(dom, np.array([0.3, 0.1]),
+                                  [0.1, 0.15, 0.2, 0.3, 0.4])
+        assert np.all(np.diff(vols) >= 0.0)
 
     def test_full_weight_deep_inside(self):
+        # a node deeper than h sqrt(2) weighs its whole cut cell: the
+        # integral of its indicator is its cut-cell weight
         dom = build_domain("disk", (1.0,), 64)
         h = dom.cell_size
-        ball = next(ball_restrictions(dom, np.zeros(2), (0.4,)))
-        dist = np.linalg.norm(dom.points[ball.node_index], axis=1)
-        deep = dist < 0.4 - h * math.sqrt(2)
-        assert np.array_equal(ball.node_weights[deep],
-                              dom.cut_cell_weights[ball.node_index[deep]])
+        dist = np.linalg.norm(dom.points, axis=1)
+        deep = np.flatnonzero(dist < 0.4 - h * math.sqrt(2))
+        indicators = np.zeros((deep.size, dom.n_nodes))
+        indicators[np.arange(deep.size), deep] = 1.0
+        sums, _, _ = ball_integrals(dom, np.zeros(2), [0.4], indicators)
+        assert np.array_equal(sums[:, 0], dom.cut_cell_weights[deep])
 
     @pytest.mark.parametrize("shape, x", [
         ("disk", (0.3, 0.1)),
@@ -275,17 +286,17 @@ class TestBallRestriction:
     ])
     def test_ladder_matches_single_balls(self, shape, x):
         # one distance pass for the ladder, cut to the largest ball: the
-        # same balls and density ratios bit for bit
+        # same integrals and density ratios bit for bit
         dom = build_domain(shape, (1.0,), 64)
         radii = (0.1, 0.15, 0.2, 0.3)
-        ladder = list(ball_restrictions(dom, np.array(x), radii))
-        assert len(ladder) == len(radii)
-        for r, ball in zip(radii, ladder):
-            one = next(ball_restrictions(dom, np.array(x), (r,)))
-            assert np.array_equal(ball.center, one.center)
-            assert ball.boundary_flag == one.boundary_flag
-            assert np.array_equal(ball.node_index, one.node_index)
-            assert np.array_equal(ball.node_weights, one.node_weights)
+        values = np.random.default_rng(3).standard_normal((3, dom.n_nodes))
+        ladder, center, flag = ball_integrals(dom, np.array(x), radii, values)
+        assert ladder.shape == (3, len(radii))
+        for k, r in enumerate(radii):
+            one, c, f = ball_integrals(dom, np.array(x), (r,), values)
+            assert np.array_equal(center, c)
+            assert flag == f
+            assert np.array_equal(ladder[:, k], one[:, 0])
         # a varifold with an atom on every node, a tenth of them flagged
         rng = np.random.default_rng(4)
         n = dom.n_nodes
@@ -300,13 +311,12 @@ class TestBallRestriction:
             assert np.array_equal(one, [t])
 
     def test_ladder_checks_every_radius(self):
+        # the smallest radius whose ball leaves U is the one named
         dom = build_domain("disk", (1.0,), 64)
-        balls = ball_restrictions(dom, np.array([0.9, 0.0]), (0.3, 1.4))
-        assert next(balls).node_index.size > 0
-        with pytest.raises(BallEscapesU):
-            next(balls)
+        with pytest.raises(BallEscapesU, match="radius 1.2 "):
+            ball_volumes(dom, np.array([0.9, 0.0]), [0.3, 1.2, 1.4])
         with pytest.raises(RadiusTooSmall):
-            list(ball_restrictions(dom, np.zeros(2), (0.3, dom.cell_size)))
+            ball_volumes(dom, np.zeros(2), [dom.cell_size, 0.3])
 
 
 class TestBoundaryIntegral:

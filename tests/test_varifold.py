@@ -10,7 +10,7 @@ from aclab.diagnostics import (C0, density_fields, field_from_callable,
                                pohozaev_residual, radial_cutoff,
                                radius_ladder)
 from aclab.errors import NoInterface, NotTangential, RadiusTooSmall
-from aclab.geometry import (ball_restrictions, build_domain, grid_axes,
+from aclab.geometry import (ball_integrals, build_domain, grid_axes,
                             signed_distance)
 from aclab.potential import DoubleWell, compute_h0
 from aclab.solver import (Field, Solution, epsilon_sweep, orthogonal_arc,
@@ -603,9 +603,11 @@ class TestRowKernelCallSites:
                  for r in radii]
         self.same_bits(density_estimate(V, x, radii).theta, theta)
         s = np.linalg.norm(dom.points - x[None, :], axis=1)
-        for r, ball in zip(radii, ball_restrictions(dom, x, radii)):
+        values = np.stack([sol.field.values, dom.points[:, 0]])
+        sums, _, _ = ball_integrals(dom, x, radii, values)
+        for r, got in zip(radii, sums.T):
             idx = np.flatnonzero(s < r + h)
             w = (np.clip(0.5 + (r - s[idx]) / h, 0.0, 1.0)
                  * dom.cut_cell_weights[idx])
-            self.same_bits(ball.node_index, idx[w > 0.0])
-            self.same_bits(ball.node_weights, w[w > 0.0])
+            idx, w = idx[w > 0.0], w[w > 0.0]
+            self.same_bits(got, [np.sum(w * v[idx]) for v in values])
