@@ -13,7 +13,9 @@ kernels of geometry (row_distance here), and the time loop of the flow is
 sequential.  Solutions are immutable once returned.
 Newton factors only the black Schur complement of a red-black split, each
 LU in the minimum-degree order of its own matrix, and holds one LU at a
-time, so a solve's bits depend only on its inputs.  The system is folded
+time, so a solve's bits depend only on its inputs.  Between factorizations
+it steps along the kept LU with good-Broyden secant updates, whose pairs
+live on the folded unknowns and go with the LU.  The system is folded
 along every exact symmetry that Newton's start has bitwise.  When
 translation along an axis is exact (every grid line along it fully active
 with equal cut-cell weights: the rectangle) and the start is constant along
@@ -41,10 +43,13 @@ from .potential import SQRT2, DoubleWell
 
 RECIPES = ("constant", "step-x", "step-y", "two-layer", "radial", "file")
 
-# Newton takes a step along its kept LU (a chord step) only if the step cuts
-# the residual norm below this factor times its value, and refactors at the
-# same iterate otherwise
+# Newton takes a step along its kept LU, Broyden-updated, only if the step
+# cuts the residual norm below this factor times its value, and refactors at
+# the same iterate otherwise
 CHORD_CONTRACTION = 0.5
+# the most secant pairs the Broyden updates of one LU hold; when they are
+# full, the updates restart from the LU's own bordered solve
+BROYDEN_PAIRS = 8
 # J is symmetric: SuperLU's symmetric mode with diagonal pivots preferred
 LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
@@ -77,10 +82,11 @@ class Field:
 class Solution:
     """A converged critical point with its multiplier and solver metadata.
 
-    iterations counts the Newton iterations that produced it, chord steps
-    included (the flow steps for a gradient_flow result); factorizations
-    counts the Jacobian LUs among them.  On solver results, residual_norm
-    and energy equal residual_norm and assemble_energy of field, exactly.
+    iterations counts the Newton iterations that produced it, steps along a
+    kept LU included (the flow steps for a gradient_flow result);
+    factorizations counts the Jacobian LUs among them.  On solver results,
+    residual_norm and energy equal residual_norm and assemble_energy of
+    field, exactly.
     """
 
     field: Field
@@ -378,15 +384,27 @@ def gradient_flow(init: Field, well: DoubleWell, dt: float | None = None,
 
 def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                   max_iter: int = 40) -> Solution:
-    """Damped Newton on the residual, bordered with the mean constraint.
+    """Damped Newton on the residual, bordered with the mean constraint,
+    with good-Broyden updates between factorizations.
 
-    Each iteration first tries the kept LU and border solve (a chord step)
-    at step 1, 1/2 and 1/4, and takes the first trial whose residual norm
-    is below CHORD_CONTRACTION times the current one.  Otherwise, and at
-    the first iteration, it refactors at the same iterate and halves the
-    fresh direction up to 30 times until the residual norm falls; near the
-    rounding floor (below 10 tol) the full fresh step is taken.  max_iter
-    counts iterations of both kinds.  At most one LU is alive at a time.
+    The first iteration, and every iteration whose step along the kept LU
+    fails, factors the Jacobian at the current iterate and halves the fresh
+    direction up to 30 times until the residual norm falls; near the
+    rounding floor (below 10 tol) the full fresh step is taken.  Every other
+    iteration steps along the kept LU, with the good-Broyden inverse
+    H_{k+1} = (I + a_k s_k^T) H_k, a_k = (s_k - H_k y_k) / (s_k^T H_k y_k),
+    updated from the step s_k and residual change y_k of each step taken
+    since the factorization (Broyden, Math. Comp. 19, 1965; Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, 1995, ch. 7-8).
+    H_0 is the bordered solve through the LU, so a direction costs one LU
+    solve and k dot products and axpys.  The pairs live on the folded
+    unknowns and lambda, at most BROYDEN_PAIRS of them; when they are full
+    the updates restart from H_0.  Such a step is tried at 1, 1/2 and 1/4
+    and taken at the first trial whose residual norm is below
+    CHORD_CONTRACTION times the current one; otherwise the iteration
+    refactors at the same iterate.  max_iter counts iterations of both
+    kinds.  At most one LU is alive at a time, and the pairs are released
+    with it.
 
     The Newton map commutes with every exact symmetry of the discrete
     problem.  So when the start u is bitwise invariant under one, every
@@ -411,7 +429,7 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     axes = _symmetries(dom, u)
     F = _residual(dom, eps, well, u, lam)
     rn = rn_best = _norm(dom, F)
-    solve = None
+    solve = pairs = None
     for it in range(max_iter + 1):
         # the one acceptance test, of iterates 0 to max_iter
         if rn <= tol and (m is None or abs(w @ u / wsum - m) <= 1e-13):
@@ -424,35 +442,58 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
         stale = solve is not None
         while True:
             if not stale:
-                # release the stale LU and the failed trial before SuperLU
-                # builds the next LU, so that at most one is alive
-                solve = q = p = du = u_try = F_try = None
+                # release the stale LU, its pairs and the failed trial
+                # before SuperLU builds the next LU, so that at most one is
+                # alive
+                solve = pairs = a = s = q = p = d = du = u_try = F_try = None
                 solve = _factor_jacobian(dom, eps, w * well.wpp(u) / eps,
                                          axes)
                 factorizations += 1
+                fd = fold(dom, axes)
+                # a_k and s_k of pair k, on the folded unknowns and lambda
+                pairs = np.empty((2, BROYDEN_PAIRS, fd.low.size + 1))
+                k = 0
                 if m is not None:
                     q = solve(w)
                     wq = float(w @ q)
                     if abs(wq) < 1e-300:
                         raise SingularJacobian("degenerate constraint border")
+                    q = q[fd.low]
+            # d = -H_0 (F, G): the bordered solve through the LU
             p = solve(F)
             if not np.all(np.isfinite(p)):
                 raise SingularJacobian("non-finite Newton direction")
+            d = np.empty(fd.low.size + 1)
+            np.negative(p[fd.low], out=d[:-1])
+            d[-1] = 0.0
             if m is not None:
                 G = float(w @ u) - m * wsum
-                dlam = (float(w @ p) - G) / wq
-                du = -p + dlam * q
-            else:
-                dlam = 0.0
-                du = -p
+                d[-1] = (float(w @ p) - G) / wq
+                d[:-1] += d[-1] * q
+            if stale and k == BROYDEN_PAIRS:
+                k = 0  # the pairs are full: restart the updates from H_0
+            elif stale:
+                # d = -H_k (F, G), then the pair of the last step
+                for a, s in zip(pairs[0, :k], pairs[1, :k]):
+                    d += (s @ d) * a
+                s = np.multiply(step, d_last, out=pairs[1, k])
+                hy = d_last - d
+                den = float(s @ hy)
+                if den == 0.0:
+                    stale = False
+                    continue
+                a = np.divide(s - hy, den, out=pairs[0, k])
+                d += (s @ d) * a
+                k += 1
             # a step along the kept LU is taken only if it contracts; a
             # fresh one if it lowers the residual or sits at its rounding
             # floor
+            du = d[:-1][fd.rep]
             target = CHORD_CONTRACTION * rn if stale else rn
             step = 1.0
             for _ in range(3 if stale else 30):
                 u_try = u + step * du
-                lam_try = lam + step * dlam
+                lam_try = lam + step * float(d[-1])
                 F_try = _residual(dom, eps, well, u_try, lam_try)
                 rn_try = _norm(dom, F_try)
                 taken = rn_try < target or (not stale and rn < 10.0 * tol)
@@ -463,6 +504,7 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                 break
             # no trial along the kept LU contracts: refactor at this iterate
             stale = False
+        d_last = d
         u, lam, F, rn = u_try, lam_try, F_try, rn_try
         rn_best = min(rn_best, rn)
     raise NoConvergence(f"Newton stalled at residual {rn_best:.3e} "

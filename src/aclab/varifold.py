@@ -300,22 +300,35 @@ class DensityCurve:
 def density_estimate(V: DiscreteVarifold, x, radii) -> DensityCurve:
     """Theta-hat(r) = mass(B_r(x)) / (omega_{n-1} r^{n-1}); the same full-ball
     normalization is used for boundary-centered points."""
+    return _density_curve(V.dom, _live_atoms(V), x, radii)
+
+
+def _live_atoms(V: DiscreteVarifold):
+    """(points, weights) of the atoms with a well-defined normal."""
+    live = ~V.zero_flag
+    return V.points[live], V.weights[live]
+
+
+def _density_curve(dom: Domain, atoms, x, radii) -> DensityCurve:
+    """density_estimate over the live atoms (points, weights): one distance
+    pass, cut to the atoms the largest ball reaches, and one comparison
+    with the whole ladder; each radius then adds the weights of its ball in
+    atom order, as np.sum does."""
     x = np.asarray(x, dtype=float)
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii.size == 0:
         raise RadiusTooSmall(f"no density radius at {x}: the ball floor "
                              "exceeds the room to the boundary")
-    require_ball_in_u(V.dom, x, radii[-1])
-    n = V.dom.dim
+    require_ball_in_u(dom, x, radii[-1])
+    n = dom.dim
     om = OMEGA[n - 1]
-    live = ~V.zero_flag
-    dist = row_distance(V.points[live], x)
-    w = V.weights[live]
-    near = dist < radii[-1]
-    dist, w = dist[near], w[near]
-    theta = np.array([float(w[dist < r].sum()) / (om * r ** (n - 1))
-                      for r in radii])
-    return DensityCurve(radii=radii, theta=theta)
+    points, weights = atoms
+    dist = row_distance(points, x)
+    near = np.flatnonzero(dist < radii[-1])
+    w = weights[near]
+    mass = [np.add.reduce(w[inside])
+            for inside in dist[near] < radii[:, None]]
+    return DensityCurve(radii=radii, theta=mass / (om * radii ** (n - 1)))
 
 
 @dataclass(frozen=True)
@@ -353,10 +366,11 @@ def sample_interface_nodes(sol: Solution, count: int,
 def integrality_check(V: DiscreteVarifold, sample_points) -> IntegralityReport:
     """Per sample point: plateau of Theta-hat over its radius_ladder, nearest
     integer, deviation."""
+    atoms = _live_atoms(V)
     rows = []
     for p in np.atleast_2d(np.asarray(sample_points, dtype=float)):
         rr = radius_ladder(V.dom, V.epsilon, p)
-        val = density_estimate(V, p, rr).plateau()
+        val = _density_curve(V.dom, atoms, p, rr).plateau()
         rows.append(IntegralityRow(point=p, plateau=val,
                                    nearest_integer=int(round(val)),
                                    deviation=abs(val - round(val))))

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from aclab import solver
+from aclab.config import example_config, parse_config
 from aclab.errors import Blowup, NoConvergence, UnresolvedInterface
 from aclab.geometry import build_domain, line_maps, mirror_maps
 from aclab.potential import SQRT2, DoubleWell
@@ -377,6 +379,24 @@ class TestNewtonRefine:
         for i in kept:
             assert rns[i + 1] < solver.CHORD_CONTRACTION * rns[i]
 
+    def test_slow_kept_lu_tail_is_bounded(self, quartic):
+        # the example config at m = 0.5968: along the LU of each eps the
+        # plain chord residual falls by just under 2x per step (18 and 16
+        # iterations on one LU at eps 0.1 and 0.05); the Broyden-updated
+        # steps converge superlinearly on the same LU
+        text = re.sub(r"(?m)^constraint_mean = .*$",
+                      "constraint_mean = 0.5968", example_config())
+        cfg = parse_config(text)
+        dom = build_domain(cfg.shape, cfg.params, cfg.cells)
+        sweep = epsilon_sweep(dom, cfg.well, cfg.epsilons,
+                              cfg.constraint_mean, cfg.recipe,
+                              cfg.recipe_params, newton_tol=cfg.tol)
+        assert [sol.field.epsilon for sol in sweep] == list(cfg.epsilons)
+        for sol in sweep:
+            assert sol.iterations <= 10
+            assert sol.factorizations == 1
+            assert sol.residual_norm <= cfg.tol
+
     @given(st.floats(-0.5, 0.5))
     @settings(max_examples=25, deadline=None)
     def test_mean_flip_symmetry(self, m):
@@ -562,11 +582,26 @@ class TestFactorizations:
             assert sol.residual_norm <= 1e-10
 
     def test_one_lu_alive_at_a_time(self, quartic, monkeypatch):
-        # Newton releases the stale LU before SuperLU builds the next one.
-        # SuperLU objects take no weak references, so each factor hides
-        # behind a proxy that reports its release; with the cycle
-        # collector off, only reference counts release it
-        alive, at_entry = set(), []
+        # Newton releases the stale LU and its Broyden pairs before SuperLU
+        # builds the next one.  SuperLU objects take no weak references, so
+        # each factor hides behind a proxy that reports its release; with
+        # the cycle collector off, only reference counts release it.  The
+        # pairs are the one array of shape (2, BROYDEN_PAIRS, n) that
+        # Newton's locals own or view
+        alive, at_entry, pairs_at_entry, pairs_at_solve = set(), [], [], []
+
+        def pairs_held():
+            frame = sys._getframe()
+            while frame.f_code is not newton_refine.__code__:
+                frame = frame.f_back
+            held = set()
+            for v in frame.f_locals.values():
+                while isinstance(v, np.ndarray) and v.base is not None:
+                    v = v.base
+                if isinstance(v, np.ndarray) and \
+                        v.shape[:2] == (2, solver.BROYDEN_PAIRS):
+                    held.add(id(v))
+            return len(held)
 
         class Factor:
             def __init__(self, lu):
@@ -574,12 +609,16 @@ class TestFactorizations:
                 alive.add(id(self))
 
             def solve(self, b):
+                pairs_at_solve.append(pairs_held())
                 return self.lu.solve(b)
 
             def __del__(self):
                 alive.discard(id(self))
 
         def tracked(M, **kw):
+            # first: reading Newton's locals refreshes the snapshot of them
+            # that the frame keeps from the last read, which holds the LU
+            pairs_at_entry.append(pairs_held())
             at_entry.append(len(alive))
             return Factor(splu(M, **kw))
 
@@ -593,7 +632,8 @@ class TestFactorizations:
         finally:
             gc.enable()
         assert [sol.factorizations for sol in sweep] == [2, 1, 2]
-        assert at_entry == [0] * 5
+        assert at_entry == pairs_at_entry == [0] * 5
+        assert set(pairs_at_solve) == {1}
         assert not alive
 
 
@@ -648,6 +688,29 @@ class TestFold:
             assert (a.iterations, a.factorizations) == (b.iterations,
                                                         b.factorizations)
             assert a.residual_norm <= 1e-10
+
+    def test_every_iterate_is_mirror_symmetric(self, quartic, monkeypatch):
+        # the Broyden pairs live on the folded unknowns, so every iterate of
+        # the folded disk-128 sweep, trials included, is bitwise symmetric
+        # in y, along the kept LUs as after each factorization
+        dom = build_domain("disk", (1.0,), 128)
+        image = mirror_maps(dom)[1]
+        residual = solver._residual
+        iterates = []
+
+        def recording(dom, eps, well, u, lam):
+            iterates.append(u)
+            return residual(dom, eps, well, u, lam)
+
+        monkeypatch.setattr(solver, "_residual", recording)
+        sweep = epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
+                              constraint=0.3, recipe="radial")
+        assert len(sweep) == 3
+        assert solver._symmetries(dom, sweep[0].field.values) == (1,)
+        assert sum(s.iterations - s.factorizations for s in sweep) >= 10
+        assert len(iterates) > sum(s.iterations for s in sweep)
+        for u in iterates:
+            assert np.array_equal(u[image], u)
 
     def test_spacing_off_a_power_of_two_folds(self, quartic, monkeypatch):
         # at 96 cells h = 1/48, and nodes placed symmetrically about the

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from aclab.diagnostics import (C0, density_fields, field_from_callable,
+from aclab.diagnostics import (C0, OMEGA, density_fields, field_from_callable,
                                field_gradient, make_radial_field,
                                make_rotational_field, node_jacobian,
                                pohozaev_residual, radial_cutoff,
@@ -15,9 +15,9 @@ from aclab.geometry import (ball_integrals, build_domain, grid_axes,
 from aclab.potential import DoubleWell, compute_h0
 from aclab.solver import (Field, Solution, epsilon_sweep, orthogonal_arc,
                           seed_field, solve_single)
-from aclab.varifold import (_cell_segments, build_varifold, density_estimate,
-                            extract_interface, first_variation,
-                            first_variation_bound_constant,
+from aclab.varifold import (DensityCurve, _cell_segments, build_varifold,
+                            density_estimate, extract_interface,
+                            first_variation, first_variation_bound_constant,
                             free_boundary_test, integrality_check,
                             sample_interface_nodes)
 
@@ -61,6 +61,21 @@ def loop_segments(U, axes):
                     segments.append((pts[3], pts[0]))
                     segments.append((pts[1], pts[2]))
     return segments
+
+
+def loop_density_estimate(V, x, radii):
+    """Theta-hat over the ladder as density_estimate computed it before the
+    live atoms were gathered once per varifold: the live atoms gathered
+    and measured at every call, and one masked sum per radius.  The
+    reference for density_estimate and integrality_check."""
+    radii = np.sort(np.asarray(radii, dtype=float))
+    live = ~V.zero_flag
+    dist = np.linalg.norm(V.points[live] - x[None, :], axis=1)
+    w = V.weights[live]
+    n = V.dom.dim
+    theta = [float(w[dist < r].sum()) / (OMEGA[n - 1] * r ** (n - 1))
+             for r in radii]
+    return DensityCurve(radii=radii, theta=np.array(theta))
 
 
 def nodal_grid(sol):
@@ -395,6 +410,33 @@ class TestDensity:
         rep = integrality_check(band_varifold, pts)
         assert all(r.nearest_integer == 1 for r in rep.rows)
         assert rep.max_deviation <= 0.15
+
+    @pytest.mark.parametrize("shape,params,cells,eps,m,recipe", [
+        ("interval", (1.0,), 2048, 0.025, 0.2, "step-x"),
+        ("disk", (1.0,), 64, 0.08, 0.3, "radial"),
+        ("rectangle", (1.0, 1.0), 128, 0.04, 0.0, "step-y")])
+    def test_integrality_matches_loop_reference(self, quartic, h0, shape,
+                                                params, cells, eps, m,
+                                                recipe):
+        # the live atoms gathered once per varifold and the ladder compared
+        # at once give the per-call loop's ratios and plateaus bit for bit;
+        # the interval and the disk have zero-normal atoms among them
+        dom = build_domain(shape, params, cells)
+        sol = solve_single(dom, quartic, eps, constraint=m, recipe=recipe)
+        V = build_varifold(sol, quartic, h0)
+        pts = sample_interface_nodes(sol, 10, np.random.default_rng(29))
+        rep = integrality_check(V, pts)
+        assert len(rep.rows) == len(pts)
+        for row, p in zip(rep.rows, pts):
+            radii = radius_ladder(dom, eps, p)
+            want = loop_density_estimate(V, p, radii)
+            got = density_estimate(V, p, radii)
+            assert np.array_equal(got.radii, want.radii)
+            assert np.array_equal(got.theta, want.theta)
+            assert row.plateau == want.plateau()
+            assert np.array_equal(row.point, p)
+        if shape != "rectangle":
+            assert V.zero_flag.any()
 
     def test_ball_floor_beyond_boundary_is_typed(self, quartic, h0):
         # within 2h of the boundary the radius ladder is empty
