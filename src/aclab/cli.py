@@ -4,7 +4,8 @@ CSV report emission.
 Subcommands: solve, diagnose, check, example-config.  solve is a thin
 wrapper over solver.epsilon_sweep that writes its solutions.  Every table
 goes through _emit, which records it on the RunReport and writes its CSV;
-the boundary-normal test field is kept on the domain.  When the checks
+diagnose also writes the errors it records to errors.csv, when it records
+any.  The boundary-normal test field is kept on the domain.  When the checks
 include varifold, diagnose writes the varifold atom files from one forked
 writer (forked.Forked) while the rest of the suite runs, and reaps it
 before it returns, so every file is complete then; where fork is
@@ -16,9 +17,11 @@ gates and the solution files have been accepted.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +41,7 @@ from .forked import Forked
 from .geometry import Domain, build_domain, kept, signed_distance
 from .potential import compute_h0
 from .solver import Field, Solution, epsilon_sweep
-from .tables import write_rows
+from .tables import write_g17_lines
 from .varifold import (build_varifold, export_atoms, extract_interface,
                        first_variation_bound_constant,
                        free_boundary_test, integrality_check,
@@ -72,11 +75,18 @@ def _g17(x):
     return str(x)
 
 
+# _g17 of a value of the types tables hold most, by its exact type
+_G17_BY_TYPE = {float: "%.17g".__mod__, np.float64: "%.17g".__mod__,
+                int: str, np.int64: str, str: str}
+
+
 def write_csv(path, header, rows):
+    """Write the header and rows to path as CSV, each value through _g17."""
+    text = _G17_BY_TYPE.get
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_g17(v) for v in row) + "\n")
+        fh.writelines(",".join([text(type(v), _g17)(v) for v in row]) + "\n"
+                      for row in rows)
 
 
 def _emit(report, out, name, header, rows):
@@ -111,7 +121,7 @@ def save_solution(path, sol: Solution):
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head) + "\n")
-        write_rows(fh, "%.17g\n", [sol.field.values.tolist()])
+        write_g17_lines(fh, sol.field.values)
 
 
 def _checked(ok, what):
@@ -148,6 +158,12 @@ def load_solution(path, dom: Domain) -> Solution:
     that is not positive raise DomainMismatch.  The energy may be NaN (its
     default); files written before the factorization count was stored read
     it as 0.
+
+    The nodal lines are parsed by numpy's C reader, one number a line, to
+    the bits float() gives; blank lines and trailing whitespace are skipped.
+    Unparsable are an empty body, a line of two numbers, a '#' line and,
+    unlike float(), digits grouped by underscores (1_000) and non-ASCII
+    digits.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -157,11 +173,17 @@ def load_solution(path, dom: Domain) -> Solution:
     with fh:
         try:
             head = json.loads(fh.readline())
-            # numpy parses each line as float(line) would
-            values = np.array([line for line in fh if line.strip()],
-                              dtype=float)
+            with warnings.catch_warnings():
+                # an empty body is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
         except ValueError as exc:
             raise DomainMismatch(f"{path}: unparsable solution file: {exc}") from exc
+    if values.shape[1] != 1 or not values.size:
+        what = (f"{values.shape[1]} numbers on a line" if values.size
+                else "no nodal values")
+        raise DomainMismatch(f"{path}: unparsable solution file: {what}")
+    values = values[:, 0]
     if not isinstance(head, dict):
         raise DomainMismatch(f"{path}: solution header is not a JSON object")
     if head.get("schema") != SOLUTION_SCHEMA:
@@ -410,14 +432,28 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0):
           iface_rows)
 
 
+def _write_errors(out, errors):
+    """Write out/errors.csv when errors holds any: one where,message row
+    per error, where its epsilon or its check.  The csv module quotes it,
+    since a message can hold commas."""
+    if not errors:
+        return
+    with open(out / "errors.csv", "w", encoding="utf-8", newline="") as fh:
+        rows = csv.writer(fh, lineterminator="\n")
+        rows.writerow(("where", "message"))
+        rows.writerows((_g17(where), msg) for where, msg in errors)
+
+
 def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
                  verbose=False) -> RunReport:
     """Run the configured diagnostics over stored solutions.
 
-    With varifold among the checks, one forked writer writes the atom files
-    while the checks run; it is reaped before this returns, and killed
-    first when a check raises anything but an AcLabError.  Where it does not
-    deliver, the same writer runs here.
+    Each error a check records for one epsilon, and each check that fails,
+    is printed to stderr and written to errors.csv, which is written only
+    when there are errors.  With varifold among the checks, one forked
+    writer writes the atom files while the checks run; it is reaped before
+    this returns, and killed first when a check raises anything but an
+    AcLabError.  Where it does not deliver, the same writer runs here.
     """
     dom = build_domain(cfg.shape, cfg.params, cfg.cells)
     well = cfg.well
@@ -455,6 +491,7 @@ def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
                 print(f"diagnostic {name} failed: {exc}", file=sys.stderr)
         _emit(report, out, "fitted_constants", ("name", "value"),
               sorted(report.fitted_constants.items()))
+        _write_errors(out, report.errors)
         if writer is not None and writer.result() is None:
             _write_atoms(out, sols, well, h0)
     finally:

@@ -352,8 +352,14 @@ def _c1_norm(values: np.ndarray, J: np.ndarray) -> float:
 
 def field_from_callable(dom: Domain, fn) -> TestVectorField:
     """Wrap an analytic vector field; fn maps (k, dim) points to vectors."""
-    vals = np.asarray(fn(dom.points), dtype=float)
-    bvals = np.asarray(fn(dom.boundary.points), dtype=float)
+    return _sampled_field(dom, np.asarray(fn(dom.points), dtype=float),
+                          np.asarray(fn(dom.boundary.points), dtype=float),
+                          fn)
+
+
+def _sampled_field(dom: Domain, vals, bvals, fn) -> TestVectorField:
+    """The field fn, given its values at the nodes and at the boundary
+    samples."""
     J = read_only(node_jacobian(dom, vals))
     dots = np.abs(row_dot(bvals, dom.boundary.normals))
     return TestVectorField(values=vals, boundary_values=bvals,
@@ -396,30 +402,50 @@ def make_boundary_normal_field(dom: Domain, a: float) -> TestVectorField:
     return field_from_callable(dom, fn)
 
 
+def _rotation(dom: Domain, pts):
+    """The domain-only factors of a rotational field at pts: the radial
+    cutoff of support 0.45 min(u_hi - u_lo) and (-y, x)."""
+    r_support = 0.45 * float(np.min(dom.u_hi - dom.u_lo))
+    return (radial_cutoff(row_norm(pts) / r_support),
+            np.stack([-pts[:, 1], pts[:, 0]], axis=1))
+
+
+@kept
+def _rotation_at_samples(dom: Domain):
+    """_rotation at the nodes and at the boundary samples, kept per
+    domain."""
+    return _rotation(dom, dom.points), _rotation(dom, dom.boundary.points)
+
+
 def make_rotational_field(dom: Domain,
                           rng: np.random.Generator) -> TestVectorField:
     """Random smooth field tangential to all circles about the origin.
 
     psi(p) * (-y, x) with psi a sum of three Gaussian bumps; tangential on
     the boundary of disks and annuli.  Supported inside U by a radial cutoff.
+    At the nodes and the boundary samples, the cutoff and (-y, x) are kept
+    per domain.
     """
     R = 0.5 * dom.extent
     centers = rng.uniform(-0.8 * R, 0.8 * R, size=(3, 2))
     sig = rng.uniform(0.2 * R, 0.5 * R, size=3)
     amp = rng.uniform(-1.0, 1.0, size=3)
-    r_support = 0.45 * float(np.min(dom.u_hi - dom.u_lo))
 
-    def fn(pts):
-        pts = np.atleast_2d(pts)
+    def field(pts, cutoff, rot):
         psi = np.zeros(pts.shape[0])
         for c, s, am in zip(centers, sig, amp):
             d2 = row_sq_distance(pts, c)
             psi += am * np.exp(-0.5 * d2 / s**2)
-        rr = row_norm(pts)
-        psi *= radial_cutoff(rr / r_support)
-        return psi[:, None] * np.stack([-pts[:, 1], pts[:, 0]], axis=1)
+        psi *= cutoff
+        return psi[:, None] * rot
 
-    return field_from_callable(dom, fn)
+    def fn(pts):
+        pts = np.atleast_2d(pts)
+        return field(pts, *_rotation(dom, pts))
+
+    nodes, samples = _rotation_at_samples(dom)
+    return _sampled_field(dom, field(dom.points, *nodes),
+                          field(dom.boundary.points, *samples), fn)
 
 
 # ---------------------------------------------------------------------------

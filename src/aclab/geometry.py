@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
+from .tables import g17_texts
 
 SHAPES_1D = ("interval",)
 SHAPES_2D = ("rectangle", "disk", "annulus", "half-disk")
@@ -580,7 +581,7 @@ def grid_axes(dom: Domain) -> tuple:
 @kept
 def grid_axis_text(dom: Domain):
     """Per axis, the %.17g text of each grid coordinate as an object array."""
-    return tuple(np.array(["%.17g" % v for v in axis.tolist()], dtype=object)
+    return tuple(np.array(g17_texts(axis), dtype=object)
                  for axis in grid_axes(dom))
 
 

@@ -22,7 +22,7 @@ from .geometry import (Domain, grid_axes, grid_axis_text, require_ball_in_u,
                        signed_distance)
 from .potential import DoubleWell
 from .solver import Solution
-from .tables import write_rows
+from .tables import g17_texts, write_rows
 
 # |grad u| below this multiple of 1/eps gets the zero-normal flag; separates
 # phase plateaus from transition layers on the natural gradient scale
@@ -94,19 +94,19 @@ def export_atoms(V: DiscreteVarifold, path):
     """Write the atoms as CSV: position, weight, normal, zero flag.
 
     Each atom sits on its node, so its position is written as the node's
-    grid coordinates, formatted once per domain.
+    grid coordinates, formatted once per domain; weights and normals are
+    formatted once per distinct value where repeats pay (g17_texts).
     """
     dom = V.dom
     coords = ("x", "y")[:dom.dim]
     ncols = tuple("n" + c for c in coords)
-    row = ",".join(["%s"] * dom.dim + ["%.17g"] * (dom.dim + 1) + ["%d"]) + "\n"
     cells = np.unravel_index(dom.grid_index[V.node_index], dom.n_cells)
     columns = [text[c].tolist() for text, c in zip(grid_axis_text(dom), cells)]
-    columns += [V.weights.tolist(), *V.normals.T.tolist(),
-                V.zero_flag.tolist()]
+    columns += map(g17_texts, (V.weights, *V.normals.T))
+    columns.append(np.where(V.zero_flag, "1", "0").tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(coords + ("weight",) + ncols + ("zero_flag",)) + "\n")
-        write_rows(fh, row, columns)
+        write_rows(fh, columns)
 
 
 def first_variation(V: DiscreteVarifold, X: TestVectorField) -> float:

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import re
 
@@ -8,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from aclab import cli, solver, varifold
+from aclab import cli, solver, tables, varifold
 from aclab.config import example_config, load_config, parse_config
 from aclab.errors import ConfigError, DomainMismatch, NoConvergence
-from aclab.geometry import build_domain
+from aclab.geometry import build_domain, grid_axes
 from aclab.potential import DoubleWell, compute_h0
 from aclab.solver import Field, Solution, solve_single
 
@@ -319,8 +322,34 @@ class TestBadSolutionFiles:
         lines = path.read_text().splitlines()
         lines[line] = bad
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DomainMismatch, match="unparsable"):
+        with pytest.raises(DomainMismatch,
+                           match=": unparsable solution file: "):
             cli.load_solution(path, dom)
+
+    @pytest.mark.parametrize("edit", [
+        lambda body: [f"{v} {v}" for v in body],
+        lambda body: [],
+        lambda body: ["", "  ", ""],
+        lambda body: body[:7] + ["#"] + body[7:],
+        lambda body: ["# nodal values", *body],
+        lambda body: body[:7] + ["1_000"] + body[8:],
+        lambda body: body[:7] + ["\u0660.\u0665"] + body[8:]],
+        ids=["two-numbers-every-line", "empty", "blank", "hash-line",
+             "hash-comment", "underscore", "non-ascii-digits"])
+    def test_unparsable_body(self, saved, edit):
+        # a body of one number a line, parsed to float()'s bits: each edit
+        # is unparsable, with no warning; float() took 1_000 and the
+        # Arabic-Indic 0.5, which the C reader rejects
+        import warnings
+        path, dom = saved
+        head, *body = path.read_text().splitlines()
+        path.write_text("\n".join([head, *edit(body)]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the file name holds the test name, so match more than it
+            with pytest.raises(DomainMismatch,
+                               match=": unparsable solution file: "):
+                cli.load_solution(path, dom)
 
     @staticmethod
     def rewrite_header(path, edit):
@@ -645,6 +674,41 @@ class TestCli:
         assert sorted(err) == sorted(f"diagnostic error at eps={e:g}: {msg}"
                                      for e, msg in report.errors)
 
+    def test_diagnose_writes_errors_csv(self, small_cfg, tmp_path,
+                                        monkeypatch):
+        # the pure-phase solution's per-epsilon errors and a failed check,
+        # whose message holds commas and a quote, each as one where,message
+        # row, in the order they were recorded
+        from aclab.errors import AcLabError
+
+        def failing(*args):
+            raise AcLabError('forced, with "commas", twice')
+
+        dom = build_domain("interval", (1.0,), 512)
+        sol = Solution(field=Field(dom, 0.05, np.ones(dom.n_nodes)), lam=0.0,
+                       residual_norm=0.0, iterations=0)
+        out = tmp_path / "out"
+        out.mkdir()
+        cli.save_solution(out / "pure.txt", sol)
+        cfg = load_config(small_cfg)
+        monkeypatch.setattr(cli, "_diag_equipartition", failing)
+        report = cli.cmd_diagnose(cfg, [out / "pure.txt"])
+        assert ("equipartition", 'forced, with "commas", twice') \
+            in report.errors
+        assert any(where == 0.05 for where, _ in report.errors)
+        with open(out / "errors.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["where", "message"]] + [
+            [cli._g17(where), msg] for where, msg in report.errors]
+        assert '"forced, with ""commas"", twice"' in \
+            (out / "errors.csv").read_text()
+
+    def test_no_errors_no_errors_csv(self, tmp_path):
+        cfg, paths = _solved(tmp_path, "disk", "equipartition pohozaev")
+        report = cli.cmd_diagnose(cfg, paths, out_dir=tmp_path / "d")
+        assert report.errors == []
+        assert not (tmp_path / "d" / "errors.csv").exists()
+
 
 class TestWriters:
     @pytest.mark.parametrize("shape,params,cells", [
@@ -667,6 +731,192 @@ class TestWriters:
         assert body == "".join("%.17g\n" % v for v in u.tolist()).encode()
         back = cli.load_solution(tmp_path / "s.txt", dom).field.values
         assert np.array_equal(back, u)
+
+
+# doubles that format in their own way: both zeros, NaNs of either sign
+# and another payload, both infinities, subnormals and extremes
+SPECIAL_DOUBLES = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+     -2.5e-310, 1.7976931348623157e308, 0.1, 1.0, -1.0],
+    np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+              0x7FF8DEADBEEF0001], dtype=np.uint64).view(np.float64)])
+
+
+class TestG17Texts:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_is_per_value_formatting(self, data):
+        # arrays drawn from a small pool repeat most values (the gather
+        # path), arrays of free doubles hardly any (the in-place path)
+        pool = data.draw(st.lists(st.one_of(
+            st.sampled_from(SPECIAL_DOUBLES.tolist()), st.floats()),
+            min_size=1, max_size=8))
+        n = data.draw(st.integers(0, 3 * tables.CHUNK_ROWS))
+        if data.draw(st.booleans()):
+            picks = data.draw(arrays(np.intp, n,
+                                     elements=st.integers(0, len(pool) - 1)))
+            a = np.array(pool, dtype=np.float64)[picks]
+        else:
+            a = data.draw(arrays(np.float64, n, elements=st.one_of(
+                st.sampled_from(pool), st.floats())))
+        want = ["%.17g" % v for v in a.tolist()]
+        assert tables.g17_texts(a) == want
+        # a strided view, as a column of the (N, 2) normals
+        assert tables.g17_texts(np.stack([a, a], axis=1)[:, 1]) == want
+        fh = io.StringIO()
+        tables.write_g17_lines(fh, a)
+        assert fh.getvalue() == "".join(t + "\n" for t in want)
+
+    def test_both_paths_taken(self):
+        # a quarter of the values distinct takes the gather path, all of
+        # them the in-place one; both give the per-value texts, and the
+        # gathered special doubles keep -0 apart from 0
+        repeats = np.repeat(np.arange(250, dtype=np.float64), 4)
+        specials = np.tile(SPECIAL_DOUBLES, 4)
+        distinct = np.arange(1000, dtype=np.float64) / 7.0
+        assert tables._gathered(repeats) is not None
+        assert tables._gathered(specials) is not None
+        assert tables._gathered(distinct) is None
+        for a in (repeats, specials, distinct):
+            assert tables.g17_texts(a) == ["%.17g" % v for v in a.tolist()]
+
+
+# The writers and the line parser as they were before each distinct value
+# was formatted once and the nodal lines were parsed in C: the references
+# for the bytes and bits the present ones must give.
+
+def _reference_g17(x):
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format(float(x), ".17g")
+    return str(x)
+
+
+def _reference_write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_reference_g17(v) for v in row) + "\n")
+
+
+def _reference_save_solution(path, sol):
+    head = {
+        "schema": cli.SOLUTION_SCHEMA,
+        "domain": sol.field.dom.to_descriptor(),
+        "epsilon": sol.field.epsilon,
+        "lambda": sol.lam,
+        "residual_norm": sol.residual_norm,
+        "iterations": sol.iterations,
+        "factorizations": sol.factorizations,
+        "constraint": sol.constraint,
+        "converged": sol.converged,
+        "energy": sol.energy,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(head) + "\n")
+        fh.writelines("%.17g\n" % v for v in sol.field.values.tolist())
+
+
+def _reference_export_atoms(V, path):
+    dom = V.dom
+    coords = ("x", "y")[:dom.dim]
+    axes = [["%.17g" % v for v in axis.tolist()] for axis in grid_axes(dom)]
+    cells = np.unravel_index(dom.grid_index[V.node_index], dom.n_cells)
+    row = ",".join(["%s"] * dom.dim + ["%.17g"] * (dom.dim + 1) + ["%d"]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(coords + ("weight",) + tuple("n" + c for c in coords)
+                          + ("zero_flag",)) + "\n")
+        for i in range(V.weights.size):
+            fh.write(row % (*(axes[a][cells[a][i]] for a in range(dom.dim)),
+                            V.weights[i], *V.normals[i], V.zero_flag[i]))
+
+
+def _reference_parse(path):
+    """The nodal values of a solution file, each line through float()."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        return np.array([line for line in fh if line.strip()], dtype=float)
+
+
+@pytest.fixture(scope="module", params=["interval", "folded-disk"])
+def reference_solution(request):
+    """A converged 512-cell interval solution, or a disk-64 one from the
+    folded Newton solve, which is mirror-symmetric: most of its values
+    repeat, so its file takes the formatter's gather path."""
+    well = DoubleWell()
+    if request.param == "interval":
+        dom = build_domain("interval", (1.0,), 512)
+        return solve_single(dom, well, 0.05, constraint=0.2)
+    dom = build_domain("disk", (1.0,), 64)
+    sol = solve_single(dom, well, 0.1, constraint=0.3, recipe="radial")
+    bits = sol.field.values.view(np.int64)
+    assert np.unique(bits).size <= tables.DISTINCT_SHARE * bits.size
+    return sol
+
+
+class TestReferenceBytes:
+    """save_solution, export_atoms and write_csv give the reference bytes,
+    and load_solution the reference bits."""
+
+    def test_solution_file(self, tmp_path, reference_solution):
+        sol = reference_solution
+        cli.save_solution(tmp_path / "s.txt", sol)
+        _reference_save_solution(tmp_path / "ref.txt", sol)
+        assert (tmp_path / "s.txt").read_bytes() == \
+            (tmp_path / "ref.txt").read_bytes()
+        got = cli.load_solution(tmp_path / "s.txt", sol.field.dom)
+        assert got.field.values.tobytes() == \
+            _reference_parse(tmp_path / "ref.txt").tobytes()
+
+    @pytest.mark.parametrize("zero_normals", [False, True])
+    def test_atom_file(self, tmp_path, reference_solution, zero_normals):
+        # clipping u to +-0.5 makes flat plateaus of zero-normal atoms
+        sol = reference_solution
+        if zero_normals:
+            sol = Solution(field=Field(sol.field.dom, sol.field.epsilon,
+                                       np.clip(sol.field.values, -0.5, 0.5)),
+                           lam=sol.lam, residual_norm=0.0, iterations=0)
+        V = varifold.build_varifold(sol, DoubleWell(), compute_h0(
+            DoubleWell()))
+        assert V.zero_flag.any() == zero_normals
+        varifold.export_atoms(V, tmp_path / "a.csv")
+        _reference_export_atoms(V, tmp_path / "ref.csv")
+        assert (tmp_path / "a.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv(self, tmp_path):
+        # every value type the tables hold, and some they might
+        rows = [(0.1, np.float64(-0.0), 3, np.int64(-7), True, np.bool_(False),
+                 "interior-radial", float("nan"), -math.inf,
+                 np.float32(0.1), np.int32(5), 5e-324, None),
+                (np.float64(1e300), math.inf, 0, np.int64(0), False,
+                 np.bool_(True), "", np.nan, np.float64(-math.inf),
+                 np.float16(2.5), np.uint8(255), -2.5e-310, (1, 2))]
+        header = [f"c{k}" for k in range(len(rows[0]))]
+        cli.write_csv(tmp_path / "t.csv", header, rows)
+        _reference_write_csv(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "t.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_parse_of_random_doubles(self, tmp_path_factory, data):
+        # any finite doubles, subnormals and -0.0 among them, written by
+        # the reference writer, parse to the reference parser's bits
+        dom = build_domain("interval", (1.0,), 64)
+        edge = st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, 1e300])
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        values = data.draw(arrays(np.float64, dom.n_nodes,
+                                  elements=st.one_of(edge, finite)))
+        sol = Solution(field=Field(dom, 0.1, values), lam=0.0,
+                       residual_norm=0.0, iterations=0)
+        path = tmp_path_factory.mktemp("parse") / "s.txt"
+        _reference_save_solution(path, sol)
+        got = cli.load_solution(path, dom).field.values
+        assert got.tobytes() == _reference_parse(path).tobytes()
 
 
 def _solved(tmp_path, shape, checks="varifold"):
@@ -927,12 +1177,14 @@ class TestKeptData:
                  for a in arrays(list(obj.cache.values()))]
         assert len(domains) == 2 and len(sols) == 4
         # the solve's stiffness, mirror maps and fold along y (18), the
-        # diagnose's gradient stencils, distance and axis text (9), and the
-        # gradient and densities of both diagnosed fields (10)
+        # diagnose's gradient stencils, distance and axis text (9), the
+        # rotational fields' cutoff and (-y, x) at the nodes and the
+        # boundary samples (4), and the gradient and densities of both
+        # diagnosed fields (10)
         fold = list(arrays(solver.fold(domains[0], (1,))))
         assert len(fold) == 13
         assert not [a for a in fold if a.flags.writeable]
-        assert len(found) >= 37
+        assert len(found) >= 41
         assert not [a for a in found if a.flags.writeable]
 
 

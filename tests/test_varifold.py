@@ -571,21 +571,25 @@ class TestRowKernelCallSites:
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @staticmethod
-    def rotational_reference(dom, seed):
-        # make_rotational_field's draws and field, with numpy reductions
-        rng = np.random.default_rng(seed)
+    def rotational_reference(dom, rng):
+        # make_rotational_field's draws from rng, and its field as a
+        # function of the points, with numpy reductions and every factor
+        # computed per call
         R = 0.5 * dom.extent
         centers = rng.uniform(-0.8 * R, 0.8 * R, size=(3, 2))
         sig = rng.uniform(0.2 * R, 0.5 * R, size=3)
         amp = rng.uniform(-1.0, 1.0, size=3)
         r_support = 0.45 * float(np.min(dom.u_hi - dom.u_lo))
-        pts = dom.points
-        psi = np.zeros(pts.shape[0])
-        for c, s, am in zip(centers, sig, amp):
-            d2 = np.sum((pts - c[None, :]) ** 2, axis=1)
-            psi += am * np.exp(-0.5 * d2 / s**2)
-        psi *= radial_cutoff(np.linalg.norm(pts, axis=1) / r_support)
-        return psi[:, None] * np.stack([-pts[:, 1], pts[:, 0]], axis=1)
+
+        def at(pts):
+            psi = np.zeros(pts.shape[0])
+            for c, s, am in zip(centers, sig, amp):
+                d2 = np.sum((pts - c[None, :]) ** 2, axis=1)
+                psi += am * np.exp(-0.5 * d2 / s**2)
+            psi *= radial_cutoff(np.linalg.norm(pts, axis=1) / r_support)
+            return psi[:, None] * np.stack([-pts[:, 1], pts[:, 0]], axis=1)
+
+        return at
 
     def test_fields_and_norms(self, disk64, quartic):
         sol, _ = disk64
@@ -596,12 +600,35 @@ class TestRowKernelCallSites:
                        kin + quartic.w(f.values) / f.epsilon)
         dom = f.dom
         X = make_rotational_field(dom, np.random.default_rng(11))
-        values = self.rotational_reference(dom, 11)
+        values = self.rotational_reference(
+            dom, np.random.default_rng(11))(dom.points)
         self.same_bits(X.values, values)
         J = node_jacobian(dom, values)
         c1 = (float(np.linalg.norm(values, axis=1).max())
               + float(np.sqrt(np.sum(J * J, axis=(1, 2))).max()))
         assert X.c1_norm == c1
+
+    def test_rotational_factors_kept_per_domain(self, monkeypatch):
+        # the cutoff and (-y, x) at the nodes and the boundary samples are
+        # computed on a domain's first rotational field only; every field
+        # keeps the bits of computing them per call, off the grid too
+        from aclab import diagnostics
+        dom = build_domain("disk", (1.0,), 64)
+        calls = []
+        real = diagnostics.radial_cutoff
+        monkeypatch.setattr(diagnostics, "radial_cutoff",
+                            lambda t: calls.append(1) or real(t))
+        rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+        fields = [make_rotational_field(dom, rng) for _ in range(3)]
+        assert len(calls) == 2
+        off_grid = np.random.default_rng(22).uniform(-1.0, 1.0, (50, 2))
+        for X in fields:
+            at = self.rotational_reference(dom, ref)
+            values = at(dom.points)
+            self.same_bits(X.values, values)
+            self.same_bits(X.boundary_values, at(dom.boundary.points))
+            self.same_bits(X.evaluator(off_grid), at(off_grid))
+            self.same_bits(X.jacobian, node_jacobian(dom, values))
 
     def test_first_variation_and_pohozaev(self, disk64, quartic):
         sol, V = disk64
