@@ -17,6 +17,7 @@ gates and the solution files have been accepted.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import base64
 import csv
 import json
 import math
@@ -41,13 +42,15 @@ from .forked import Forked
 from .geometry import Domain, build_domain, kept, signed_distance
 from .potential import compute_h0
 from .solver import Field, Solution, epsilon_sweep
-from .tables import write_g17_lines
 from .varifold import (build_varifold, export_atoms, extract_interface,
                        first_variation_bound_constant,
                        free_boundary_test, integrality_check,
                        sample_interface_nodes)
 
-SOLUTION_SCHEMA = "aclab-solution-1"
+SOLUTION_SCHEMA = "aclab-solution-2"
+TEXT_SCHEMA = "aclab-solution-1"  # one %.17g nodal value a line
+# base64 characters on a full line of a solution file: three values
+LINE_CHARS = 32
 
 # tables whose CSV is written only when they have rows
 SKIPPED_WHEN_EMPTY = ("free_boundary", "integrality", "interface",
@@ -106,7 +109,9 @@ def _fit(report, name, value, pick=max):
 
 
 def save_solution(path, sol: Solution):
-    """JSON header line followed by one nodal value per line (row-major)."""
+    """JSON header line, then the base64 of the nodal values' little-endian
+    float64 bytes (row-major), LINE_CHARS to a line; the last line holds
+    the remaining one or two values."""
     head = {
         "schema": SOLUTION_SCHEMA,
         "domain": sol.field.dom.to_descriptor(),
@@ -119,9 +124,13 @@ def save_solution(path, sol: Solution):
         "converged": sol.converged,
         "energy": sol.energy,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(head) + "\n")
-        write_g17_lines(fh, sol.field.values)
+    text = base64.b64encode(sol.field.values.astype("<f8").tobytes())
+    full = len(text) - len(text) % LINE_CHARS
+    lines = np.full((full // LINE_CHARS, LINE_CHARS + 1), ord("\n"), np.uint8)
+    lines[:, :-1] = np.frombuffer(text, np.uint8, full).reshape(-1, LINE_CHARS)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(head).encode() + b"\n")
+        fh.write(lines.tobytes() + text[full:] + b"\n" * (full < len(text)))
 
 
 def _checked(ok, what):
@@ -146,10 +155,35 @@ def _real(v):
     return float(_number(v))
 
 
+def _quiet_loadtxt(source, **options):
+    """np.loadtxt of floats, without the warning its callers report."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, dtype=float, **options)
+
+
+def _text_values(fh):
+    """The nodal values of a TEXT_SCHEMA body, one number a line."""
+    values = _quiet_loadtxt(fh, ndmin=2, comments=None)
+    if values.shape[1] != 1 or not values.size:
+        raise ValueError(f"{values.shape[1]} numbers on a line"
+                         if values.size else "no nodal values")
+    return values[:, 0]
+
+
+def _base64_values(body):
+    """The nodal values of a SOLUTION_SCHEMA body, its newlines removed."""
+    raw = base64.b64decode(body.replace("\n", ""), validate=True)
+    if not raw or len(raw) % 8:
+        raise ValueError(f"{len(raw)} bytes, not a positive multiple of 8"
+                         if raw else "no nodal values")
+    return np.frombuffer(raw, "<f8").astype(np.float64)
+
+
 def load_solution(path, dom: Domain) -> Solution:
     """Read a stored solution on dom.
 
-    A missing file, an unparsable line, a header that is not a JSON object,
+    A missing file, an unparsable body, a header that is not a JSON object,
     lacks a required key or holds a bad value (named by its key; a count
     must be a non-negative integer, converged a JSON bool, the constraint
     null or finite, epsilon, lambda, residual_norm and energy each a JSON
@@ -159,11 +193,13 @@ def load_solution(path, dom: Domain) -> Solution:
     default); files written before the factorization count was stored read
     it as 0.
 
-    The nodal lines are parsed by numpy's C reader, one number a line, to
-    the bits float() gives; blank lines and trailing whitespace are skipped.
-    Unparsable are an empty body, a line of two numbers, a '#' line and,
-    unlike float(), digits grouped by underscores (1_000) and non-ASCII
-    digits.
+    The body is read by the header's schema.  SOLUTION_SCHEMA's base64
+    gives the stored bits; unparsable are a character outside its
+    alphabet, bad padding, a byte count not a multiple of 8 and an empty
+    body.  TEXT_SCHEMA's lines are parsed by numpy's C reader to the bits
+    float() gives, skipping blank lines and trailing whitespace; unparsable
+    are an empty body, a line of two numbers, a '#' line, 1_000 and
+    non-ASCII digits.
     """
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -173,20 +209,15 @@ def load_solution(path, dom: Domain) -> Solution:
     with fh:
         try:
             head = json.loads(fh.readline())
-            with warnings.catch_warnings():
-                # an empty body is reported below, not warned about
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
+            schema = head.get("schema") if isinstance(head, dict) else None
+            values = (_base64_values(fh.read()) if schema == SOLUTION_SCHEMA
+                      else _text_values(fh) if schema == TEXT_SCHEMA
+                      else None)
         except ValueError as exc:
             raise DomainMismatch(f"{path}: unparsable solution file: {exc}") from exc
-    if values.shape[1] != 1 or not values.size:
-        what = (f"{values.shape[1]} numbers on a line" if values.size
-                else "no nodal values")
-        raise DomainMismatch(f"{path}: unparsable solution file: {what}")
-    values = values[:, 0]
     if not isinstance(head, dict):
         raise DomainMismatch(f"{path}: solution header is not a JSON object")
-    if head.get("schema") != SOLUTION_SCHEMA:
+    if values is None:
         raise DomainMismatch(f"{path}: unknown solution schema")
 
     def value(key, read=_real, *default):
@@ -231,7 +262,7 @@ def _recipe_params(cfg: RunConfig, dom: Domain) -> dict:
         return cfg.recipe_params
     path = cfg.recipe_params["file"]
     try:
-        values = np.loadtxt(path, dtype=float, ndmin=1)
+        values = _quiet_loadtxt(path, ndmin=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"init.file {path}: {exc}") from exc
     if values.shape != (dom.n_nodes,):

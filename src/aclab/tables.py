@@ -1,4 +1,4 @@
-"""Text of the large per-node output files: %.17g texts and chunked rows."""
+"""Text of the varifold atom files: %.17g texts and chunked rows."""
 from __future__ import annotations
 
 import numpy as np
@@ -43,21 +43,6 @@ def g17_texts(values):
     values = np.ascontiguousarray(values, dtype=np.float64)
     texts = _gathered(values)
     return _formatted(values) if texts is None else texts
-
-
-def write_g17_lines(fh, values):
-    """Write each v of a 1-D float64 array to fh as a "%.17g" line, in
-    order: the lines of g17_texts(values), or, where repeats do not pay,
-    each chunk formatted by one % without splitting it into texts."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    texts = _gathered(values)
-    if texts is not None:
-        write_rows(fh, [texts])
-        return
-    floats = values.tolist()
-    for lo in range(0, len(floats), CHUNK_ROWS):
-        part = floats[lo:lo + CHUNK_ROWS]
-        fh.write("%.17g\n" * len(part) % tuple(part))
 
 
 def write_rows(fh, columns):

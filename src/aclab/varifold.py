@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import (OMEGA, TestVectorField, density_fields,
                           field_gradient, plateau_value, radius_ladder)
-from .errors import NoInterface, NotTangential, RadiusTooSmall
+from .errors import NoInterface, NoPlateau, NotTangential, RadiusTooSmall
 from .geometry import (Domain, grid_axes, grid_axis_text, require_ball_in_u,
                        row_distance, row_dot, row_form, row_norm, row_trace,
                        signed_distance)
@@ -365,12 +365,15 @@ def sample_interface_nodes(sol: Solution, count: int,
 
 def integrality_check(V: DiscreteVarifold, sample_points) -> IntegralityReport:
     """Per sample point: plateau of Theta-hat over its radius_ladder, nearest
-    integer, deviation."""
+    integer, deviation.  A NoPlateau names the point."""
     atoms = _live_atoms(V)
     rows = []
     for p in np.atleast_2d(np.asarray(sample_points, dtype=float)):
         rr = radius_ladder(V.dom, V.epsilon, p)
-        val = _density_curve(V.dom, atoms, p, rr).plateau()
+        try:
+            val = _density_curve(V.dom, atoms, p, rr).plateau()
+        except NoPlateau as exc:
+            raise NoPlateau(f"{exc} at {p}") from exc
         rows.append(IntegralityRow(point=p, plateau=val,
                                    nearest_integer=int(round(val)),
                                    deviation=abs(val - round(val))))

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ from aclab.diagnostics import (C0, OMEGA, density_fields, field_from_callable,
                                make_rotational_field, node_jacobian,
                                pohozaev_residual, radial_cutoff,
                                radius_ladder)
-from aclab.errors import NoInterface, NotTangential, RadiusTooSmall
+from aclab.errors import (NoInterface, NoPlateau, NotTangential,
+                          RadiusTooSmall)
 from aclab.geometry import (ball_integrals, build_domain, grid_axes,
                             signed_distance)
 from aclab.potential import DoubleWell, compute_h0
@@ -448,6 +450,19 @@ class TestDensity:
         p = np.array([[x.min() + dom.cell_size]])
         assert radius_ladder(dom, 0.05, p[0]).size == 0
         with pytest.raises(RadiusTooSmall):
+            integrality_check(V, p)
+
+    def test_no_plateau_names_its_point(self, quartic, h0):
+        # a ladder of one radius has no plateau; the error says where
+        dom = build_domain("interval", (1.0,), 64)
+        x = dom.points[:, 0]
+        f = Field(dom, 0.05, np.tanh((x - 0.5) / (math.sqrt(2.0) * 0.05)))
+        sol = Solution(field=f, lam=0.0, residual_norm=0.0, iterations=0)
+        V = build_varifold(sol, quartic, h0)
+        p = np.array([[0.5], [x.min() + 6 * dom.cell_size]])
+        assert radius_ladder(dom, 0.05, p[1]).size == 1
+        with pytest.raises(NoPlateau, match=re.escape(
+                f"need at least two radii at {p[1]}")):
             integrality_check(V, p)
 
     @pytest.mark.parametrize("shape,params,cells", [
