@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import base64
 import csv
+import io
 import json
 import math
 import sys
@@ -163,8 +164,10 @@ def _quiet_loadtxt(source, **options):
 
 
 def _text_values(fh):
-    """The nodal values of a TEXT_SCHEMA body, one number a line."""
-    values = _quiet_loadtxt(fh, ndmin=2, comments=None)
+    """The nodal values of a TEXT_SCHEMA body, one number a line, read as
+    UTF-8 text from the binary handle fh, which this closes."""
+    with io.TextIOWrapper(fh, encoding="utf-8") as text:
+        values = _quiet_loadtxt(text, ndmin=2, comments=None)
     if values.shape[1] != 1 or not values.size:
         raise ValueError(f"{values.shape[1]} numbers on a line"
                          if values.size else "no nodal values")
@@ -172,8 +175,10 @@ def _text_values(fh):
 
 
 def _base64_values(body):
-    """The nodal values of a SOLUTION_SCHEMA body, its newlines removed."""
-    raw = base64.b64decode(body.replace("\n", ""), validate=True)
+    """The nodal values of a SOLUTION_SCHEMA body (bytes), its line ends
+    removed."""
+    raw = base64.b64decode(body.replace(b"\n", b"").replace(b"\r", b""),
+                           validate=True)
     if not raw or len(raw) % 8:
         raise ValueError(f"{len(raw)} bytes, not a positive multiple of 8"
                          if raw else "no nodal values")
@@ -193,22 +198,22 @@ def load_solution(path, dom: Domain) -> Solution:
     default); files written before the factorization count was stored read
     it as 0.
 
-    The body is read by the header's schema.  SOLUTION_SCHEMA's base64
-    gives the stored bits; unparsable are a character outside its
-    alphabet, bad padding, a byte count not a multiple of 8 and an empty
-    body.  TEXT_SCHEMA's lines are parsed by numpy's C reader to the bits
-    float() gives, skipping blank lines and trailing whitespace; unparsable
-    are an empty body, a line of two numbers, a '#' line, 1_000 and
-    non-ASCII digits.
+    The file is read in binary mode and the body by the header's schema.
+    SOLUTION_SCHEMA's base64, its LF and CR bytes dropped, gives the stored
+    bits; unparsable are a character outside its alphabet, bad padding, a
+    byte count not a multiple of 8 and an empty body.  TEXT_SCHEMA's lines
+    are parsed by numpy's C reader to the bits float() gives, skipping
+    blank lines and trailing whitespace; unparsable are an empty body, a
+    line of two numbers, a '#' line, 1_000 and non-ASCII digits.
     """
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "rb")
     except OSError as exc:
         raise DomainMismatch(f"{path}: cannot read solution file: "
                              f"{exc.strerror}") from exc
     with fh:
         try:
-            head = json.loads(fh.readline())
+            head = json.loads(fh.readline().decode("utf-8"))
             schema = head.get("schema") if isinstance(head, dict) else None
             values = (_base64_values(fh.read()) if schema == SOLUTION_SCHEMA
                       else _text_values(fh) if schema == TEXT_SCHEMA

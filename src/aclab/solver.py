@@ -14,16 +14,16 @@ sequential.  Solutions are immutable once returned.
 Newton factors only the black Schur complement of a red-black split, each
 LU in the minimum-degree order of its own matrix, and holds one LU at a
 time, so a solve's bits depend only on its inputs.  Between factorizations
-it steps along the kept LU with good-Broyden secant updates, whose pairs
-live on the folded unknowns and go with the LU.  The system is folded
-along every exact symmetry that Newton's start has bitwise.  When
-translation along an axis is exact (every grid line along it fully active
-with equal cut-cell weights: the rectangle) and the start is constant along
-it (step-x, step-y), each line collapses onto one node, so a 2D solve
-factors a 1D-sized system.  Otherwise, when the domain is exactly
-mirror-symmetric along an axis (an even cell count, and the active set and
-cut-cell weights map exactly onto themselves) and the start is
-mirror-symmetric along it, the system is folded onto the low half.  Both
+it takes inexact Newton steps, each a GMRES solve preconditioned with the
+kept LU, whose Arnoldi basis lives on the folded unknowns and goes with the
+LU.  The system is folded along every exact symmetry that Newton's start
+has bitwise.  When translation along an axis is exact (every grid line
+along it fully active with equal cut-cell weights: the rectangle) and the
+start is constant along it (step-x, step-y), each line collapses onto one
+node, so a 2D solve factors a 1D-sized system.  Otherwise, when the domain
+is exactly mirror-symmetric along an axis (an even cell count, and the
+active set and cut-cell weights map exactly onto themselves) and the start
+is mirror-symmetric along it, the system is folded onto the low half.  Both
 are exact because the Newton map commutes with the symmetry; any other
 start runs unfolded, with unchanged arithmetic.
 """
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import cg, splu
 
 from .errors import (AcLabError, Blowup, NoConvergence, SingularJacobian,
@@ -43,13 +44,12 @@ from .potential import SQRT2, DoubleWell
 
 RECIPES = ("constant", "step-x", "step-y", "two-layer", "radial", "file")
 
-# Newton takes a step along its kept LU, Broyden-updated, only if the step
+# Newton takes an inexact Newton step through its kept LU only if the step
 # cuts the residual norm below this factor times its value, and refactors at
 # the same iterate otherwise
-CHORD_CONTRACTION = 0.5
-# the most secant pairs the Broyden updates of one LU hold; when they are
-# full, the updates restart from the LU's own bordered solve
-BROYDEN_PAIRS = 8
+KRYLOV_CONTRACTION = 0.9
+# the most Arnoldi vectors one GMRES solve through the kept LU builds
+KRYLOV_SIZE = 15
 # J is symmetric: SuperLU's symmetric mode with diagonal pivots preferred
 LU_OPTIONS = dict(diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
@@ -165,7 +165,7 @@ class _Fold:
     image, so its coupling lands on the diagonal: the Neumann condition on
     the symmetry line.  A face along a collapsed line joins two nodes of one
     image, so it drops out.  With no axes, low holds every node and the fold
-    is A itself.
+    is A itself.  A holds the folded stiffness.
 
     The folded nodes are split by the parity of their grid indices: on the
     5-point stencil no two nodes of one colour are neighbours, so the
@@ -177,6 +177,7 @@ class _Fold:
 
     low: np.ndarray
     rep: np.ndarray
+    A: sp.csr_matrix
     red: np.ndarray
     black: np.ndarray
     a_red: np.ndarray
@@ -235,7 +236,7 @@ def fold(dom: Domain, axes: tuple) -> _Fold:
     diag = A.diagonal()
     off = abs(A - sp.diags(diag)).max(axis=1).toarray().ravel()
     A_br = A[black][:, red].tocsr()
-    return _Fold(low, rep, red, black, diag[red], diag[black], off[red],
+    return _Fold(low, rep, A, red, black, diag[red], diag[black], off[red],
                  A_br, A_br.T.tocsr())
 
 
@@ -253,8 +254,8 @@ def _lu(M: sp.spmatrix):
 
 def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray, axes: tuple):
     """Factor the Newton Jacobian J = eps A + diag(d), folded along axes;
-    return its solve, which reads f on the folded nodes only and returns a
-    solution invariant under axes.  d must be invariant under axes.
+    return its solve, which takes f and returns the solution on the folded
+    nodes, fold(dom, axes).low.  d must be invariant under axes.
 
     On the folded nodes split red-black (fold), the red block of J is the
     diagonal p_r = eps diag(A)_r + d_r, so the red unknowns are eliminated
@@ -271,21 +272,18 @@ def _factor_jacobian(dom: Domain, eps: float, d: np.ndarray, axes: tuple):
     d_low = d[fd.low]
     p_r = eps * fd.a_red + d_low[fd.red]
     if not np.all(np.abs(p_r) >= 0.1 * eps * fd.off_red):
-        solve_j = _lu(_fold_matrix(
-            eps * _stiffness(dom) + sp.diags(d), fd.low, fd.rep))
-        return lambda f: solve_j(f[fd.low])[fd.rep]
+        return _lu(eps * fd.A + sp.diags(d_low))
     M = fd.A_br.copy()
     M.data *= (eps * eps / p_r)[M.indices]
     solve_s = _lu(sp.diags(eps * fd.a_black + d_low[fd.black]) - M @ fd.A_rb)
 
     def solve(f):
-        f = f[fd.low]
         f_r = f[fd.red]
         x_b = solve_s(f[fd.black] - eps * (fd.A_br @ (f_r / p_r)))
         x = np.empty_like(f)
         x[fd.black] = x_b
         x[fd.red] = (f_r - eps * (fd.A_rb @ x_b)) / p_r
-        return x[fd.rep]
+        return x
 
     return solve
 
@@ -382,29 +380,71 @@ def gradient_flow(init: Field, well: DoubleWell, dt: float | None = None,
                     energy=assemble_energy(f, well))
 
 
+def _gmres(apply, precondition, b, eta, basis):
+    """x with |b - apply(x)| <= eta |b|, by GMRES from x = 0 preconditioned
+    on the right (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986), or
+    None when the rows of basis run out first.
+
+    Row j of basis[0] becomes the j-th Arnoldi vector v_j of
+    apply(precondition(.)), orthogonalised by classical Gram-Schmidt, done
+    twice, and row j of basis[1] precondition(v_j), so x = Z y takes no
+    further preconditioner application.  Givens rotations keep the
+    Hessenberg matrix upper triangular, so each size's residual norm is
+    read off without a solve.
+    """
+    size = basis.shape[1] - 1
+    R = np.zeros((size + 1, size))
+    rot = np.empty((size, 2))
+    g = np.zeros(size + 1)
+    g[0] = beta = float(np.linalg.norm(b))
+    np.divide(b, beta, out=basis[0, 0])
+    for j in range(size):
+        V = basis[0, :j + 1]
+        basis[1, j] = precondition(V[j])
+        v = apply(basis[1, j])
+        for _ in range(2):
+            h = V @ v
+            v -= h @ V
+            R[:j + 1, j] += h
+        R[j + 1, j] = norm = float(np.linalg.norm(v))
+        for i in range(j):
+            c, s = rot[i]
+            R[i:i + 2, j] = (c * R[i, j] + s * R[i + 1, j],
+                             c * R[i + 1, j] - s * R[i, j])
+        r = math.hypot(R[j, j], norm)
+        rot[j] = c, s = R[j, j] / r, norm / r
+        R[j, j], R[j + 1, j] = r, 0.0
+        g[j:j + 2] = c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= eta * beta:
+            return solve_triangular(R[:j + 1, :j + 1], g[:j + 1]) \
+                @ basis[1, :j + 1]
+        np.divide(v, norm, out=basis[0, j + 1])
+    return None
+
+
 def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                   max_iter: int = 40) -> Solution:
     """Damped Newton on the residual, bordered with the mean constraint,
-    with good-Broyden updates between factorizations.
+    with inexact Newton steps through the kept LU between factorizations.
 
-    The first iteration, and every iteration whose step along the kept LU
-    fails, factors the Jacobian at the current iterate and halves the fresh
-    direction up to 30 times until the residual norm falls; near the
+    The first iteration, and every iteration whose step through the kept
+    LU fails, factors the Jacobian at the current iterate and halves the
+    fresh direction up to 30 times until the residual norm falls; near the
     rounding floor (below 10 tol) the full fresh step is taken.  Every other
-    iteration steps along the kept LU, with the good-Broyden inverse
-    H_{k+1} = (I + a_k s_k^T) H_k, a_k = (s_k - H_k y_k) / (s_k^T H_k y_k),
-    updated from the step s_k and residual change y_k of each step taken
-    since the factorization (Broyden, Math. Comp. 19, 1965; Kelley,
-    Iterative Methods for Linear and Nonlinear Equations, 1995, ch. 7-8).
-    H_0 is the bordered solve through the LU, so a direction costs one LU
-    solve and k dot products and axpys.  The pairs live on the folded
-    unknowns and lambda, at most BROYDEN_PAIRS of them; when they are full
-    the updates restart from H_0.  Such a step is tried at 1, 1/2 and 1/4
-    and taken at the first trial whose residual norm is below
-    CHORD_CONTRACTION times the current one; otherwise the iteration
-    refactors at the same iterate.  max_iter counts iterations of both
-    kinds.  At most one LU is alive at a time, and the pairs are released
-    with it.
+    iteration solves the bordered Newton system of the current iterate, on
+    the folded unknowns and lambda, by GMRES preconditioned on the right
+    with H_0, the bordered solve through the kept LU (_gmres), to the
+    relative residual eta_k = 0.5 |F_k| / |F_{k-1}| clipped to [1e-6, 0.1]
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996; Knoll & Keyes,
+    J. Comput. Phys. 193, 2004).  The operator is one product with the
+    folded stiffness (fold) and the constraint row on the folded nodes, so
+    a Krylov vector costs one LU solve.  Such a step is tried at 1, 1/2 and
+    1/4 and taken at the first trial whose residual norm is below
+    KRYLOV_CONTRACTION times the current one; when GMRES misses eta_k within
+    KRYLOV_SIZE vectors, or no trial contracts, the iteration refactors at
+    the same iterate.  max_iter counts iterations of both kinds.  At most
+    one LU is alive at a time, and the Arnoldi basis is allocated and
+    released with it.
 
     The Newton map commutes with every exact symmetry of the discrete
     problem.  So when the start u is bitwise invariant under one, every
@@ -427,9 +467,33 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
     lam = sol.lam
     factorizations = 0
     axes = _symmetries(dom, u)
+    fd = fold(dom, axes)
+    w_low = w[fd.low]
+    # the constraint row: w . u for u on the folded nodes
+    w_fold = np.bincount(fd.rep, w)
+
+    def bordered(r):
+        """H_0 r: the bordered system through the kept LU solved for r, on
+        the folded unknowns and lambda."""
+        z = np.empty_like(r)
+        z[:-1] = solve(r[:-1])
+        z[-1] = r[-1]
+        if m is not None:
+            z[-1] = (r[-1] - float(w_fold @ z[:-1])) / wq
+            z[:-1] += z[-1] * q
+        return z
+
+    def jacobian(z):
+        """The bordered Jacobian of the current iterate applied to z."""
+        out = np.empty_like(z)
+        x = z[:-1]
+        out[:-1] = eps * (fd.A @ x) + d_low * x - z[-1] * w_low
+        out[-1] = z[-1] if m is None else float(w_fold @ x)
+        return out
+
     F = _residual(dom, eps, well, u, lam)
     rn = rn_best = _norm(dom, F)
-    solve = pairs = None
+    solve = basis = None
     for it in range(max_iter + 1):
         # the one acceptance test, of iterates 0 to max_iter
         if rn <= tol and (m is None or abs(w @ u / wsum - m) <= 1e-13):
@@ -439,57 +503,41 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                             factorizations=factorizations)
         if it == max_iter:
             break
+        # -(F, G) on the folded unknowns and lambda
+        b = np.empty(fd.low.size + 1)
+        np.negative(F[fd.low], out=b[:-1])
+        b[-1] = 0.0 if m is None else m * wsum - float(w @ u)
         stale = solve is not None
         while True:
-            if not stale:
-                # release the stale LU, its pairs and the failed trial
+            if stale:
+                d_low = w_low * well.wpp(u[fd.low]) / eps
+                d = _gmres(jacobian, bordered, b,
+                           min(max(0.5 * rn / rn_last, 1e-6), 0.1), basis)
+                if d is None:
+                    stale = False
+                    continue
+            else:
+                # release the stale LU, its basis and the failed trial
                 # before SuperLU builds the next LU, so that at most one is
                 # alive
-                solve = pairs = a = s = q = p = d = du = u_try = F_try = None
+                solve = basis = q = d = du = u_try = F_try = None
                 solve = _factor_jacobian(dom, eps, w * well.wpp(u) / eps,
                                          axes)
                 factorizations += 1
-                fd = fold(dom, axes)
-                # a_k and s_k of pair k, on the folded unknowns and lambda
-                pairs = np.empty((2, BROYDEN_PAIRS, fd.low.size + 1))
-                k = 0
+                basis = np.empty((2, KRYLOV_SIZE + 1, fd.low.size + 1))
                 if m is not None:
-                    q = solve(w)
-                    wq = float(w @ q)
+                    q = solve(w_low)
+                    wq = float(w_fold @ q)
                     if abs(wq) < 1e-300:
                         raise SingularJacobian("degenerate constraint border")
-                    q = q[fd.low]
-            # d = -H_0 (F, G): the bordered solve through the LU
-            p = solve(F)
-            if not np.all(np.isfinite(p)):
-                raise SingularJacobian("non-finite Newton direction")
-            d = np.empty(fd.low.size + 1)
-            np.negative(p[fd.low], out=d[:-1])
-            d[-1] = 0.0
-            if m is not None:
-                G = float(w @ u) - m * wsum
-                d[-1] = (float(w @ p) - G) / wq
-                d[:-1] += d[-1] * q
-            if stale and k == BROYDEN_PAIRS:
-                k = 0  # the pairs are full: restart the updates from H_0
-            elif stale:
-                # d = -H_k (F, G), then the pair of the last step
-                for a, s in zip(pairs[0, :k], pairs[1, :k]):
-                    d += (s @ d) * a
-                s = np.multiply(step, d_last, out=pairs[1, k])
-                hy = d_last - d
-                den = float(s @ hy)
-                if den == 0.0:
-                    stale = False
-                    continue
-                a = np.divide(s - hy, den, out=pairs[0, k])
-                d += (s @ d) * a
-                k += 1
-            # a step along the kept LU is taken only if it contracts; a
+                d = bordered(b)
+                if not np.all(np.isfinite(d)):
+                    raise SingularJacobian("non-finite Newton direction")
+            # a step through the kept LU is taken only if it contracts; a
             # fresh one if it lowers the residual or sits at its rounding
             # floor
             du = d[:-1][fd.rep]
-            target = CHORD_CONTRACTION * rn if stale else rn
+            target = KRYLOV_CONTRACTION * rn if stale else rn
             step = 1.0
             for _ in range(3 if stale else 30):
                 u_try = u + step * du
@@ -502,9 +550,9 @@ def newton_refine(sol: Solution, well: DoubleWell, tol: float = 1e-12,
                 step *= 0.5
             if taken or not stale:
                 break
-            # no trial along the kept LU contracts: refactor at this iterate
+            # no trial through the kept LU contracts: refactor at this iterate
             stale = False
-        d_last = d
+        rn_last = rn
         u, lam, F, rn = u_try, lam_try, F_try, rn_try
         rn_best = min(rn_best, rn)
     raise NoConvergence(f"Newton stalled at residual {rn_best:.3e} "

@@ -1281,15 +1281,15 @@ class TestKeptData:
         found = [a for obj in domains + [s.field for s in sols]
                  for a in arrays(list(obj.cache.values()))]
         assert len(domains) == 2 and len(sols) == 4
-        # the solve's stiffness, mirror maps and fold along y (18), the
+        # the solve's stiffness, mirror maps and fold along y (21), the
         # diagnose's gradient stencils, distance and axis text (9), the
         # rotational fields' cutoff and (-y, x) at the nodes and the
         # boundary samples (4), and the gradient and densities of both
         # diagnosed fields (10)
         fold = list(arrays(solver.fold(domains[0], (1,))))
-        assert len(fold) == 13
+        assert len(fold) == 16
         assert not [a for a in fold if a.flags.writeable]
-        assert len(found) >= 41
+        assert len(found) >= 44
         assert not [a for a in found if a.flags.writeable]
 
 

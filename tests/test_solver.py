@@ -330,15 +330,16 @@ class TestNewtonRefine:
         assert np.allclose(sol.field.values, quartic.gamma)
         assert sol.residual_norm <= 1e-12
 
-    def test_kept_lu_step_contracts(self, quartic, monkeypatch):
-        # acceptance's disk solve: a step along an LU built at an earlier
-        # iterate is taken only if it cuts the residual norm below
-        # CHORD_CONTRACTION times its value, and the solve makes at most 20
-        # residual evaluations.  Each iterate's residual F is the right-hand
-        # side of the solve that gives the step taken from it
+    def test_krylov_step_contracts(self, quartic, monkeypatch):
+        # acceptance's disk solve factors once: every later iteration is an
+        # inexact Newton step through that LU, solved by GMRES to the
+        # forcing term eta_k = 0.5 |F_k| / |F_{k-1}| clipped to [1e-6, 0.1],
+        # and taken only if it cuts the residual norm below
+        # KRYLOV_CONTRACTION times its value.  The right-hand side of each
+        # GMRES solve is minus the folded residual of its iterate
         dom = build_domain("disk", (1.0,), 256)
-        norms, solves = [], []
-        norm_of = {}
+        fd = solver.fold(dom, (1,))
+        norm_of, norms, etas = {}, [], []
 
         def key(a):
             return hashlib.sha1(a.tobytes()).digest()
@@ -346,56 +347,102 @@ class TestNewtonRefine:
         def recording_residual(dom, eps, well, u, lam):
             F = residual(dom, eps, well, u, lam)
             norms.append(solver._norm(dom, F))
-            norm_of[key(F)] = norms[-1]
+            norm_of[key(-F[fd.low])] = norms[-1]
             return F
 
-        def recording_factor(dom, eps, d, axes):
-            solve, lu = factor(dom, eps, d, axes), object()
+        def recording_gmres(apply, precondition, b, eta, basis):
+            etas.append((norm_of[key(b[:-1])], eta))
+            return gmres(apply, precondition, b, eta, basis)
 
-            def recording_solve(f):
-                solves.append((lu, key(f)))
-                return solve(f)
-
-            return recording_solve
-
-        residual, factor = solver._residual, solver._factor_jacobian
+        residual, gmres = solver._residual, solver._gmres
         monkeypatch.setattr(solver, "_residual", recording_residual)
-        monkeypatch.setattr(solver, "_factor_jacobian", recording_factor)
+        monkeypatch.setattr(solver, "_gmres", recording_gmres)
         sol = solve_single(dom, quartic, 0.02, constraint=0.3,
                            recipe="radial")
         assert sol.residual_norm <= 1e-10
-        assert len(norms) <= 20
-        built_at, last_lu = {}, {}
-        for lu, k in solves:
-            if k in norm_of:
-                built_at.setdefault(lu, k)
-                last_lu[k] = lu
-        iterates = list(last_lu)
-        assert len(iterates) == sol.iterations
-        rns = [norm_of[k] for k in iterates] + [sol.residual_norm]
-        kept = [i for i, k in enumerate(iterates)
-                if built_at[last_lu[k]] != k]
-        assert len(kept) == sol.iterations - sol.factorizations > 0
-        for i in kept:
-            assert rns[i + 1] < solver.CHORD_CONTRACTION * rns[i]
+        assert sol.factorizations == 1
+        assert sol.iterations <= 8
+        assert len(norms) <= 12
+        assert len(etas) == sol.iterations - 1
+        rns = [rn for rn, _ in etas] + [sol.residual_norm]
+        for k, (rn, eta) in enumerate(etas):
+            assert rns[k + 1] < solver.KRYLOV_CONTRACTION * rn
+            if k:
+                assert eta == min(max(0.5 * rn / rns[k - 1], 1e-6), 0.1)
+
+    def test_stalled_solve_names_its_best_residual(self, quartic,
+                                                   monkeypatch):
+        # the 1 x 0.5 rectangle's radial seed at m = 0.3 and eps 0.08 lies
+        # outside Newton's basin: the budget runs out on steps through the
+        # kept LUs and fresh ones alike, with no more LUs than iterations
+        dom = build_domain("rectangle", (1.0, 0.5), (128, 64))
+        lus = []
+        factor = solver._factor_jacobian
+
+        def counting(dom, eps, d, axes):
+            lus.append(axes)
+            return factor(dom, eps, d, axes)
+
+        start = solver._newton_start(seed_field(dom, 0.08, "radial", 0.3),
+                                     quartic, 0.3)
+        monkeypatch.setattr(solver, "_factor_jacobian", counting)
+        with pytest.raises(NoConvergence) as info:
+            newton_refine(start, quartic, tol=1e-10)
+        found = re.fullmatch(r"Newton stalled at residual (\S+) after 40 "
+                             r"iterations", str(info.value))
+        assert found
+        assert float(found[1]) > 0.1
+        assert 1 <= len(lus) <= 40
 
     def test_slow_kept_lu_tail_is_bounded(self, quartic):
         # the example config at m = 0.5968: along the LU of each eps the
         # plain chord residual falls by just under 2x per step (18 and 16
-        # iterations on one LU at eps 0.1 and 0.05); the Broyden-updated
-        # steps converge superlinearly on the same LU
-        text = re.sub(r"(?m)^constraint_mean = .*$",
-                      "constraint_mean = 0.5968", example_config())
-        cfg = parse_config(text)
-        dom = build_domain(cfg.shape, cfg.params, cfg.cells)
-        sweep = epsilon_sweep(dom, cfg.well, cfg.epsilons,
-                              cfg.constraint_mean, cfg.recipe,
-                              cfg.recipe_params, newton_tol=cfg.tol)
+        # iterations on one LU at eps 0.1 and 0.05); the inexact Newton
+        # steps through the same LU converge superlinearly
+        cfg, sweep = self.example_sweep_at_high_mean()
         assert [sol.field.epsilon for sol in sweep] == list(cfg.epsilons)
         for sol in sweep:
             assert sol.iterations <= 10
             assert sol.factorizations == 1
             assert sol.residual_norm <= cfg.tol
+
+    @staticmethod
+    def example_sweep_at_high_mean():
+        text = re.sub(r"(?m)^constraint_mean = .*$",
+                      "constraint_mean = 0.5968", example_config())
+        cfg = parse_config(text)
+        dom = build_domain(cfg.shape, cfg.params, cfg.cells)
+        return cfg, epsilon_sweep(dom, cfg.well, cfg.epsilons,
+                                  cfg.constraint_mean, cfg.recipe,
+                                  cfg.recipe_params, newton_tol=cfg.tol)
+
+    @pytest.mark.parametrize("case", ["disk", "example", "annulus"])
+    def test_same_states_as_refactoring_every_iteration(self, quartic,
+                                                        monkeypatch, case):
+        # with every GMRES solve failed, each iteration refactors at its
+        # iterate: plain damped Newton.  Both reach the same branch: the
+        # disk-128 sweep, the example config at m = 0.5968 and the
+        # thin-band annulus, whose lambda pins the branch it reaches
+        def sweep():
+            if case == "example":
+                return self.example_sweep_at_high_mean()[1]
+            shape, params = (("disk", (1.0,)) if case == "disk"
+                             else ("annulus", (0.4, 1.0)))
+            return epsilon_sweep(build_domain(shape, params, 128), quartic,
+                                 [0.08, 0.06, 0.04], constraint=0.3,
+                                 recipe="radial")
+
+        krylov = sweep()
+        monkeypatch.setattr(solver, "_gmres", lambda *args: None)
+        fresh = sweep()
+        assert len(krylov) == len(fresh) == 3
+        for a, b in zip(krylov, fresh):
+            assert b.factorizations == b.iterations > a.factorizations
+            assert np.abs(a.field.values - b.field.values).max() <= 1e-8
+            assert abs(a.lam - b.lam) <= 1e-9
+        if case == "annulus":
+            assert [round(a.lam, 4) for a in krylov] == [0.2468, 0.5004,
+                                                         0.5601]
 
     @given(st.floats(-0.5, 0.5))
     @settings(max_examples=25, deadline=None)
@@ -582,15 +629,15 @@ class TestFactorizations:
             assert sol.residual_norm <= 1e-10
 
     def test_one_lu_alive_at_a_time(self, quartic, monkeypatch):
-        # Newton releases the stale LU and its Broyden pairs before SuperLU
+        # Newton releases the stale LU and its Arnoldi basis before SuperLU
         # builds the next one.  SuperLU objects take no weak references, so
         # each factor hides behind a proxy that reports its release; with
         # the cycle collector off, only reference counts release it.  The
-        # pairs are the one array of shape (2, BROYDEN_PAIRS, n) that
+        # basis is the one array of shape (2, KRYLOV_SIZE + 1, n) that
         # Newton's locals own or view
-        alive, at_entry, pairs_at_entry, pairs_at_solve = set(), [], [], []
+        alive, at_entry, basis_at_entry, basis_at_solve = set(), [], [], []
 
-        def pairs_held():
+        def basis_held():
             frame = sys._getframe()
             while frame.f_code is not newton_refine.__code__:
                 frame = frame.f_back
@@ -599,7 +646,7 @@ class TestFactorizations:
                 while isinstance(v, np.ndarray) and v.base is not None:
                     v = v.base
                 if isinstance(v, np.ndarray) and \
-                        v.shape[:2] == (2, solver.BROYDEN_PAIRS):
+                        v.shape[:2] == (2, solver.KRYLOV_SIZE + 1):
                     held.add(id(v))
             return len(held)
 
@@ -609,7 +656,7 @@ class TestFactorizations:
                 alive.add(id(self))
 
             def solve(self, b):
-                pairs_at_solve.append(pairs_held())
+                basis_at_solve.append(basis_held())
                 return self.lu.solve(b)
 
             def __del__(self):
@@ -618,22 +665,29 @@ class TestFactorizations:
         def tracked(M, **kw):
             # first: reading Newton's locals refreshes the snapshot of them
             # that the frame keeps from the last read, which holds the LU
-            pairs_at_entry.append(pairs_held())
+            basis_at_entry.append(basis_held())
             at_entry.append(len(alive))
             return Factor(splu(M, **kw))
 
         monkeypatch.setattr(solver, "splu", tracked)
         dom = build_domain("disk", (1.0,), 128)
+        # the rectangle's radial seed stalls (test_stalled_solve_names_its_
+        # best_residual), so its solve refactors time and again
+        rect = build_domain("rectangle", (1.0, 0.5), (128, 64))
+        stall = solver._newton_start(seed_field(rect, 0.08, "radial", 0.3),
+                                     quartic, 0.3)
         gc.disable()
         try:
             sweep = epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
                                   constraint=0.3, recipe="radial",
                                   newton_tol=1e-10)
+            with pytest.raises(NoConvergence):
+                newton_refine(stall, quartic, tol=1e-10, max_iter=8)
         finally:
             gc.enable()
-        assert [sol.factorizations for sol in sweep] == [2, 1, 2]
-        assert at_entry == pairs_at_entry == [0] * 5
-        assert set(pairs_at_solve) == {1}
+        assert [sol.factorizations for sol in sweep] == [1, 1, 1]
+        assert at_entry == basis_at_entry == [0] * 10
+        assert set(basis_at_solve) == {1}
         assert not alive
 
 
@@ -660,26 +714,30 @@ class TestFold:
 
     def test_folded_sweep_matches_unfolded(self, quartic, monkeypatch):
         # the radial m = 0.3 seed is an orthogonal arc centred on the x
-        # axis, so every iterate stays mirror-symmetric in y and each LU is
-        # of the system folded along y; forcing the unfolded system gives
-        # the same solutions and counts
+        # axis, so every iterate stays mirror-symmetric in y and Newton, its
+        # LUs and its GMRES solves run on the system folded along y; the
+        # same sweep forced to run unfolded gives the same solutions and
+        # counts
         dom = build_domain("disk", (1.0,), 128)
         image = mirror_maps(dom)[1]
         factor = solver._factor_jacobian
         seen = []
 
-        def sweep(forced):
-            def recording(dom, eps, d, axes):
-                seen.append(axes)
-                return factor(dom, eps, d, axes if forced is None else forced)
+        def recording(dom, eps, d, axes):
+            seen.append(axes)
+            return factor(dom, eps, d, axes)
 
-            monkeypatch.setattr(solver, "_factor_jacobian", recording)
+        def sweep():
             return epsilon_sweep(dom, quartic, [0.08, 0.06, 0.04],
                                  constraint=0.3, recipe="radial")
 
-        folded = sweep(None)
+        monkeypatch.setattr(solver, "_factor_jacobian", recording)
+        folded = sweep()
         assert set(seen) == {(1,)}
-        unfolded = sweep(())
+        seen.clear()
+        monkeypatch.setattr(solver, "_symmetries", lambda dom, u: ())
+        unfolded = sweep()
+        assert set(seen) == {()}
         assert len(folded) == len(unfolded) == 3
         for a, b in zip(folded, unfolded):
             u = a.field.values
@@ -690,9 +748,9 @@ class TestFold:
             assert a.residual_norm <= 1e-10
 
     def test_every_iterate_is_mirror_symmetric(self, quartic, monkeypatch):
-        # the Broyden pairs live on the folded unknowns, so every iterate of
+        # the GMRES solves live on the folded unknowns, so every iterate of
         # the folded disk-128 sweep, trials included, is bitwise symmetric
-        # in y, along the kept LUs as after each factorization
+        # in y, through the kept LUs as after each factorization
         dom = build_domain("disk", (1.0,), 128)
         image = mirror_maps(dom)[1]
         residual = solver._residual
@@ -761,7 +819,7 @@ class TestFold:
             return splu(M, **kw)
 
         monkeypatch.setattr(solver, "splu", recording)
-        x = solver._factor_jacobian(dom, eps, d, (1,))(b)
+        x = solver._factor_jacobian(dom, eps, d, (1,))(b[fd.low])[fd.rep]
         assert sizes == [fd.low.size if weak else fd.black.size]
         assert np.array_equal(x[image], x)
         J_fold = solver._fold_matrix(J, fd.low, fd.rep).tocsc()
@@ -905,7 +963,7 @@ class TestCollapse:
         fd = solver.fold(dom, (2, 3))
         assert (fd.low.size, fd.red.size, fd.black.size) == (1, 1, 0)
         b = dom.cut_cell_weights * 2.0
-        x = solver._factor_jacobian(dom, eps, d, (2, 3))(b)
+        x = solver._factor_jacobian(dom, eps, d, (2, 3))(b[fd.low])[fd.rep]
         J = eps * stiffness_matrix(dom) + sp.diags(d)
         assert np.abs(J @ x - b).max() <= 1e-12 * np.abs(b).max()
 
