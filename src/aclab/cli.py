@@ -409,14 +409,11 @@ def _diag_boundary_energy(report, out, sols, well):
 
 
 def _write_atoms(out, sols, well, h0):
-    """Write varifold_atoms_KK.csv for each solution in turn, up to the
-    first whose varifold build raises; _diag_varifold reports that one."""
+    """Write varifold_atoms_KK.csv for each solution in turn: one row per
+    active node."""
     for k, sol in enumerate(sols):
-        try:
-            V = build_varifold(sol, well, h0)
-        except AcLabError:
-            return
-        export_atoms(V, out / f"varifold_atoms_{k:02d}.csv")
+        export_atoms(build_varifold(sol, well, h0),
+                     out / f"varifold_atoms_{k:02d}.csv")
 
 
 def _diag_varifold(report, out, sols, well, cfg, rng, h0):

@@ -19,7 +19,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
-from .tables import g17_texts
 
 SHAPES_1D = ("interval",)
 SHAPES_2D = ("rectangle", "disk", "annulus", "half-disk")
@@ -299,48 +298,45 @@ def _nearest_boundary_point(shape, params, p):
     return pts[0] - d * g
 
 
-def _boundary_pieces(shape, params):
-    """Parametrized smooth boundary pieces as (length, point_fn, normal_fn)."""
+def _boundary_samples(shape, params, h):
+    """Boundary quadrature samples as (points, normals, weights): each
+    smooth piece of length l gets k = max(8, round(l / h)) samples at the
+    midpoints of k equal arclength steps, each weighing l / k; the two end
+    points of the interval weigh 1."""
     if shape == "interval":
-        L = params[0]
-        return [
-            (None, np.array([[0.0]]), np.array([[-1.0]])),
-            (None, np.array([[L]]), np.array([[1.0]])),
-        ]
-    pieces = []
+        return (np.array([[0.0], [params[0]]]), np.array([[-1.0], [1.0]]),
+                np.ones(2))
+
+    def steps(length):
+        k = max(8, int(round(length / h)))
+        return (np.arange(k) + 0.5) / k, np.full(k, length / k)
+
+    def segment(p0, p1, normal):
+        p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
+        t, w = steps(float(np.linalg.norm(p1 - p0)))
+        return (p0 + t[:, None] * (p1 - p0),
+                np.tile(np.asarray(normal, float), (t.size, 1)), w)
+
+    def arc(R, sign, angle=2.0 * math.pi):
+        # counter-clockwise from angle 0; outward normals for sign +1
+        t, w = steps(R * angle)
+        c = np.stack([np.cos(t * angle), np.sin(t * angle)], axis=1)
+        return R * c, sign * c, w
+
     if shape == "rectangle":
         Lx, Ly = params
-
-        def edge(p0, p1, nrm):
-            p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
-            ln = float(np.linalg.norm(p1 - p0))
-            return (ln,
-                    lambda t, p0=p0, p1=p1: p0 + t[:, None] * (p1 - p0),
-                    lambda t, nrm=np.asarray(nrm, float): np.tile(nrm, (len(t), 1)))
-
-        pieces = [edge((0, 0), (Lx, 0), (0, -1)), edge((Lx, 0), (Lx, Ly), (1, 0)),
-                  edge((Lx, Ly), (0, Ly), (0, 1)), edge((0, Ly), (0, 0), (-1, 0))]
-        return pieces
-
-    def circle(R, sign, t0=0.0, t1=2.0 * math.pi):
-        ln = R * (t1 - t0)
-        return (ln,
-                lambda t, R=R, t0=t0, t1=t1: np.stack(
-                    [R * np.cos(t0 + t * (t1 - t0)), R * np.sin(t0 + t * (t1 - t0))], axis=1),
-                lambda t, sign=sign, t0=t0, t1=t1: sign * np.stack(
-                    [np.cos(t0 + t * (t1 - t0)), np.sin(t0 + t * (t1 - t0))], axis=1))
-
-    if shape == "disk":
-        pieces = [circle(params[0], +1.0)]
+        pieces = [segment((0, 0), (Lx, 0), (0, -1)),
+                  segment((Lx, 0), (Lx, Ly), (1, 0)),
+                  segment((Lx, Ly), (0, Ly), (0, 1)),
+                  segment((0, Ly), (0, 0), (-1, 0))]
+    elif shape == "disk":
+        pieces = [arc(params[0], 1.0)]
     elif shape == "annulus":
-        pieces = [circle(params[1], +1.0), circle(params[0], -1.0)]
+        pieces = [arc(params[1], 1.0), arc(params[0], -1.0)]
     else:  # half-disk: upper arc plus the flat diameter
         R = params[0]
-        pieces = [circle(R, +1.0, 0.0, math.pi),
-                  (2.0 * R,
-                   lambda t, R=R: np.stack([-R + 2.0 * R * t, np.zeros_like(t)], axis=1),
-                   lambda t: np.tile(np.array([0.0, -1.0]), (len(t), 1)))]
-    return pieces
+        pieces = [arc(R, 1.0, math.pi), segment((-R, 0), (R, 0), (0, -1))]
+    return tuple(np.concatenate(a) for a in zip(*pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +484,7 @@ def build_domain(shape: str, params, n_cells) -> Domain:
             gi = grid_index[ok] + s * strides[a]
             nbr[ok, a, side] = active_of_grid[gi]
 
-    # boundary quadrature samples
-    bp, bn, bw = [], [], []
-    for piece in _boundary_pieces(shape, params):
-        if piece[0] is None:
-            bp.append(piece[1]); bn.append(piece[2]); bw.append(np.array([1.0]))
-            continue
-        ln, point_fn, normal_fn = piece
-        k = max(8, int(round(ln / h)))
-        t = (np.arange(k) + 0.5) / k
-        bp.append(point_fn(t)); bn.append(normal_fn(t))
-        bw.append(np.full(k, ln / k))
-    bp = np.concatenate(bp); bn = np.concatenate(bn); bw = np.concatenate(bw)
+    bp, bn, bw = _boundary_samples(shape, params, h)
     bnode = _nearest_active_node(bp, lo, h, cells, active_of_grid, apts)
 
     margin = 0.5 * float(np.max(hi - lo))
@@ -576,13 +561,6 @@ def grid_axes(dom: Domain) -> tuple:
     """Per axis, the grid coordinates; node coordinates are among them."""
     lo, hi = _grid_box(dom.shape, dom.params)
     return tuple(_grid_axes(lo, hi, dom.n_cells, dom.cell_size))
-
-
-@kept
-def grid_axis_text(dom: Domain):
-    """Per axis, the %.17g text of each grid coordinate as an object array."""
-    return tuple(np.array(g17_texts(axis), dtype=object)
-                 for axis in grid_axes(dom))
 
 
 def require_ball_in_u(dom: Domain, x, radii):

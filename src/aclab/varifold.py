@@ -17,7 +17,7 @@ import numpy as np
 from .diagnostics import (OMEGA, TestVectorField, density_fields,
                           field_gradient, plateau_value, radius_ladder)
 from .errors import NoInterface, NoPlateau, NotTangential, RadiusTooSmall
-from .geometry import (Domain, grid_axes, grid_axis_text, require_ball_in_u,
+from .geometry import (Domain, grid_axes, kept, require_ball_in_u,
                        row_distance, row_dot, row_form, row_norm, row_trace,
                        signed_distance)
 from .potential import DoubleWell
@@ -31,15 +31,19 @@ GRADIENT_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class DiscreteVarifold:
-    """Weighted point set with unit normals; weights are cell_weight * e / h0."""
+    """One atom per active node, of weight cell_weight * e / h0, with unit
+    normals."""
 
     dom: Domain
-    points: np.ndarray      # (K, dim)
-    node_index: np.ndarray  # (K,) active-node index of each atom
-    weights: np.ndarray     # (K,)
-    normals: np.ndarray     # (K, dim); zero rows where flagged
-    zero_flag: np.ndarray   # (K,) bool
+    weights: np.ndarray     # (N,)
+    normals: np.ndarray     # (N, dim); zero rows where flagged
+    zero_flag: np.ndarray   # (N,) bool
     epsilon: float
+
+    @property
+    def points(self):
+        """Atom positions: the active nodes."""
+        return self.dom.points
 
     @property
     def mass(self):
@@ -72,37 +76,39 @@ class InterfaceCurve:
 
 
 def build_varifold(sol: Solution, well: DoubleWell, h0: float) -> DiscreteVarifold:
-    """One atom per node with positive energy density; normals follow the
-    grad u / |grad u| convention with a gradient floor of 1e-8 / eps."""
+    """One atom per active node, the varifold of the energy measure over
+    the whole domain: nodes of zero energy density give atoms of weight 0.
+    Normals follow the grad u / |grad u| convention with a gradient floor
+    of 1e-8 / eps; below it an atom gets the zero-normal flag."""
     f = sol.field
     dom = f.dom
-    d = density_fields(f, well)
-    keep = d.e > 0.0
-    idx = np.flatnonzero(keep)
-    w = dom.cut_cell_weights[idx] * d.e[idx] / h0
-    g = field_gradient(f)[idx]
+    w = dom.cut_cell_weights * density_fields(f, well).e / h0
+    g = field_gradient(f)
     gn = row_norm(g)
     zero = gn <= GRADIENT_FLOOR / f.epsilon
     normals = np.zeros_like(g)
     normals[~zero] = g[~zero] / gn[~zero, None]
-    return DiscreteVarifold(dom=dom, points=dom.points[idx], node_index=idx,
-                            weights=w, normals=normals, zero_flag=zero,
-                            epsilon=f.epsilon)
+    return DiscreteVarifold(dom=dom, weights=w, normals=normals,
+                            zero_flag=zero, epsilon=f.epsilon)
+
+
+@kept
+def _node_texts(dom: Domain) -> tuple:
+    """Per axis, the %.17g texts of the active nodes' coordinates."""
+    return tuple(g17_texts(axis) for axis in dom.points.T)
 
 
 def export_atoms(V: DiscreteVarifold, path):
     """Write the atoms as CSV: position, weight, normal, zero flag.
 
-    Each atom sits on its node, so its position is written as the node's
-    grid coordinates, formatted once per domain; weights and normals are
-    formatted once per distinct value where repeats pay (g17_texts).
+    Each atom sits on its node, whose coordinate texts are formatted once
+    per domain; weights and normals are formatted once per distinct value
+    (g17_texts).
     """
     dom = V.dom
     coords = ("x", "y")[:dom.dim]
     ncols = tuple("n" + c for c in coords)
-    cells = np.unravel_index(dom.grid_index[V.node_index], dom.n_cells)
-    columns = [text[c].tolist() for text, c in zip(grid_axis_text(dom), cells)]
-    columns += map(g17_texts, (V.weights, *V.normals.T))
+    columns = [*_node_texts(dom), *map(g17_texts, (V.weights, *V.normals.T))]
     columns.append(np.where(V.zero_flag, "1", "0").tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(coords + ("weight",) + ncols + ("zero_flag",)) + "\n")
@@ -112,7 +118,7 @@ def export_atoms(V: DiscreteVarifold, path):
 def first_variation(V: DiscreteVarifold, X: TestVectorField) -> float:
     """delta V(X) = sum of weight * <grad X, I - nu x nu> over the atoms."""
     live = ~V.zero_flag
-    J = X.jacobian[V.node_index[live]]
+    J = X.jacobian[live]
     nu = V.normals[live]
     divX = row_trace(J)
     nn = row_form(J, nu, nu)

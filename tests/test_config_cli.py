@@ -848,8 +848,8 @@ class TestG17Texts:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_is_per_value_formatting(self, data):
-        # arrays drawn from a small pool repeat most values (the gather
-        # path), arrays of free doubles hardly any (the in-place path)
+        # arrays drawn from a small pool repeat most values, arrays of free
+        # doubles hardly any
         pool = data.draw(st.lists(st.one_of(
             st.sampled_from(SPECIAL_DOUBLES.tolist()), st.floats()),
             min_size=1, max_size=8))
@@ -865,19 +865,6 @@ class TestG17Texts:
         assert tables.g17_texts(a) == want
         # a strided view, as a column of the (N, 2) normals
         assert tables.g17_texts(np.stack([a, a], axis=1)[:, 1]) == want
-
-    def test_both_paths_taken(self):
-        # a quarter of the values distinct takes the gather path, all of
-        # them the in-place one; both give the per-value texts, and the
-        # gathered special doubles keep -0 apart from 0
-        repeats = np.repeat(np.arange(250, dtype=np.float64), 4)
-        specials = np.tile(SPECIAL_DOUBLES, 4)
-        distinct = np.arange(1000, dtype=np.float64) / 7.0
-        assert tables._gathered(repeats) is not None
-        assert tables._gathered(specials) is not None
-        assert tables._gathered(distinct) is None
-        for a in (repeats, specials, distinct):
-            assert tables.g17_texts(a) == ["%.17g" % v for v in a.tolist()]
 
 
 # The writers and the line parser as they were before each distinct value
@@ -925,7 +912,7 @@ def _reference_export_atoms(V, path):
     dom = V.dom
     coords = ("x", "y")[:dom.dim]
     axes = [["%.17g" % v for v in axis.tolist()] for axis in grid_axes(dom)]
-    cells = np.unravel_index(dom.grid_index[V.node_index], dom.n_cells)
+    cells = np.unravel_index(dom.grid_index, dom.n_cells)
     row = ",".join(["%s"] * dom.dim + ["%.17g"] * (dom.dim + 1) + ["%d"]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(coords + ("weight",) + tuple("n" + c for c in coords)
@@ -946,7 +933,7 @@ def _reference_parse(path):
 def reference_solution(request):
     """A converged 512-cell interval solution, or a disk-64 one from the
     folded Newton solve, which is mirror-symmetric: most of its values
-    repeat, so its atom file takes the formatter's gather path."""
+    repeat, as most of its atom file's texts do."""
     well = DoubleWell()
     if request.param == "interval":
         dom = build_domain("interval", (1.0,), 512)
@@ -954,7 +941,7 @@ def reference_solution(request):
     dom = build_domain("disk", (1.0,), 64)
     sol = solve_single(dom, well, 0.1, constraint=0.3, recipe="radial")
     bits = sol.field.values.view(np.int64)
-    assert np.unique(bits).size <= tables.DISTINCT_SHARE * bits.size
+    assert np.unique(bits).size <= 0.5 * bits.size
     return sol
 
 
@@ -1121,10 +1108,11 @@ class TestAtomWriter:
             cli.cmd_diagnose(cfg, paths, out_dir=tmp_path / "d")
         _assert_no_child()
 
-    def test_varifold_build_error_reported_as_before(self, tmp_path,
-                                                     monkeypatch):
-        # the second solution's varifold cannot be built: its atoms and the
-        # varifold tables are missing, and the error is the check's
+    def test_varifold_build_error_raises_as_in_process(self, tmp_path,
+                                                       monkeypatch):
+        # build_varifold raises for no solution; if it did, the child would
+        # fail and the in-process writer raise the error, as it does for an
+        # unwritable atom path, and no child would be left
         cfg, paths = _solved(tmp_path, "disk")
         real = cli.build_varifold
 
@@ -1134,11 +1122,9 @@ class TestAtomWriter:
             return real(sol, well, h0)
 
         monkeypatch.setattr(cli, "build_varifold", failing)
-        report = cli.cmd_diagnose(cfg, paths)
+        with pytest.raises(NoConvergence, match="forced"):
+            cli.cmd_diagnose(cfg, paths)
         _assert_no_child()
-        assert report.errors == [("varifold", "forced")]
-        assert list(_atom_bytes(tmp_path / "out")) == [
-            "varifold_atoms_00.csv"]
 
     def test_checks_without_varifold_fork_nothing(self, tmp_path,
                                                   monkeypatch):

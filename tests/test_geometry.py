@@ -300,8 +300,7 @@ class TestBallRestriction:
         # a varifold with an atom on every node, a tenth of them flagged
         rng = np.random.default_rng(4)
         n = dom.n_nodes
-        V = DiscreteVarifold(dom=dom, points=dom.points,
-                             node_index=np.arange(n), weights=rng.random(n),
+        V = DiscreteVarifold(dom=dom, weights=rng.random(n),
                              normals=np.zeros_like(dom.points),
                              zero_flag=rng.random(n) < 0.1, epsilon=0.05)
         theta = density_estimate(V, np.array(x), radii).theta

@@ -127,12 +127,43 @@ def band_curve(band_sol):
 
 class TestBuildVarifold:
     def test_pure_phase_empty(self, quartic, h0):
+        # every node is an atom, of weight 0 and without a normal
         dom = build_domain("interval", (1.0,), 64)
         f = Field(dom, 0.1, np.ones(dom.n_nodes))
         sol = Solution(field=f, lam=0.0, residual_norm=0.0, iterations=0)
         V = build_varifold(sol, quartic, h0)
-        assert V.weights.size == 0
-        assert V.mass == 0.0
+        assert V.weights.size == dom.n_nodes
+        assert not V.weights.any() and V.zero_flag.all()
+        assert V.mass == 0.0 and V.total_measure == 0.0
+
+    def test_zero_density_nodes_are_atoms(self, quartic, h0, tmp_path):
+        # plateaus of exactly +-1 have e == 0: their nodes are atoms of
+        # weight 0 without a normal, so mass and total measure are those of
+        # the nodes of positive density alone, and the atom file keeps its
+        # rows when the plateaus move off +-1 by rounding
+        from aclab.varifold import export_atoms
+        dom = build_domain("interval", (1.0,), 256)
+        u = np.clip((dom.points[:, 0] - 0.5) / 0.1, -1.0, 1.0)
+        sol = Solution(field=Field(dom, 0.05, u), lam=0.0, residual_norm=0.0,
+                       iterations=0)
+        V = build_varifold(sol, quartic, h0)
+        e = density_fields(sol.field, quartic).e
+        pos = e > 0.0
+        assert V.weights.size == dom.n_nodes and not pos.all()
+        assert not V.weights[~pos].any() and V.zero_flag[~pos].all()
+        w = dom.cut_cell_weights[pos] * e[pos] / h0
+        assert V.mass == float(w[~V.zero_flag[pos]].sum())
+        assert V.total_measure == float(w.sum())
+        export_atoms(V, tmp_path / "exact.csv")
+        near = np.where(np.abs(u) == 1.0, np.sign(u) * (1.0 - 1e-13), u)
+        export_atoms(build_varifold(Solution(
+            field=Field(dom, 0.05, near), lam=0.0, residual_norm=0.0,
+            iterations=0), quartic, h0), tmp_path / "near.csv")
+        x = [np.loadtxt(tmp_path / name, dtype=str, delimiter=",",
+                        skiprows=1, usecols=0)
+             for name in ("exact.csv", "near.csv")]
+        assert x[0].size == dom.n_nodes
+        assert np.array_equal(x[0], x[1])
 
     def test_1d_heteroclinic_unit_mass(self, quartic, h0):
         dom = build_domain("interval", (1.0,), 1024)
@@ -651,11 +682,10 @@ class TestRowKernelCallSites:
         dom, eps = f.dom, f.epsilon
         X = make_rotational_field(dom, np.random.default_rng(12))
         g = field_gradient(f)
-        gn = np.linalg.norm(g[V.node_index], axis=1)
+        gn = np.linalg.norm(g, axis=1)
         live = ~V.zero_flag
-        self.same_bits(V.normals[live], g[V.node_index[live]]
-                       / gn[live, None])
-        J = X.jacobian[V.node_index[live]]
+        self.same_bits(V.normals[live], g[live] / gn[live, None])
+        J = X.jacobian[live]
         nu = V.normals[live]
         div = np.trace(J, axis1=1, axis2=2)
         nn = np.einsum("iab,ia,ib->i", J, nu, nu)
