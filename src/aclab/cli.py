@@ -5,20 +5,20 @@ Subcommands: solve, diagnose, check, example-config.  solve is a thin
 wrapper over solver.epsilon_sweep that writes its solutions.  Every table
 goes through _emit, which records it on the RunReport and writes its CSV;
 diagnose also writes the errors it records to errors.csv, when it records
-any.  The boundary-normal test field is kept on the domain.  When the checks
-include varifold, diagnose writes the varifold atom files from one forked
-writer (forked.Forked) while the rest of the suite runs, and reaps it
-before it returns, so every file is complete then; where fork is
-unavailable or the writer fails, the same writer runs in-process.  solve
-and diagnose create the output directory only once the domain, the sweep's
-gates and the solution files have been accepted.  Exit codes: 0 success,
-1 acceptance failure, 2 config error, 3 solver error.
+any.  Every CSV, the atom files among them, is written by tables.write_csv,
+each value through tables.text.  The boundary-normal test field is kept on
+the domain.  When the checks include varifold, diagnose writes the varifold
+atom files from one forked writer (forked.Forked) while the rest of the
+suite runs, and reaps it before it returns, so every file is complete then;
+where fork is unavailable or the writer fails, the same writer runs
+in-process.  solve and diagnose create the output directory only once the
+domain, the sweep's gates and the solution files have been accepted.  Exit
+codes: 0 success, 1 acceptance failure, 2 config error, 3 solver error.
 """
 from __future__ import annotations
 
 import argparse
 import base64
-import csv
 import io
 import json
 import math
@@ -43,6 +43,7 @@ from .forked import Forked
 from .geometry import Domain, build_domain, kept, signed_distance
 from .potential import compute_h0
 from .solver import Field, Solution, epsilon_sweep
+from .tables import text, write_csv
 from .varifold import (build_varifold, export_atoms, extract_interface,
                        first_variation_bound_constant,
                        free_boundary_test, integrality_check,
@@ -68,29 +69,9 @@ class RunReport:
     errors: list = field(default_factory=list)
 
 
-def _g17(x):
-    """17-significant-digit decimal rendering (round-trip exact)."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return format(float(x), ".17g")
-    return str(x)
-
-
-# _g17 of a value of the types tables hold most, by its exact type
-_G17_BY_TYPE = {float: "%.17g".__mod__, np.float64: "%.17g".__mod__,
-                int: str, np.int64: str, str: str}
-
-
-def write_csv(path, header, rows):
-    """Write the header and rows to path as CSV, each value through _g17."""
-    text = _G17_BY_TYPE.get
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join([text(type(v), _g17)(v) for v in row]) + "\n"
-                      for row in rows)
+def _text_columns(rows):
+    """The columns of rows of table values, each value through text."""
+    return [list(map(text, column)) for column in zip(*rows)]
 
 
 def _emit(report, out, name, header, rows):
@@ -98,7 +79,7 @@ def _emit(report, out, name, header, rows):
     unless they are empty and name is in SKIPPED_WHEN_EMPTY."""
     report.tables[name] = rows
     if rows or name not in SKIPPED_WHEN_EMPTY:
-        write_csv(out / f"{name}.csv", header, rows)
+        write_csv(out / f"{name}.csv", header, _text_columns(rows))
 
 
 def _fit(report, name, value, pick=max):
@@ -465,18 +446,6 @@ def _diag_varifold(report, out, sols, well, cfg, rng, h0):
           iface_rows)
 
 
-def _write_errors(out, errors):
-    """Write out/errors.csv when errors holds any: one where,message row
-    per error, where its epsilon or its check.  The csv module quotes it,
-    since a message can hold commas."""
-    if not errors:
-        return
-    with open(out / "errors.csv", "w", encoding="utf-8", newline="") as fh:
-        rows = csv.writer(fh, lineterminator="\n")
-        rows.writerow(("where", "message"))
-        rows.writerows((_g17(where), msg) for where, msg in errors)
-
-
 def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
                  verbose=False) -> RunReport:
     """Run the configured diagnostics over stored solutions.
@@ -524,7 +493,9 @@ def cmd_diagnose(cfg: RunConfig, solution_paths, out_dir=None,
                 print(f"diagnostic {name} failed: {exc}", file=sys.stderr)
         _emit(report, out, "fitted_constants", ("name", "value"),
               sorted(report.fitted_constants.items()))
-        _write_errors(out, report.errors)
+        if report.errors:
+            write_csv(out / "errors.csv", ("where", "message"),
+                      _text_columns(report.errors))
         if writer is not None and writer.result() is None:
             _write_atoms(out, sols, well, h0)
     finally:
@@ -589,8 +560,8 @@ def main(argv=None) -> int:
         if args.command == "solve":
             report = cmd_solve(cfg, out_dir=args.out, verbose=args.verbose)
             return 3 if report.errors and not report.solutions else 0
-        report = cmd_diagnose(cfg, args.solutions, out_dir=args.out,
-                              verbose=args.verbose)
+        cmd_diagnose(cfg, args.solutions, out_dir=args.out,
+                     verbose=args.verbose)
         return 0
     except (ConfigError, InvalidShapeParams) as exc:
         print(f"config error: {exc}", file=sys.stderr)

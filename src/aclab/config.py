@@ -5,9 +5,9 @@ Sections: [domain], [potential], [solver], [init], [sweep], [diagnostics],
 Every value is read through _numbers or _word, whose ConfigError starts
 with section.key; the shape parameters and cell counts are checked by the
 code build_domain uses, and the potential is built here as well.
-Keys the parser does not read are ignored, so older configs that still set
-the retired pre-flow keys (init.pre_steps, solver.max_steps,
-solver.dt_factor) keep parsing.
+An unknown section or key is a ConfigError naming it; the retired pre-flow
+keys (init.pre_steps, solver.max_steps, solver.dt_factor) are accepted and
+ignored, so older configs that still set them keep parsing.
 """
 from __future__ import annotations
 
@@ -131,6 +131,20 @@ def parse_config(text: str) -> RunConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    # the keys each section may hold; the retired pre-flow keys are ignored
+    known = {"domain": "shape params cells", "potential": "kind coefficients",
+             "solver": "tol constraint_mean max_steps dt_factor",
+             "init": "recipe value offset center radius left right file "
+                     "pre_steps",
+             "sweep": "epsilons", "diagnostics": "checks samples fields",
+             "output": "dir seed"}
+    for name in cp.sections():
+        if name not in known:
+            raise ConfigError(f"[{name}]: unknown section, not one of "
+                              f"{tuple(known)}")
+        for key in cp[name]:
+            if key not in known[name].split():
+                raise ConfigError(f"{name}.{key}: unknown key")
 
     if not cp.has_section("domain"):
         raise ConfigError("missing [domain] block")

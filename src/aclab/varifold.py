@@ -22,7 +22,7 @@ from .geometry import (Domain, grid_axes, kept, require_ball_in_u,
                        signed_distance)
 from .potential import DoubleWell
 from .solver import Solution
-from .tables import g17_texts, write_rows
+from .tables import g17_texts, write_csv
 
 # |grad u| below this multiple of 1/eps gets the zero-normal flag; separates
 # phase plateaus from transition layers on the natural gradient scale
@@ -107,12 +107,10 @@ def export_atoms(V: DiscreteVarifold, path):
     """
     dom = V.dom
     coords = ("x", "y")[:dom.dim]
-    ncols = tuple("n" + c for c in coords)
-    columns = [*_node_texts(dom), *map(g17_texts, (V.weights, *V.normals.T))]
-    columns.append(np.where(V.zero_flag, "1", "0").tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(coords + ("weight",) + ncols + ("zero_flag",)) + "\n")
-        write_rows(fh, columns)
+    write_csv(path, coords + ("weight",) + tuple("n" + c for c in coords)
+              + ("zero_flag",),
+              [*_node_texts(dom), *map(g17_texts, (V.weights, *V.normals.T)),
+               np.where(V.zero_flag, "1", "0").tolist()])
 
 
 def first_variation(V: DiscreteVarifold, X: TestVectorField) -> float:
@@ -230,12 +228,10 @@ def extract_interface(sol: Solution) -> InterfaceCurve:
     mids, dirs, lens = mids[ok], dirs[ok], lens[ok]
     tangents = dirs / lens[:, None]
     normals = np.stack([-tangents[:, 1], tangents[:, 0]], axis=1)
-    # orient along grad u ({u<0} -> {u>0}) using the nearest node's gradient
-    cell = np.clip(np.round((mids - dom.origin[None, :]) / h - 0.5).astype(int),
-                   0, [nx - 1, ny - 1])
-    flat = cell[:, 0] * ny + cell[:, 1]
-    near = dom.active_of_grid[flat]
-    near[near < 0] = 0
+    # orient along grad u ({u<0} -> {u>0}) using the nearest node's gradient;
+    # each midpoint rounds to an active corner of its marching-squares cell
+    cell = np.round((mids - dom.origin[None, :]) / h - 0.5).astype(int)
+    near = dom.active_of_grid[cell[:, 0] * ny + cell[:, 1]]
     flip = row_dot(normals, grad[near]) < 0.0
     normals[flip] *= -1.0
 

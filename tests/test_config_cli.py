@@ -204,6 +204,35 @@ class TestConfig:
                 .replace("recipe = step-x", "recipe = step-x\npre_steps = 30"))
         assert parse_config(text) == parse_config(example_config())
 
+    @pytest.mark.parametrize("edit,where", [
+        (("constraint_mean = 0.0", "constraint_mean = 0.0\n"
+                                   "constraint_mena = 0.3"),
+         "solver.constraint_mena: unknown key"),
+        (("constraint_mean = 0.0", "constraint_mena = 0.3"),
+         "solver.constraint_mena: unknown key"),
+        (("recipe = step-x", "recipe = step-x\nradius_ = 0.2"),
+         "init.radius_: unknown key"),
+        # a retired key outside the section it was read from
+        (("tol = 1e-10", "tol = 1e-10\npre_steps = 30"),
+         "solver.pre_steps: unknown key"),
+        (("[diagnostics]", "[diagnostic]"), "[diagnostic]: unknown section"),
+        (("[output]", "[extra]\n[output]"), "[extra]: unknown section")])
+    def test_unknown_key_or_section_rejected(self, edit, where):
+        # each edit used to parse, the unknown name ignored: constraint_mena
+        # in place of constraint_mean gave an unconstrained run, and
+        # [diagnostic] the default checks
+        with pytest.raises(ConfigError, match="^" + re.escape(where)):
+            parse_config(example_config().replace(*edit))
+
+    def test_every_documented_key_accepted(self):
+        # the example config, its commented keys set, on a disk (center
+        # takes two values there)
+        text = re.sub(r"(?m)^# (\w+ = )", r"\1", example_config())
+        text = text.replace("shape = interval", "shape = disk")
+        assert "\ncoefficients = " in text and "\nfile = " in text
+        cfg = parse_config(text)
+        assert cfg.recipe_params["center"] == (0.0, 0.0)
+
 
 class TestSolutionIO:
     def test_roundtrip(self, tmp_path):
@@ -799,7 +828,7 @@ class TestCli:
         with open(out / "errors.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["where", "message"]] + [
-            [cli._g17(where), msg] for where, msg in report.errors]
+            [_reference_g17(where), msg] for where, msg in report.errors]
         assert '"forced, with ""commas"", twice"' in \
             (out / "errors.csv").read_text()
 
@@ -881,6 +910,20 @@ def _reference_g17(x):
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".17g")
     return str(x)
+
+
+# every type of value a table may hold; strs that need no quoting
+TABLE_VALUES = st.one_of(
+    st.floats(), st.sampled_from(SPECIAL_DOUBLES.tolist()),
+    st.floats(width=32).map(np.float32), st.integers(),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans(), st.booleans().map(np.bool_),
+    st.text(st.characters(blacklist_characters=',"\n',
+                          blacklist_categories=("Cs",)), max_size=8))
+# strs that hold what csv.writer quotes, and \r, which it does not
+QUOTED_STRS = st.one_of(st.sampled_from(["", '""', ",", '"', "\n", "\r",
+                                         "a,b", 'say "x"', "\r\n"]),
+                        st.text(',"\n\r ab', max_size=6))
 
 
 def _reference_write_csv(path, header, rows):
@@ -988,10 +1031,48 @@ class TestReferenceBytes:
                  np.bool_(True), "", np.nan, np.float64(-math.inf),
                  np.float16(2.5), np.uint8(255), -2.5e-310, (1, 2))]
         header = [f"c{k}" for k in range(len(rows[0]))]
-        cli.write_csv(tmp_path / "t.csv", header, rows)
+        cli.write_csv(tmp_path / "t.csv", header, cli._text_columns(rows))
         _reference_write_csv(tmp_path / "ref.csv", header, rows)
         assert (tmp_path / "t.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_tables(self, tmp_path_factory, data):
+        # tables of the values the writer may meet, each column drawn from
+        # a small pool, over 0 to 2 chunks of rows: the reference bytes
+        # where no str needs quoting
+        pool = data.draw(st.lists(TABLE_VALUES, min_size=1, max_size=6))
+        n_cols = data.draw(st.integers(1, 4))
+        n_rows = data.draw(st.integers(0, 2 * tables.CHUNK_ROWS + 1))
+        columns = [[pool[k] for k in data.draw(arrays(
+            np.intp, n_rows, elements=st.integers(0, len(pool) - 1)))]
+            for _ in range(n_cols)]
+        rows = list(zip(*columns))
+        header = [f"c{k}" for k in range(n_cols)]
+        path = tmp_path_factory.mktemp("csv")
+        cli.write_csv(path / "t.csv", header, cli._text_columns(rows))
+        _reference_write_csv(path / "ref.csv", header, rows)
+        assert (path / "t.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+    @given(rows=st.integers(2, 4).flatmap(lambda n: st.lists(st.lists(
+        st.one_of(QUOTED_STRS, TABLE_VALUES), min_size=n, max_size=n),
+        max_size=20)))
+    @settings(max_examples=60, deadline=None)
+    def test_strs_quoted_as_csv_writer(self, tmp_path_factory, rows):
+        # strs with commas, quotes, line ends and empty ones among numbers:
+        # csv.writer's bytes, the numbers given to it as their reference
+        # texts.  Tables hold at least two columns; csv.writer writes a
+        # lone empty field as "", this writer as an empty line
+        path = tmp_path_factory.mktemp("csv")
+        header = [f"c{k}" for k in range(len(rows[0]))] if rows else ["c0"]
+        cli.write_csv(path / "t.csv", header, cli._text_columns(rows))
+        with open(path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([v if isinstance(v, str) else _reference_g17(v)
+                              for v in row] for row in rows)
+        assert (path / "t.csv").read_bytes() == (path / "ref.csv").read_bytes()
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)

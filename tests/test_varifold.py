@@ -368,6 +368,34 @@ class TestInterface:
         # u increases with y: normals point along +y
         assert np.all(curve.seg_normal[:, 1] > 0.9)
 
+    @pytest.mark.parametrize("shape,params,cells", [
+        ("disk", (1.0,), 64), ("annulus", (0.4, 1.0), 80),
+        ("half-disk", (1.0,), (128, 64)), ("rectangle", (1.0, 0.5), (64, 32))])
+    def test_segment_midpoints_round_to_active_corners(self, shape, params,
+                                                       cells):
+        # the orientation reads the gradient at the node a segment midpoint
+        # rounds to; a midpoint lies in its marching-squares cell, whose
+        # four corners are active, so that node is in the grid and active:
+        # on the seeds and on a noise field, whose level set crosses cells
+        # at the boundary
+        dom = build_domain(shape, params, cells)
+        fields = [seed_field(dom, 0.05, recipe, m).values
+                  for recipe in ("radial", "step-x", "step-y")
+                  for m in (-0.5, 0.0, 0.3)]
+        fields.append(np.random.default_rng(4).standard_normal(dom.n_nodes))
+        for u in fields:
+            f = Field(dom, 0.05, u)
+            curve = extract_interface(Solution(field=f, lam=0.0,
+                                               residual_norm=0.0,
+                                               iterations=0))
+            cell = np.round((curve.seg_mid - dom.origin) / dom.cell_size
+                            - 0.5).astype(int)
+            assert np.all((cell >= 0) & (cell < dom.n_cells))
+            near = dom.active_of_grid[cell[:, 0] * dom.n_cells[1] + cell[:, 1]]
+            assert np.all(near >= 0)
+            assert np.all(np.sum(curve.seg_normal * field_gradient(f)[near],
+                                 axis=1) >= 0.0)
+
 
 class TestFreeBoundary:
     def test_straight_interface_stationary(self, band_sol, band_varifold,
