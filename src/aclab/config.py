@@ -2,11 +2,12 @@
 
 Sections: [domain], [potential], [solver], [init], [sweep], [diagnostics],
 [output].  All defaults are documented in the generated example config.
-Every value is read through _numbers or _word, whose ConfigError starts
-with section.key; the shape parameters and cell counts are checked by the
-code build_domain uses, and the potential is built here as well.
-An unknown section or key is a ConfigError naming it; the retired pre-flow
-keys (init.pre_steps, solver.max_steps, solver.dt_factor) are accepted and
+Values are literal, with no % interpolation.  Every value is read through
+_numbers or _word, whose ConfigError starts with section.key; the shape
+names, parameters, cell counts and dimension come from geometry's SHAPES
+through the code build_domain uses.  An unknown section ([DEFAULT] among
+them) or key is a ConfigError naming it; the retired pre-flow keys
+(init.pre_steps, solver.max_steps, solver.dt_factor) are accepted and
 ignored, so older configs that still set them keep parsing.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InvalidPotential, InvalidShapeParams
-from .geometry import SHAPES_1D, SHAPES_2D, check_cells, check_params
+from .geometry import SHAPES, check_cells, check_params
 from .potential import KINDS, DoubleWell
 from .solver import RECIPES
 
@@ -126,7 +127,9 @@ def _word(section, key, allowed):
 
 def parse_config(text: str) -> RunConfig:
     """Parse the sectioned key/value format into a validated RunConfig."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no section is a default one: [DEFAULT] is an unknown section
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -152,7 +155,7 @@ def parse_config(text: str) -> RunConfig:
     for key in ("shape", "params", "cells"):
         if key not in dom:
             raise ConfigError(f"[domain] is missing key {key!r}")
-    shape = _word(dom, "shape", SHAPES_1D + SHAPES_2D)
+    shape = _word(dom, "shape", tuple(SHAPES))
     kw = dict(shape=shape, params=_numbers(dom, "params"),
               cells=_numbers(dom, "cells", integer=True))
     try:
@@ -160,7 +163,7 @@ def parse_config(text: str) -> RunConfig:
     except InvalidShapeParams as exc:
         raise ConfigError(f"domain.params: {exc}") from exc
     try:
-        check_cells(shape, params, kw["cells"])
+        dim = len(check_cells(shape, params, kw["cells"])[0])
     except InvalidShapeParams as exc:
         raise ConfigError(f"domain.cells: {exc}") from exc
 
@@ -194,8 +197,7 @@ def parse_config(text: str) -> RunConfig:
             if key in init:
                 rp[key] = _numbers(init, key, count=1)[0]
         if "center" in init:
-            rp["center"] = _numbers(init, "center",
-                                    count=1 if shape in SHAPES_1D else 2)
+            rp["center"] = _numbers(init, "center", count=dim)
         if "file" in init:
             rp["file"] = init["file"].strip()
         if kw.get("recipe") == "file" and "file" not in rp:

@@ -1,27 +1,26 @@
 """Discretized domains: cut-cell Cartesian grids with analytic boundary geometry.
 
-Supported shapes (all with closed-form distance and normals): interval,
-rectangle, disk, annulus, half-disk.  The signed distance is the one
-statement of each shape: a point is inside exactly when it is positive,
-and every shape snaps a point to the boundary by the same walk along its
-gradient.  Nodes sit symmetrically about the centre of the grid box, whose
-cell counts are Domain.n_cells.  A Domain is immutable after construction;
-data derived from its grid is built once and kept in its cache, read-only.
+Supported shapes: interval, rectangle, disk, annulus, half-disk.  A shape
+is stated by its row of SHAPES and its closed-form signed distance and
+gradient; a new shape adds a row and a branch to each of the two.  A point
+is inside exactly when its signed distance is positive, and every shape
+snaps a point to the boundary by the same walk along the gradient.  Nodes
+sit symmetrically about the centre of the grid box, whose cell counts are
+Domain.n_cells.  A Domain is immutable after construction; data derived
+from its grid is built once and kept in its cache, read-only.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import BallEscapesU, InvalidShapeParams, RadiusTooSmall
-
-SHAPES_1D = ("interval",)
-SHAPES_2D = ("rectangle", "disk", "annulus", "half-disk")
 
 # cells with an inside-volume fraction below this are dropped from the
 # active set (sliver guard for the solver's conditioning)
@@ -201,7 +200,14 @@ class Domain:
         return _shape_sdist_grad(self.shape, self.params, np.atleast_2d(pts))
 
     def nearest_boundary_point(self, p):
-        return _nearest_boundary_point(self.shape, self.params, np.asarray(p, float))
+        pts = np.atleast_2d(np.asarray(p, float))
+        d = self.distance_to_boundary(pts)[0]
+        if abs(d) <= SNAP_TOLERANCE * max(self.params):
+            # on the boundary up to rounding, as every snapped point is: keep
+            # it, so that snapping is idempotent
+            return pts[0].copy()
+        # walking distance d against the inward gradient lands on the boundary
+        return pts[0] - d * self.distance_gradient(pts)[0]
 
     def to_descriptor(self):
         """JSON-serializable descriptor, which a stored solution must match."""
@@ -213,28 +219,52 @@ class Domain:
 # analytic shape geometry
 # ---------------------------------------------------------------------------
 
+# A row of SHAPES: what the shape's parameters are, as InvalidShapeParams
+# names them, and how many; then, as functions of the checked params p, its
+# grid box (lo, hi), its boundary curvature bound kappa0, and its boundary
+# pieces [(points, normals, weights)] built by the segment and arc helpers
+# that _boundary_samples passes.
+Shape = namedtuple("Shape", "expects n_params box kappa0 pieces")
+SHAPES = {
+    "interval": Shape(
+        "one length parameter", 1, lambda p: ((0.0,), p), lambda p: 0.0,
+        lambda p, segment, arc: [(np.array([[0.0], [p[0]]]),
+                                  np.array([[-1.0], [1.0]]), np.ones(2))]),
+    "rectangle": Shape(
+        "two side lengths", 2, lambda p: ((0.0, 0.0), p), lambda p: 0.0,
+        lambda p, segment, arc: [segment((0, 0), (p[0], 0), (0, -1)),
+                                 segment((p[0], 0), p, (1, 0)),
+                                 segment(p, (0, p[1]), (0, 1)),
+                                 segment((0, p[1]), (0, 0), (-1, 0))]),
+    # the curvature bound is 1/radius, the inner one on the annulus
+    "disk": Shape(
+        "one radius parameter", 1, lambda p: ((-p[0], -p[0]), (p[0], p[0])),
+        lambda p: 1.0 / p[0], lambda p, segment, arc: [arc(p[0], 1.0)]),
+    "annulus": Shape(
+        "inner and outer radii", 2, lambda p: ((-p[1], -p[1]), (p[1], p[1])),
+        lambda p: 1.0 / p[0],
+        lambda p, segment, arc: [arc(p[1], 1.0), arc(p[0], -1.0)]),
+    # upper arc plus the flat diameter
+    "half-disk": Shape(
+        "one radius parameter", 1, lambda p: ((-p[0], 0.0), (p[0], p[0])),
+        lambda p: 1.0 / p[0],
+        lambda p, segment, arc: [arc(p[0], 1.0, math.pi),
+                                 segment((-p[0], 0), (p[0], 0), (0, -1))]),
+}
+
+
 def check_params(shape, params):
     """params as floats, checked against shape; InvalidShapeParams if not."""
     p = tuple(float(v) for v in params)
     if not all(0.0 < v < math.inf for v in p):
         raise InvalidShapeParams(
             f"{shape}: parameters must be finite and positive, got {p}")
-    if shape == "interval":
-        if len(p) != 1:
-            raise InvalidShapeParams("interval expects one length parameter")
-    elif shape == "rectangle":
-        if len(p) != 2:
-            raise InvalidShapeParams("rectangle expects two side lengths")
-    elif shape in ("disk", "half-disk"):
-        if len(p) != 1:
-            raise InvalidShapeParams(f"{shape} expects one radius parameter")
-    elif shape == "annulus":
-        if len(p) != 2:
-            raise InvalidShapeParams("annulus expects inner and outer radii")
-        if p[0] >= p[1]:
-            raise InvalidShapeParams("annulus inner radius must be < outer")
-    else:
+    if shape not in SHAPES:
         raise InvalidShapeParams(f"unknown shape {shape!r}")
+    if len(p) != SHAPES[shape].n_params:
+        raise InvalidShapeParams(f"{shape} expects {SHAPES[shape].expects}")
+    if shape == "annulus" and p[0] >= p[1]:
+        raise InvalidShapeParams("annulus inner radius must be < outer")
     return p
 
 
@@ -286,26 +316,11 @@ def _shape_sdist_grad(shape, params, pts):
     return g
 
 
-def _nearest_boundary_point(shape, params, p):
-    pts = np.atleast_2d(p)
-    d = _shape_sdist(shape, params, pts)[0]
-    if abs(d) <= SNAP_TOLERANCE * max(params):
-        # on the boundary up to rounding, as every snapped point is: keep it,
-        # so that snapping is idempotent
-        return pts[0].copy()
-    g = _shape_sdist_grad(shape, params, pts)[0]
-    # walking distance d against the inward gradient lands on the boundary
-    return pts[0] - d * g
-
-
 def _boundary_samples(shape, params, h):
     """Boundary quadrature samples as (points, normals, weights): each
     smooth piece of length l gets k = max(8, round(l / h)) samples at the
     midpoints of k equal arclength steps, each weighing l / k; the two end
     points of the interval weigh 1."""
-    if shape == "interval":
-        return (np.array([[0.0], [params[0]]]), np.array([[-1.0], [1.0]]),
-                np.ones(2))
 
     def steps(length):
         k = max(8, int(round(length / h)))
@@ -323,19 +338,7 @@ def _boundary_samples(shape, params, h):
         c = np.stack([np.cos(t * angle), np.sin(t * angle)], axis=1)
         return R * c, sign * c, w
 
-    if shape == "rectangle":
-        Lx, Ly = params
-        pieces = [segment((0, 0), (Lx, 0), (0, -1)),
-                  segment((Lx, 0), (Lx, Ly), (1, 0)),
-                  segment((Lx, Ly), (0, Ly), (0, 1)),
-                  segment((0, Ly), (0, 0), (-1, 0))]
-    elif shape == "disk":
-        pieces = [arc(params[0], 1.0)]
-    elif shape == "annulus":
-        pieces = [arc(params[1], 1.0), arc(params[0], -1.0)]
-    else:  # half-disk: upper arc plus the flat diameter
-        R = params[0]
-        pieces = [arc(R, 1.0, math.pi), segment((-R, 0), (R, 0), (0, -1))]
+    pieces = SHAPES[shape].pieces(params, segment, arc)
     return tuple(np.concatenate(a) for a in zip(*pieces))
 
 
@@ -344,18 +347,8 @@ def _boundary_samples(shape, params, h):
 # ---------------------------------------------------------------------------
 
 def _grid_box(shape, params):
-    if shape == "interval":
-        return np.array([0.0]), np.array([params[0]])
-    if shape == "rectangle":
-        return np.zeros(2), np.array(params)
-    if shape == "disk":
-        R = params[0]
-        return np.array([-R, -R]), np.array([R, R])
-    if shape == "annulus":
-        R = params[1]
-        return np.array([-R, -R]), np.array([R, R])
-    R = params[0]
-    return np.array([-R, 0.0]), np.array([R, R])
+    lo, hi = SHAPES[shape].box(params)
+    return np.array(lo, float), np.array(hi, float)
 
 
 def check_cells(shape, params, n_cells):
@@ -441,8 +434,8 @@ def build_domain(shape: str, params, n_cells) -> Domain:
     dropped from the active set.
     """
     params = check_params(shape, params)
-    dim = 1 if shape in SHAPES_1D else 2
     lo, hi = _grid_box(shape, params)
+    dim = lo.size
     cells, h = check_cells(shape, params, n_cells)
 
     axes = _grid_axes(lo, hi, cells, h)
@@ -496,8 +489,7 @@ def build_domain(shape: str, params, n_cells) -> Domain:
         active_of_grid=active_of_grid, neighbors=nbr,
         boundary=BoundarySamples(points=bp, normals=bn, weights=bw,
                                  node=bnode),
-        # boundary curvature bound: 1/radius, the inner one on the annulus
-        kappa0=0.0 if shape in ("interval", "rectangle") else 1.0 / params[0],
+        kappa0=SHAPES[shape].kappa0(params),
         u_lo=lo - margin, u_hi=hi + margin,
     )
 

@@ -10,13 +10,13 @@ CHUNK_ROWS = 1024
 
 def text(v):
     """The CSV text of a table value: a bool or an int its decimal, a float
-    %.17g, anything else its str; a str holding a comma, a double quote or a
-    newline is quoted, as csv.writer(lineterminator="\\n") quotes it."""
+    %.17g, anything else its str; a str holding a comma, a double quote, a
+    "\\n" or a "\\r" is quoted, as RFC 4180 and csv.writer() quote it."""
     if isinstance(v, (float, np.floating)):
         return "%.17g" % v
     if isinstance(v, (int, np.integer, np.bool_)):
         return str(int(v))
-    if isinstance(v, str) and ("," in v or '"' in v or "\n" in v):
+    if isinstance(v, str) and ("," in v or '"' in v or "\n" in v or "\r" in v):
         return '"%s"' % v.replace('"', '""')
     return str(v)
 

@@ -1,5 +1,6 @@
 import base64
 import csv
+import io
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -223,6 +224,23 @@ class TestConfig:
         # [diagnostic] the default checks
         with pytest.raises(ConfigError, match="^" + re.escape(where)):
             parse_config(example_config().replace(*edit))
+
+    @pytest.mark.parametrize("head", ["[DEFAULT]\n", "[DEFAULT]\nseed = 3\n"])
+    def test_default_section_rejected(self, head):
+        # an empty [DEFAULT] used to pass silently, and one with a key was
+        # reported as an unknown key of [domain], where configparser copied it
+        with pytest.raises(ConfigError,
+                           match=r"^\[DEFAULT\]: unknown section, not one of "):
+            parse_config(head + example_config())
+
+    def test_percent_in_value_is_literal(self):
+        # % used to start an interpolation, which raised outside ConfigError
+        cfg = parse_config(example_config().replace("dir = out", "dir = out%1"))
+        assert cfg.out_dir == "out%1"
+        with pytest.raises(ConfigError,
+                           match=r"^output\.seed: expected integers, got "
+                                 r"'%\(x\)s'$"):
+            parse_config(example_config().replace("seed = 7", "seed = %(x)s"))
 
     def test_every_documented_key_accepted(self):
         # the example config, its commented keys set, on a disk (center
@@ -918,9 +936,9 @@ TABLE_VALUES = st.one_of(
     st.floats(width=32).map(np.float32), st.integers(),
     st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
     st.booleans(), st.booleans().map(np.bool_),
-    st.text(st.characters(blacklist_characters=',"\n',
+    st.text(st.characters(blacklist_characters=',"\n\r',
                           blacklist_categories=("Cs",)), max_size=8))
-# strs that hold what csv.writer quotes, and \r, which it does not
+# strs that hold what a CSV writer quotes: a comma, a quote or a line end
 QUOTED_STRS = st.one_of(st.sampled_from(["", '""', ",", '"', "\n", "\r",
                                          "a,b", 'say "x"', "\r\n"]),
                         st.text(',"\n\r ab', max_size=6))
@@ -1061,18 +1079,37 @@ class TestReferenceBytes:
     @settings(max_examples=60, deadline=None)
     def test_strs_quoted_as_csv_writer(self, tmp_path_factory, rows):
         # strs with commas, quotes, line ends and empty ones among numbers:
-        # csv.writer's bytes, the numbers given to it as their reference
-        # texts.  Tables hold at least two columns; csv.writer writes a
-        # lone empty field as "", this writer as an empty line
+        # csv.writer's bytes under its default "\r\n" terminator, which
+        # quotes a bare "\r" as RFC 4180 does, with each row's terminator
+        # written as "\n"; the numbers are given to it as their reference
+        # texts.  Tables hold at least two columns; csv.writer writes a lone
+        # empty field as "", this writer as an empty line
         path = tmp_path_factory.mktemp("csv")
         header = [f"c{k}" for k in range(len(rows[0]))] if rows else ["c0"]
         cli.write_csv(path / "t.csv", header, cli._text_columns(rows))
-        with open(path / "ref.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([v if isinstance(v, str) else _reference_g17(v)
-                              for v in row] for row in rows)
-        assert (path / "t.csv").read_bytes() == (path / "ref.csv").read_bytes()
+
+        def line(row):
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerow(row)
+            return buf.getvalue().removesuffix("\r\n") + "\n"
+
+        ref = "".join(map(line, [header] + [
+            [v if isinstance(v, str) else _reference_g17(v) for v in row]
+            for row in rows]))
+        assert (path / "t.csv").read_bytes() == ref.encode("utf-8")
+
+    @given(rows=st.integers(2, 4).flatmap(lambda n: st.lists(st.lists(
+        QUOTED_STRS, min_size=n, max_size=n), max_size=20)))
+    @example(rows=[["0.1", "a\rb"]])
+    @settings(max_examples=60, deadline=None)
+    def test_strs_read_back_by_csv_reader(self, tmp_path_factory, rows):
+        # csv.reader reads every table row back as its strs, line ends among
+        # them; a bare "\r" left unquoted used to split its row in two
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        header = [f"c{k}" for k in range(len(rows[0]))] if rows else ["c0"]
+        cli.write_csv(path, header, cli._text_columns(rows))
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == [header] + rows
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
